@@ -27,39 +27,42 @@ let reset t =
   t.rows <- [];
   t.count <- 0
 
-let key e = (e.dir_set, e.line)
+(* Lock order: (dir_set, line) lexicographically, compared as ints. *)
+let before a b = a.dir_set < b.dir_set || (a.dir_set = b.dir_set && a.line < b.line)
+
+(* OR [written] into [line]'s row; false when there is no such row. *)
+let rec merge_row line ~written = function
+  | [] -> false
+  | e :: rest ->
+      if e.line = line then begin
+        if written then e.written <- true;
+        true
+      end
+      else merge_row line ~written rest
+
+let rec insert_row e = function
+  | [] -> [ e ]
+  | x :: rest as rows -> if before e x then e :: rows else x :: insert_row e rest
 
 let record t line ~written =
-  let rec find = function
-    | [] -> None
-    | e :: rest -> if e.line = line then Some e else find rest
-  in
-  match find t.rows with
-  | Some e ->
-      e.written <- e.written || written;
-      `Ok
-  | None ->
-      if t.count >= t.capacity then `Overflow
-      else begin
-        let e =
-          {
-            line;
-            dir_set = t.dir_set_of line;
-            written;
-            needs_locking = false;
-            locked = false;
-            hit = false;
-            conflict = false;
-          }
-        in
-        let rec insert = function
-          | [] -> [ e ]
-          | x :: rest -> if key e < key x then e :: x :: rest else x :: insert rest
-        in
-        t.rows <- insert t.rows;
-        t.count <- t.count + 1;
-        `Ok
-      end
+  if merge_row line ~written t.rows then `Ok
+  else if t.count >= t.capacity then `Overflow
+  else begin
+    let e =
+      {
+        line;
+        dir_set = t.dir_set_of line;
+        written;
+        needs_locking = false;
+        locked = false;
+        hit = false;
+        conflict = false;
+      }
+    in
+    t.rows <- insert_row e t.rows;
+    t.count <- t.count + 1;
+    `Ok
+  end
 
 let mem t line = List.exists (fun e -> e.line = line) t.rows
 

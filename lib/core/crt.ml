@@ -14,38 +14,43 @@ let create ?(entries = 64) ?(ways = 8) () =
 
 let set_of t line = line mod t.sets
 
+(* Index of [line]'s way, or -1. *)
 let find t line =
   let base = set_of t line * t.ways in
-  let rec loop w = if w = t.ways then None else if t.tags.(base + w) = line then Some (base + w) else loop (w + 1) in
-  loop 0
+  let i = ref base and stop = base + t.ways in
+  while !i < stop && t.tags.(!i) <> line do
+    incr i
+  done;
+  if !i < stop then !i else -1
 
 let insert t line =
   t.tick <- t.tick + 1;
-  match find t line with
-  | Some i -> t.age.(i) <- t.tick
-  | None ->
-      let base = set_of t line * t.ways in
-      let victim = ref base in
-      let found_empty = ref false in
-      for w = 0 to t.ways - 1 do
-        let i = base + w in
-        if (not !found_empty) && t.tags.(i) = -1 then begin
-          victim := i;
-          found_empty := true
-        end
-        else if (not !found_empty) && t.age.(i) < t.age.(!victim) then victim := i
-      done;
-      t.tags.(!victim) <- line;
-      t.age.(!victim) <- t.tick
+  let i = find t line in
+  if i >= 0 then t.age.(i) <- t.tick
+  else begin
+    let base = set_of t line * t.ways in
+    let victim = ref base in
+    let found_empty = ref false in
+    for w = 0 to t.ways - 1 do
+      let i = base + w in
+      if (not !found_empty) && t.tags.(i) = -1 then begin
+        victim := i;
+        found_empty := true
+      end
+      else if (not !found_empty) && t.age.(i) < t.age.(!victim) then victim := i
+    done;
+    t.tags.(!victim) <- line;
+    t.age.(!victim) <- t.tick
+  end
 
-let mem t line = find t line <> None
+let mem t line = find t line >= 0
 
 let remove t line =
-  match find t line with
-  | Some i ->
-      t.tags.(i) <- -1;
-      t.age.(i) <- 0
-  | None -> ()
+  let i = find t line in
+  if i >= 0 then begin
+    t.tags.(i) <- -1;
+    t.age.(i) <- 0
+  end
 
 let size t = Array.fold_left (fun n tag -> if tag <> -1 then n + 1 else n) 0 t.tags
 

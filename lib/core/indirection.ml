@@ -12,9 +12,9 @@ let set t r = Bytes.set t r '\001'
 
 let get t r = Bytes.get t r <> '\000'
 
-let define t ~dst ~srcs =
-  let tainted = List.exists (get t) srcs in
-  Bytes.set t dst (if tainted then '\001' else '\000')
+let assign t r tainted = Bytes.set t r (if tainted then '\001' else '\000')
+
+let define t ~dst ~srcs = assign t dst (List.exists (get t) srcs)
 
 let define_load t ~dst = set t dst
 

@@ -20,6 +20,9 @@ val set : t -> int -> unit
 
 val get : t -> int -> bool
 
+val assign : t -> int -> bool -> unit
+(** Set or clear one bit. *)
+
 val define : t -> dst:int -> srcs:int list -> unit
 (** Destination written from the given source registers: the bit becomes the
     OR of the sources' bits (immediates contribute nothing — omit them). *)

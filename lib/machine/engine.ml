@@ -62,10 +62,13 @@ type t = {
   store : Mem.Store.t;
   hierarchy : Mem.Hierarchy.t;
   conflicts : Conflict_map.t;
+  lock0 : Fallback_lock.t;
+      (* HTM: the single global fallback lock. SLE: critical-section mutex
+         0's reader-writer lock; the other mutexes' live in [locks]. *)
   locks : (int, Fallback_lock.t) Hashtbl.t;
-      (* HTM: a single global fallback lock (id 0). SLE: one reader-writer
-         lock per critical-section mutex. *)
   stats : Stats.t;
+  lock_phase_cycles : Simrt.Counter.cell;
+  stall_cycles : Simrt.Counter.cell;
   perf : Simrt.Perfctr.t;
   openq : Openq.t option;
   cores : core array;
@@ -153,8 +156,11 @@ let create ?trace ?check (cfg : Config.t) (workload : Workload.t) =
        default exists to bound the address space, not to be touched): lines
        are dense from zero and the map grows if an address lands beyond. *)
     conflicts = Conflict_map.create ~lines:((workload.memory_words asr 3) + 1) ~cores:cfg.cores ();
+    lock0 = Fallback_lock.create ();
     locks = Hashtbl.create 16;
     stats;
+    lock_phase_cycles = Simrt.Counter.cell (Stats.counters stats) "lock_phase_cycles";
+    stall_cycles = Simrt.Counter.cell (Stats.counters stats) "stall_cycles";
     perf = Simrt.Perfctr.create ();
     (* The arrival schedule draws from its own split; Rng.split derives from
        the parent's original seed, not its state, so adding this split
@@ -182,19 +188,21 @@ let openq t = t.openq
 let current_op c = match c.op with Some op -> op | None -> invalid_arg "no current op"
 
 let lock_table t id =
-  match Hashtbl.find_opt t.locks id with
-  | Some l -> l
-  | None ->
-      let l = Fallback_lock.create () in
-      Hashtbl.add t.locks id l;
-      l
+  if id = 0 then t.lock0
+  else
+    match Hashtbl.find_opt t.locks id with
+    | Some l -> l
+    | None ->
+        let l = Fallback_lock.create () in
+        Hashtbl.add t.locks id l;
+        l
 
 (* The mutex this core's current operation falls back to: the region's own
    lock under SLE, the single global lock under HTM. *)
 let op_lock t c =
   match t.cfg.frontend with
   | Config.Sle -> lock_table t (current_op c).Workload.lock_id
-  | Config.Htm -> lock_table t 0
+  | Config.Htm -> t.lock0
 
 let is_speculating c = c.phase = P_exec && (c.mode = M_spec || c.mode = M_scl) && not c.failed_mode
 
@@ -221,7 +229,8 @@ let victim_protected t (requester : core) (v : core) =
   power || scl_shield
 
 let doom t (v : core) cause line =
-  if is_speculating t.cores.(v.id) && v.pending_abort = None then v.pending_abort <- Some (cause, line)
+  if is_speculating t.cores.(v.id) && Option.is_none v.pending_abort then
+    v.pending_abort <- Some (cause, line)
 
 (* Report a line-bearing conflict (doom or NACK) between two mid-AR cores to
    the checker, deduplicated per (aggressor AR, victim AR, line). Pure
@@ -250,6 +259,10 @@ let touch_line t c line =
    across later attempts (Lineset rebuilds into fresh arrays). *)
 let attempt_footprint c = Simrt.Lineset.sorted_view c.attempt_lines
 
+let tracing t = match t.trace with None -> false | Some _ -> true
+
+(* Call sites on the per-operation path guard with [tracing] so the event
+   value is not even built when no trace is recorded. *)
 let trace_ev t c kind =
   match t.trace with
   | None -> ()
@@ -266,7 +279,7 @@ let mode_string = function
 (* ------------------------------------------------------------------ *)
 (* Witness capture (execution oracle)                                  *)
 
-let capturing t = t.check <> None
+let capturing t = match t.check with None -> false | Some _ -> true
 
 let cap_read t c line = if capturing t then Check.Capbuf.note_read c.cap ~line ~time:t.now
 
@@ -276,6 +289,7 @@ let cap_store t c addr value = if capturing t then Check.Capbuf.note_store c.cap
 
 let cap_reset c = Check.Capbuf.reset c.cap
 
+(* Callers guard with [capturing], like [trace_ev]'s with [tracing]. *)
 let lock_ev t ev =
   match t.check with None -> () | Some col -> Check.Collector.add_lock_event col ev
 
@@ -310,12 +324,13 @@ let fig1_close t c =
   | Some _ | None -> ()
 
 let cleanup_cl_locks t c =
-  if c.mode = M_scl || c.mode = M_nscl || c.lock_queue <> [] then begin
-    List.iter
-      (fun line ->
-        trace_ev t c (Trace.Unlocked line);
-        lock_ev t (Check.Lock_safety.Unlock { time = t.now; core = c.id; line }))
-      (Mem.Hierarchy.locked_lines t.hierarchy ~core:c.id);
+  if c.mode = M_scl || c.mode = M_nscl || not (List.is_empty c.lock_queue) then begin
+    if tracing t || capturing t then
+      List.iter
+        (fun line ->
+          trace_ev t c (Trace.Unlocked line);
+          lock_ev t (Check.Lock_safety.Unlock { time = t.now; core = c.id; line }))
+        (Mem.Hierarchy.locked_lines t.hierarchy ~core:c.id);
     ignore (Mem.Hierarchy.unlock_all t.hierarchy ~core:c.id : int)
   end;
   c.lock_queue <- [];
@@ -360,12 +375,12 @@ let do_commit t c =
         ~writes:(Check.Capbuf.writes c.cap) ~stores:(Check.Capbuf.stores c.cap));
   Txn.iter_lines c.txn (fun line -> Conflict_map.remove_line t.conflicts ~core:c.id line);
   cleanup_cl_locks t c;
-  lock_ev t (Check.Lock_safety.Attempt_end { time = t.now; core = c.id });
+  if capturing t then lock_ev t (Check.Lock_safety.Attempt_end { time = t.now; core = c.id });
   release_power t c;
   Txn.reset c.txn;
   fig1_close t c;
   Clear.Ert.note_commit c.ert ~pc:op.Workload.ar.Isa.Program.id;
-  trace_ev t c (Trace.Commit { mode = mode_string c.mode; retries = c.retries_counted });
+  if tracing t then trace_ev t c (Trace.Commit { mode = mode_string c.mode; retries = c.retries_counted });
   Stats.note_commit ~ar:op.Workload.ar.Isa.Program.name t.stats ~mode:(stats_mode_of c)
     ~retries:c.retries_counted;
   t.perf.commits <- t.perf.commits + 1;
@@ -378,15 +393,13 @@ let do_commit t c =
   t.cfg.xend_cost + (drained / 4)
 
 let do_abort t c cause =
-  trace_ev t c (Trace.Aborted cause);
+  if tracing t then trace_ev t c (Trace.Aborted cause);
   Stats.note_abort t.stats cause;
   t.perf.aborts <- t.perf.aborts + 1;
-  for _ = 1 to c.attempt_instrs do
-    Stats.note_wasted_instr t.stats
-  done;
+  Stats.note_wasted_instrs t.stats c.attempt_instrs;
   Txn.iter_lines c.txn (fun line -> Conflict_map.remove_line t.conflicts ~core:c.id line);
   cleanup_cl_locks t c;
-  lock_ev t (Check.Lock_safety.Attempt_end { time = t.now; core = c.id });
+  if capturing t then lock_ev t (Check.Lock_safety.Attempt_end { time = t.now; core = c.id });
   release_power t c;
   (* A conflicting read feeds the CRT so the next S-CL locks it too. *)
   (match c.pending_abort with
@@ -492,25 +505,25 @@ exception Stall_now
 (* Charge latency and check capacity: evicting a line of our own speculative
    set aborts the transaction. *)
 let check_evictions c outcome =
-  List.iter
-    (fun line -> if Txn.in_either_set c.txn line then raise (Abort_now Abort.Capacity))
-    outcome.Mem.Hierarchy.l1_evicted
+  let victim = outcome.Mem.Hierarchy.l1_victim in
+  if victim >= 0 && Txn.in_either_set c.txn victim then raise (Abort_now Abort.Capacity)
 
 (* In S-CL mode the core holds cacheline locks, so a request that reaches a
    remotely locked line must be nacked (abort) to break lock cycles (paper
    Figure 5). A plain speculative core holds no locks and simply retries the
    request until the holder's AR completes. *)
 let blocked_by_remote_lock t c line =
-  match Mem.Hierarchy.locked_by t.hierarchy line with
-  | Some holder when holder <> c.id ->
-      if c.mode = M_scl then begin
-        note_conflict t c t.cores.(holder) line;
-        raise (Abort_now Abort.Nacked)
-      end
-      else raise Stall_now
-  | Some _ | None -> ()
+  let holder = Mem.Hierarchy.locked_by t.hierarchy line in
+  if holder >= 0 && holder <> c.id then
+    if c.mode = M_scl then begin
+      note_conflict t c t.cores.(holder) line;
+      raise (Abort_now Abort.Nacked)
+    end
+    else raise Stall_now
 
-let spec_load t c addr =
+(* Loads write their destination register and return the latency to
+   charge. *)
+let spec_load t c ~dst addr =
   let line = Mem.Addr.line_of addr in
   touch_line t c line;
   blocked_by_remote_lock t c line;
@@ -533,8 +546,8 @@ let spec_load t c addr =
   record_in_alt t c line ~written:false;
   cap_read t c line;
   t.perf.store_forward_scans <- t.perf.store_forward_scans + 1;
-  let value = match Txn.forwarded c.txn addr with Some v -> v | None -> Mem.Store.read t.store addr in
-  (value, outcome.Mem.Hierarchy.latency)
+  Regfile.define_load c.regs ~dst (Txn.load c.txn t.store addr);
+  outcome.Mem.Hierarchy.latency
 
 let spec_store t c addr value =
   let line = Mem.Addr.line_of addr in
@@ -585,18 +598,19 @@ let spec_store t c addr value =
 (* NS-CL: all accesses hit lines we hold locked; reads/writes go straight to
    memory. Deviation from the learned footprint means the immutability
    assessment was wrong — defensively fall back to a speculative retry. *)
-let nscl_load t c addr =
+let nscl_load t c ~dst addr =
   let line = Mem.Addr.line_of addr in
   touch_line t c line;
-  if Mem.Hierarchy.locked_by t.hierarchy line <> Some c.id then raise (Abort_now Abort.Scl_deviation);
+  if Mem.Hierarchy.locked_by t.hierarchy line <> c.id then raise (Abort_now Abort.Scl_deviation);
   let outcome = Mem.Hierarchy.read_line t.hierarchy ~core:c.id line in
   cap_read t c line;
-  (Mem.Store.read t.store addr, outcome.Mem.Hierarchy.latency)
+  Regfile.define_load c.regs ~dst (Mem.Store.read t.store addr);
+  outcome.Mem.Hierarchy.latency
 
 let nscl_store t c addr value =
   let line = Mem.Addr.line_of addr in
   touch_line t c line;
-  if Mem.Hierarchy.locked_by t.hierarchy line <> Some c.id then raise (Abort_now Abort.Scl_deviation);
+  if Mem.Hierarchy.locked_by t.hierarchy line <> c.id then raise (Abort_now Abort.Scl_deviation);
   let outcome = Mem.Hierarchy.write_line t.hierarchy ~core:c.id line in
   Mem.Store.write t.store addr value;
   cap_write t c line;
@@ -605,21 +619,21 @@ let nscl_store t c addr value =
 
 (* S-CL: locked lines are safe; other accesses stay speculative with conflict
    detection armed. *)
-let scl_load t c addr =
+let scl_load t c ~dst addr =
   let line = Mem.Addr.line_of addr in
-  if Mem.Hierarchy.locked_by t.hierarchy line = Some c.id then begin
+  if Mem.Hierarchy.locked_by t.hierarchy line = c.id then begin
     touch_line t c line;
     let outcome = Mem.Hierarchy.read_line t.hierarchy ~core:c.id line in
     cap_read t c line;
     t.perf.store_forward_scans <- t.perf.store_forward_scans + 1;
-    let value = match Txn.forwarded c.txn addr with Some v -> v | None -> Mem.Store.read t.store addr in
-    (value, outcome.Mem.Hierarchy.latency)
+    Regfile.define_load c.regs ~dst (Txn.load c.txn t.store addr);
+    outcome.Mem.Hierarchy.latency
   end
-  else spec_load t c addr
+  else spec_load t c ~dst addr
 
 let scl_store t c addr value =
   let line = Mem.Addr.line_of addr in
-  if Mem.Hierarchy.locked_by t.hierarchy line = Some c.id then begin
+  if Mem.Hierarchy.locked_by t.hierarchy line = c.id then begin
     touch_line t c line;
     let outcome = Mem.Hierarchy.write_line t.hierarchy ~core:c.id line in
     Txn.buffer_store c.txn addr value;
@@ -630,12 +644,13 @@ let scl_store t c addr value =
   end
   else spec_store t c addr value
 
-let fallback_load t c addr =
+let fallback_load t c ~dst addr =
   let line = Mem.Addr.line_of addr in
   touch_line t c line;
   let outcome = Mem.Hierarchy.read_line t.hierarchy ~core:c.id line in
   cap_read t c line;
-  (Mem.Store.read t.store addr, outcome.Mem.Hierarchy.latency)
+  Regfile.define_load c.regs ~dst (Mem.Store.read t.store addr);
+  outcome.Mem.Hierarchy.latency
 
 let fallback_store t c addr value =
   let line = Mem.Addr.line_of addr in
@@ -663,8 +678,13 @@ let fallback_store t c addr value =
 (* ------------------------------------------------------------------ *)
 (* One instruction                                                     *)
 
-let note_indirection c used_operands =
-  if List.exists (Regfile.operand_tainted c.regs) used_operands then c.indirection_seen <- true
+(* A memory access or branch retired with a tainted source operand. *)
+let note_indirection c operand =
+  if Regfile.operand_tainted c.regs operand then c.indirection_seen <- true
+
+(* [exec_instr]'s result for [Halt]; every other instruction returns its
+   latency, which is never negative. *)
+let halted = -1
 
 let exec_instr t c =
   let op = current_op c in
@@ -677,42 +697,42 @@ let exec_instr t c =
   Stats.note_instr t.stats;
   let base = I.base_cost instr in
   match instr with
-  | I.Halt -> `Halt
+  | I.Halt -> halted
   | I.Nop ->
       c.pc <- c.pc + 1;
-      `Cost base
+      base
   | I.Mov { dst; src } ->
-      Regfile.define_alu c.regs ~dst [ src ] (Regfile.operand c.regs src);
+      Regfile.define_alu c.regs ~dst src src (Regfile.operand c.regs src);
       c.pc <- c.pc + 1;
-      `Cost base
+      base
   | I.Binop { op = bop; dst; a; b } ->
       let v = I.eval_binop bop (Regfile.operand c.regs a) (Regfile.operand c.regs b) in
-      Regfile.define_alu c.regs ~dst [ a; b ] v;
+      Regfile.define_alu c.regs ~dst a b v;
       c.pc <- c.pc + 1;
-      `Cost base
+      base
   | I.Jmp target ->
       c.pc <- target;
-      `Cost base
+      base
   | I.Br { cond; a; b; target } ->
-      note_indirection c [ a; b ];
+      note_indirection c a;
+      note_indirection c b;
       let taken = I.eval_cond cond (Regfile.operand c.regs a) (Regfile.operand c.regs b) in
       c.pc <- (if taken then target else c.pc + 1);
-      `Cost base
+      base
   | I.Ld { dst; base = baseop; off; region = _ } ->
-      note_indirection c [ baseop ];
+      note_indirection c baseop;
       let addr = Regfile.operand c.regs baseop + off in
-      let value, latency =
+      let latency =
         match c.mode with
-        | M_spec -> spec_load t c addr
-        | M_scl -> scl_load t c addr
-        | M_nscl -> nscl_load t c addr
-        | M_fallback -> fallback_load t c addr
+        | M_spec -> spec_load t c ~dst addr
+        | M_scl -> scl_load t c ~dst addr
+        | M_nscl -> nscl_load t c ~dst addr
+        | M_fallback -> fallback_load t c ~dst addr
       in
-      Regfile.define_load c.regs ~dst value;
       c.pc <- c.pc + 1;
-      `Cost (base + latency)
+      base + latency
   | I.St { base = baseop; off; src; region = _ } ->
-      note_indirection c [ baseop ];
+      note_indirection c baseop;
       let addr = Regfile.operand c.regs baseop + off in
       let value = Regfile.operand c.regs src in
       let latency =
@@ -723,7 +743,7 @@ let exec_instr t c =
         | M_fallback -> fallback_store t c addr value
       in
       c.pc <- c.pc + 1;
-      `Cost (base + latency)
+      base + latency
 
 (* ------------------------------------------------------------------ *)
 (* Phase steps: each returns the latency until this core's next event.  *)
@@ -744,8 +764,8 @@ let begin_attempt_common c =
 let start_speculative t c =
   let op = current_op c in
   c.mode <- M_spec;
-  trace_ev t c (Trace.Begin_attempt { attempt = c.attempt; mode = "speculative" });
-  lock_ev t (Check.Lock_safety.Attempt_begin { time = t.now; core = c.id });
+  if tracing t then trace_ev t c (Trace.Begin_attempt { attempt = c.attempt; mode = "speculative" });
+  if capturing t then lock_ev t (Check.Lock_safety.Attempt_begin { time = t.now; core = c.id });
   Txn.start c.txn;
   try_acquire_power t c;
   c.discovery <-
@@ -762,7 +782,7 @@ let start_cl t c (mode : Clear.Decision.mode) =
   (* Read-lock the fallback lock, then queue the cacheline locks. *)
   if Fallback_lock.try_read_lock (op_lock t c) ~core:c.id then begin
     c.read_lock_held <- true;
-    lock_ev t (Check.Lock_safety.Attempt_begin { time = t.now; core = c.id });
+    if capturing t then lock_ev t (Check.Lock_safety.Attempt_begin { time = t.now; core = c.id });
     let lock_all = mode = Clear.Decision.Ns_cl in
     Clear.Alt.prepare_locking c.alt ~lock_all ~extra:(fun line -> t.cfg.use_crt && Clear.Crt.mem c.crt line);
     c.lock_queue <- Clear.Alt.to_lock c.alt;
@@ -782,8 +802,8 @@ let step_start t c =
     if Fallback_lock.try_write_lock lock ~core:c.id then begin
       doom_all_speculators t ~except:c.id ~lock_id:(current_op c).Workload.lock_id;
       c.mode <- M_fallback;
-      trace_ev t c (Trace.Begin_attempt { attempt = c.attempt; mode = "fallback" });
-      lock_ev t (Check.Lock_safety.Attempt_begin { time = t.now; core = c.id });
+      if tracing t then trace_ev t c (Trace.Begin_attempt { attempt = c.attempt; mode = "fallback" });
+      if capturing t then lock_ev t (Check.Lock_safety.Attempt_begin { time = t.now; core = c.id });
       c.planned <- None;
       begin_attempt_common c;
       t.cfg.xbegin_cost
@@ -824,21 +844,22 @@ let step_lock t c =
           Conflict_map.iter_cores mask (fun w ->
               note_conflict t c t.cores.(w) line;
               doom t t.cores.(w) Abort.Memory_conflict (Some line));
-          trace_ev t c (Trace.Locked line);
-          lock_ev t
-            (Check.Lock_safety.Lock
-               { time = t.now; core = c.id; line; key = entry.Clear.Alt.dir_set });
+          if tracing t then trace_ev t c (Trace.Locked line);
+          if capturing t then
+            lock_ev t
+              (Check.Lock_safety.Lock
+                 { time = t.now; core = c.id; line; key = entry.Clear.Alt.dir_set });
           Clear.Alt.mark_locked entry;
           c.lock_queue <- rest;
           (* Lexicographically ordered locking is pipelined: charge the
              issue slot, and the transfer only when data had to move. *)
-          let latency = max 2 (outcome.Mem.Hierarchy.latency / 2) in
-          Simrt.Counter.add (Stats.counters t.stats) "lock_phase_cycles" latency;
+          let latency = Int.max 2 (outcome.Mem.Hierarchy.latency / 2) in
+          Simrt.Counter.bump t.lock_phase_cycles latency;
           latency
       | `Held_by _ ->
           (* Owner will release at its AR end; retry (directory unblocks the
              entry rather than queueing us — paper Figure 6). *)
-          Simrt.Counter.add (Stats.counters t.stats) "lock_phase_cycles" (t.cfg.spin_cycles / 2);
+          Simrt.Counter.bump t.lock_phase_cycles (t.cfg.spin_cycles / 2);
           t.cfg.spin_cycles / 2)
 
 let enter_failed_mode t c cause =
@@ -861,7 +882,7 @@ let step_exec t c =
   | Some (cause, _) -> do_abort t c cause
   | None -> (
       match exec_instr t c with
-      | `Cost latency ->
+      | latency when latency <> halted ->
           (* In-core speculation (SLE) is bounded by the ROB and SQ: a region
              that outgrows the window cannot complete speculatively (paper
              §4.1, assessment 1). NS-CL and fallback run non-speculatively
@@ -881,7 +902,7 @@ let step_exec t c =
             if c.failed_mode then Stats.note_failed_discovery_cycles t.stats latency;
             latency
           end
-      | `Halt ->
+      | _ ->
           if c.failed_mode then begin
             end_of_discovery_decision t c;
             do_abort t c c.failed_cause
@@ -892,7 +913,7 @@ let step_exec t c =
              make progress. The PC did not advance. *)
           c.attempt_instrs <- c.attempt_instrs - 1;
           let latency = t.cfg.spin_cycles / 2 in
-          Simrt.Counter.add (Stats.counters t.stats) "stall_cycles" latency;
+          Simrt.Counter.bump t.stall_cycles latency;
           if c.failed_mode then Stats.note_failed_discovery_cycles t.stats latency;
           latency
       | exception Abort_now cause ->
@@ -989,7 +1010,7 @@ let step_next_op t c =
               | Some ta -> ta
               | None -> assert false (* not exhausted ⇒ an arrival exists *)
             in
-            max 1 (ta - t.now))
+            Int.max 1 (ta - t.now))
 
 let step t c =
   match c.phase with
@@ -999,9 +1020,12 @@ let step t c =
   | P_exec -> step_exec t c
   | P_done -> 0
 
-let gc_words () =
-  let s = Gc.quick_stat () in
-  s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+(* Minor-heap words this domain has allocated so far, exact at any point.
+   [Gc.quick_stat]'s totals are brought up to date only at collections, so
+   they would misread a short run by up to a minor heap's worth of words.
+   Blocks too large for the minor heap (page copies) go straight to the
+   major heap and are not counted. *)
+let gc_words () = Gc.minor_words ()
 
 (* Fold the request queue's end-of-run totals into the perf record — off the
    per-event datapath, so the open counters cost nothing when unused. *)
@@ -1055,10 +1079,10 @@ let livelock_fail t =
   failwith
     (Printf.sprintf
        "Engine.run: max_cycles exceeded (livelock?); fallback writer=%s readers=[%s]\n%s"
-       (match Fallback_lock.writer (lock_table t 0) with
+       (match Fallback_lock.writer t.lock0 with
        | Some w -> string_of_int w
        | None -> "-")
-       (String.concat "," (List.map string_of_int (Fallback_lock.readers (lock_table t 0))))
+       (String.concat "," (List.map string_of_int (Fallback_lock.readers t.lock0)))
        dump)
 
 let run_sequential ~max_cycles t =
@@ -1067,23 +1091,27 @@ let run_sequential ~max_cycles t =
   let last_time = ref 0 in
   let continue = ref true in
   while !continue && !remaining > 0 do
-    match Event_queue.pop t.queue with
-    | None -> failwith "Engine.run: event queue drained with unfinished threads"
-    | Some (time, id) ->
-        t.perf.events_popped <- t.perf.events_popped + 1;
-        if time > max_cycles then livelock_fail t;
-        t.now <- time;
-        let c = t.cores.(id) in
-        let latency = step t c in
-        if c.finished then begin
-          decr remaining;
-          last_time := max !last_time time
-        end
-        else begin
-          Stats.add_busy_cycles t.stats latency;
-          Event_queue.push t.queue ~time:(time + max 1 latency) id
-        end;
-        if !remaining = 0 then continue := false
+    if Event_queue.is_empty t.queue then
+      failwith "Engine.run: event queue drained with unfinished threads";
+    (* The stepped core's next event replaces its current one in a single
+       sift; the queue pops it only when the core finishes. *)
+    let time = Event_queue.min_time t.queue in
+    let id = Event_queue.min_payload t.queue in
+    t.perf.events_popped <- t.perf.events_popped + 1;
+    if time > max_cycles then livelock_fail t;
+    t.now <- time;
+    let c = t.cores.(id) in
+    let latency = step t c in
+    if c.finished then begin
+      ignore (Event_queue.pop_min t.queue : int);
+      decr remaining;
+      last_time := Int.max !last_time time
+    end
+    else begin
+      Stats.add_busy_cycles t.stats latency;
+      Event_queue.replace_min t.queue ~time:(time + Int.max 1 latency) id
+    end;
+    if !remaining = 0 then continue := false
   done;
   Stats.set_total_cycles t.stats !last_time;
   t.perf.sims <- t.perf.sims + 1;
@@ -1221,11 +1249,11 @@ let run_pdes ~max_cycles t (p : Pdes.t) =
     if c.finished then begin
       ev_time.(id) <- -1;
       decr remaining;
-      last_time := max !last_time time
+      last_time := Int.max !last_time time
     end
     else begin
       Stats.add_busy_cycles t.stats latency;
-      ev_time.(id) <- time + max 1 latency;
+      ev_time.(id) <- time + Int.max 1 latency;
       ev_seq.(id) <- !next_seq;
       incr next_seq
     end;

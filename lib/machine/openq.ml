@@ -108,13 +108,23 @@ let last_arrival t =
   let n = Array.length t.arrival_t in
   if n = 0 then 0 else t.arrival_t.(n - 1)
 
+(* Two passes over [upto] — count, then fill — so the result is built in
+   place rather than through an intermediate list. *)
 let samples t ~upto =
-  let acc = ref [] in
-  for i = Array.length t.commit_t - 1 downto 0 do
-    let v = upto i in
-    if v >= 0 then acc := (v - t.arrival_t.(i)) :: !acc
+  let n = ref 0 in
+  for i = 0 to Array.length t.commit_t - 1 do
+    if upto i >= 0 then incr n
   done;
-  Array.of_list !acc
+  let out = Array.make !n 0 in
+  let k = ref 0 in
+  for i = 0 to Array.length t.commit_t - 1 do
+    let v = upto i in
+    if v >= 0 then begin
+      out.(!k) <- v - t.arrival_t.(i);
+      incr k
+    end
+  done;
+  out
 
 let sojourns t = samples t ~upto:(fun i -> t.commit_t.(i))
 

@@ -22,17 +22,14 @@ let operand t = function Isa.Instr.Reg r -> t.values.(r) | Isa.Instr.Imm i -> i
 
 let indirection t = t.indirection
 
-let srcs_of_operands ops =
-  List.filter_map (function Isa.Instr.Reg r -> Some r | Isa.Instr.Imm _ -> None) ops
+let operand_tainted t = function
+  | Isa.Instr.Reg r -> Clear.Indirection.get t.indirection r
+  | Isa.Instr.Imm _ -> false
 
-let define_alu t ~dst ops v =
-  Clear.Indirection.define t.indirection ~dst ~srcs:(srcs_of_operands ops);
+let define_alu t ~dst a b v =
+  Clear.Indirection.assign t.indirection dst (operand_tainted t a || operand_tainted t b);
   t.values.(dst) <- v
 
 let define_load t ~dst v =
   Clear.Indirection.define_load t.indirection ~dst;
   t.values.(dst) <- v
-
-let operand_tainted t = function
-  | Isa.Instr.Reg r -> Clear.Indirection.get t.indirection r
-  | Isa.Instr.Imm _ -> false

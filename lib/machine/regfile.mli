@@ -23,8 +23,9 @@ val operand : t -> Isa.Instr.operand -> int
 val indirection : t -> Clear.Indirection.t
 (** The underlying bit vector, for discovery checks. *)
 
-val define_alu : t -> dst:Isa.Instr.reg -> Isa.Instr.operand list -> int -> unit
-(** Write an ALU/move result: indirection = OR of source-register bits. *)
+val define_alu : t -> dst:Isa.Instr.reg -> Isa.Instr.operand -> Isa.Instr.operand -> int -> unit
+(** Write an ALU result from two source operands: indirection = OR of their
+    register bits. A move passes its one source twice. *)
 
 val define_load : t -> dst:Isa.Instr.reg -> int -> unit
 (** Write a load result: indirection bit set. *)

@@ -14,6 +14,9 @@ let mode_index = function Speculative -> 0 | Scl -> 1 | Nscl -> 2 | Fallback_mod
 
 type t = {
   counters : Counter.set;
+  c_aborts : Counter.cell;
+  c_instrs : Counter.cell;
+  c_wasted_instrs : Counter.cell;
   mutable commits : int;
   commits_by_mode : int array;
   retry_hist : (int, int) Hashtbl.t; (* non-fallback commits by retry count *)
@@ -31,8 +34,12 @@ type t = {
 }
 
 let create () =
+  let counters = Counter.create_set () in
   {
-    counters = Counter.create_set ();
+    counters;
+    c_aborts = Counter.cell counters "aborts";
+    c_instrs = Counter.cell counters "instrs";
+    c_wasted_instrs = Counter.cell counters "wasted_instrs";
     commits = 0;
     commits_by_mode = Array.make 4 0;
     retry_hist = Hashtbl.create 16;
@@ -67,16 +74,16 @@ let commits_for_ar t name = match Hashtbl.find_opt t.ar_commits name with Some n
 
 let note_abort t cause =
   t.aborts <- t.aborts + 1;
-  Counter.incr t.counters "aborts";
+  Counter.tick t.c_aborts;
   bump t.aborts_by_cause cause 1
 
 let note_instr t =
   t.instrs <- t.instrs + 1;
-  Counter.incr t.counters "instrs"
+  Counter.tick t.c_instrs
 
-let note_wasted_instr t =
-  t.wasted_instrs <- t.wasted_instrs + 1;
-  Counter.incr t.counters "wasted_instrs"
+let note_wasted_instrs t n =
+  t.wasted_instrs <- t.wasted_instrs + n;
+  Counter.bump t.c_wasted_instrs n
 
 let note_failed_discovery_cycles t n = t.failed_discovery_cycles <- t.failed_discovery_cycles + n
 

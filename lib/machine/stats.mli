@@ -25,8 +25,8 @@ val note_abort : t -> Abort.cause -> unit
 
 val note_instr : t -> unit
 
-val note_wasted_instr : t -> unit
-(** Instruction executed in an attempt that later aborted. *)
+val note_wasted_instrs : t -> int -> unit
+(** [n] instructions executed in an attempt that aborted. *)
 
 val note_failed_discovery_cycles : t -> int -> unit
 

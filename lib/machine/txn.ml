@@ -83,9 +83,16 @@ let buffer_store t addr v =
   t.log_val.(t.log_len) <- v;
   t.log_len <- t.log_len + 1
 
+(* Newest log index holding [addr], or -1. *)
+let rec newest t addr i = if i < 0 || t.log_addr.(i) = addr then i else newest t addr (i - 1)
+
 let forwarded t addr =
-  let rec scan i = if i < 0 then None else if t.log_addr.(i) = addr then Some t.log_val.(i) else scan (i - 1) in
-  scan (t.log_len - 1)
+  let i = newest t addr (t.log_len - 1) in
+  if i < 0 then None else Some t.log_val.(i)
+
+let load t store addr =
+  let i = newest t addr (t.log_len - 1) in
+  if i < 0 then Mem.Store.read store addr else t.log_val.(i)
 
 let store_count t = t.log_len
 

@@ -46,6 +46,10 @@ val buffer_store : t -> Mem.Addr.t -> int -> unit
 val forwarded : t -> Mem.Addr.t -> int option
 (** Value a load should see if the address was speculatively written. *)
 
+val load : t -> Mem.Store.t -> Mem.Addr.t -> int
+(** The value a speculative load sees: the newest buffered store to the
+    address, else memory. Allocates nothing. *)
+
 val store_count : t -> int
 (** Dynamic stores buffered (SQ occupancy in failed mode). *)
 

@@ -20,9 +20,9 @@ val mem : t -> Addr.line -> bool
 val touch : t -> Addr.line -> bool
 (** Look up the line and refresh its LRU position. Returns whether it hit. *)
 
-val insert : t -> Addr.line -> Addr.line option
-(** Bring the line in (MRU position). Returns the evicted victim, if the set
-    was full and the line was not already present. *)
+val insert : t -> Addr.line -> Addr.line
+(** Bring the line in (MRU position). Returns the evicted victim when the set
+    was full and the line was not already present, -1 otherwise. *)
 
 val invalidate : t -> Addr.line -> bool
 (** Drop the line; returns whether it was present. *)
@@ -36,5 +36,6 @@ val would_fit : t -> Addr.line list -> bool
     "can we lock the whole footprint" test. *)
 
 val iter : t -> (Addr.line -> unit) -> unit
+(** Every resident line, in (set, way) order. *)
 
 val clear : t -> unit

@@ -1,17 +1,18 @@
 (** Three-level cache hierarchy glued to the MESI directory.
 
     Private L1/L2 per core, shared L3, all tag-only (data lives in the
-    backing {!Store}). Accesses return the latency to charge and the lines the
+    backing {!Store}). Accesses return the latency to charge and the line the
     access evicted from the requesting core's L1 — the machine uses the latter
     for HTM capacity aborts. Lines locked by the requesting core hit with L1
-    latency regardless of tag state (locked lines are pinned). *)
+    latency regardless of tag state (locked lines are pinned). An access
+    allocates at most its [outcome] record; L1-latency hits share one. *)
 
 type t
 
 type outcome = {
   latency : int;  (** cycles to charge the requesting instruction *)
-  l1_evicted : Addr.line list;
-      (** lines this access pushed out of the requester's L1 *)
+  l1_victim : Addr.line;
+      (** the line this access pushed out of the requester's L1, -1 if none *)
 }
 
 val create :
@@ -58,7 +59,8 @@ val unlock_line : t -> core:int -> Addr.line -> unit
 val unlock_all : t -> core:int -> int
 (** Bulk-unlock every line held by [core]; returns the number released. *)
 
-val locked_by : t -> Addr.line -> int option
+val locked_by : t -> Addr.line -> int
+(** The line's lock holder, -1 if unlocked. *)
 
 val locked_lines : t -> core:int -> Addr.line list
 (** Every line currently locked by [core] (release tracing and oracles). *)

@@ -50,7 +50,10 @@ let write t a v =
     invalid_arg (Printf.sprintf "Store.write: address %d out of bounds" a);
   let ci = a lsr chunk_shift in
   if Bytes.unsafe_get t.owned ci = '\000' then begin
-    t.chunks.(ci) <- Array.copy t.chunks.(ci);
+    (* [Array.make] fills a major-heap block with plain stores; copying
+       the zero chunk would initialise it word by word. *)
+    let c = t.chunks.(ci) in
+    t.chunks.(ci) <- (if c == zero_chunk then Array.make chunk_words 0 else Array.copy c);
     Bytes.unsafe_set t.owned ci '\001'
   end;
   (Array.unsafe_get t.chunks ci).(a land chunk_mask) <- v;

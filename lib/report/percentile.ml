@@ -21,9 +21,11 @@ let of_samples samples =
   if count = 0 then None
   else begin
     let sorted = Array.copy samples in
-    (* Int.compare, not polymorphic compare: this sort runs once per
-       (config, load) grid point over request-count-sized arrays. *)
-    Array.sort Int.compare sorted;
+    (* Int.compare, not polymorphic compare, and merge sort rather than
+       [Array.sort]'s heap sort: this runs once per (config, load) grid
+       point over request-count-sized arrays. Equal ints are
+       indistinguishable, so stability changes nothing in the result. *)
+    Array.stable_sort Int.compare sorted;
     let sum = Array.fold_left (fun acc v -> acc +. float_of_int v) 0.0 sorted in
     Some
       {

@@ -1,4 +1,11 @@
-type set = (string, int ref) Hashtbl.t
+(* Counters are named cells. A hot-path owner resolves each name to its
+   cell once, at create, and bumps the cell directly; everything that reads
+   or combines counters keeps going by name. [reset] zeroes the cells in
+   place, so resolved cells stay attached to their set. *)
+
+type cell = int ref
+
+type set = (string, cell) Hashtbl.t
 
 let create_set () = Hashtbl.create 64
 
@@ -10,10 +17,13 @@ let cell set name =
       Hashtbl.add set name r;
       r
 
-let add set name n =
+let bump (r : cell) n =
   assert (n >= 0);
-  let r = cell set name in
   r := !r + n
+
+let tick (r : cell) = r := !r + 1
+
+let add set name n = bump (cell set name) n
 
 let incr set name = add set name 1
 
@@ -23,6 +33,6 @@ let to_list set =
   Hashtbl.fold (fun k r acc -> (k, !r) :: acc) set []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let reset set = Hashtbl.reset set
+let reset set = Hashtbl.iter (fun _ r -> r := 0) set
 
 let merge_into ~dst src = Hashtbl.iter (fun k r -> add dst k !r) src

@@ -16,11 +16,16 @@ let size t = t.len
 
 let is_empty t = t.len = 0
 
-let mem t x =
-  let d = t.data in
-  let n = t.len in
-  let rec scan i = i < n && (Array.unsafe_get d i = x || scan (i + 1)) in
-  scan 0
+(* Position of [x] among the members, or [len] when absent. *)
+let index t x =
+  let d = t.data and n = t.len in
+  let i = ref 0 in
+  while !i < n && Array.unsafe_get d !i <> x do
+    incr i
+  done;
+  !i
+
+let mem t x = index t x < t.len
 
 let add t x =
   if not (mem t x) then begin
@@ -31,6 +36,14 @@ let add t x =
     end;
     t.data.(t.len) <- x;
     t.len <- t.len + 1;
+    t.sorted_valid <- false
+  end
+
+let remove t x =
+  let i = index t x in
+  if i < t.len then begin
+    Array.blit t.data (i + 1) t.data i (t.len - i - 1);
+    t.len <- t.len - 1;
     t.sorted_valid <- false
   end
 

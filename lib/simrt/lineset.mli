@@ -24,6 +24,9 @@ val mem : t -> int -> bool
 val add : t -> int -> unit
 (** No-op when already present. *)
 
+val remove : t -> int -> unit
+(** No-op when absent; the other members keep their order. *)
+
 val iter : t -> (int -> unit) -> unit
 (** Insertion order. *)
 

@@ -17,7 +17,9 @@ type t = {
   mutable store_forward_scans : int;  (** store-buffer lookups by loads *)
   mutable aborts : int;
   mutable commits : int;
-  mutable allocated_words : int;  (** OCaml words allocated during [Engine.run] *)
+  mutable allocated_words : int;
+      (** OCaml words allocated on the minor heap during [Engine.run] (blocks
+          too large for it, such as page copies, are not counted) *)
   mutable pdes_windows : int;  (** lookahead bursts executed by the PDES driver *)
   mutable pdes_window_stalls : int;
       (** extension attempts cut short: an ineligible peer, an unresolvable

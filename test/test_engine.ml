@@ -482,6 +482,47 @@ let case name f = Alcotest.test_case name `Quick f
 
 let per_preset name f = List.map (fun (l, p) -> case (name ^ " [" ^ l ^ "]") (f (l, p))) presets
 
+(* ------------------------------------------------------------------ *)
+(* Allocation budget: the per-event path (event loop, instruction step,
+   memory hierarchy) allocates almost nothing; what remains is per
+   operation (the driver's op, commit bookkeeping) and per non-L1-hit
+   access (the returned outcome). The budgets are the words per popped
+   event measured when they were set (9.94 open-loop, 13.48 closed-loop)
+   plus 25%, so putting allocation back on the hot path fails here and not
+   only in the benchmark. *)
+
+let words_per_event engine =
+  ignore (Engine.run engine : Stats.t);
+  let perf = Engine.perfctr engine in
+  float_of_int perf.Simrt.Perfctr.allocated_words /. float_of_int perf.Simrt.Perfctr.events_popped
+
+let check_budget name ~budget w =
+  if w > budget then Alcotest.failf "%s allocates %.2f words per event, budget %.2f" name w budget
+
+(* One 5 000-request point of the benchmark's open-loop serving shape:
+   CLEAR at retry limit 1, Poisson arrivals, arrayswap over 2^17 keys. *)
+let test_alloc_open_point () =
+  let cfg =
+    Config.with_openloop
+      (Config.with_seed (Config.with_retries Config.clear_rw 1) 42)
+      (Some
+         {
+           Config.open_rate = 50.0;
+           open_requests = 5_000;
+           open_process = Config.Open_poisson;
+           open_queue_cap = 0;
+         })
+  in
+  let workload = Workloads.Registry.open_scaled "arrayswap" ~keys:(1 lsl 17) ~theta:6.0 in
+  check_budget "open-loop arrayswap" ~budget:12.4 (words_per_event (Engine.create cfg workload))
+
+(* One closed-loop paper-protocol sim: 16 cores contending under CLEAR, so
+   discovery, cacheline locking and the fallback path all run. *)
+let test_alloc_closed_sim () =
+  let cfg = Config.with_seed { Config.clear_rw with Config.cores = 16; ops_per_thread = 40 } 42 in
+  check_budget "closed-loop bitcoin" ~budget:16.8
+    (words_per_event (Engine.create cfg (Workloads.Registry.find "bitcoin")))
+
 let () =
   Alcotest.run "engine"
     [
@@ -535,4 +576,9 @@ let () =
           case "every workload completes" test_sle_every_workload_completes;
         ] );
       ("sweep", [ case "every workload completes" test_every_workload_completes ]);
+      ( "allocation",
+        [
+          case "open-loop point within budget" test_alloc_open_point;
+          case "closed-loop sim within budget" test_alloc_closed_sim;
+        ] );
     ]

@@ -27,9 +27,9 @@ let test_regfile_taint () =
   let r = Regfile.create () in
   Regfile.define_load r ~dst:1 5;
   Alcotest.(check bool) "load taints" true (Regfile.operand_tainted r (I.Reg 1));
-  Regfile.define_alu r ~dst:2 [ I.Reg 1; I.Imm 3 ] 8;
+  Regfile.define_alu r ~dst:2 (I.Reg 1) (I.Imm 3) 8;
   Alcotest.(check bool) "alu propagates" true (Regfile.operand_tainted r (I.Reg 2));
-  Regfile.define_alu r ~dst:1 [ I.Imm 3 ] 3;
+  Regfile.define_alu r ~dst:1 (I.Imm 3) (I.Imm 3) 3;
   Alcotest.(check bool) "overwrite clears" false (Regfile.operand_tainted r (I.Reg 1));
   Alcotest.(check bool) "imm never tainted" false (Regfile.operand_tainted r (I.Imm 0));
   Regfile.load_initial r [ (2, 0) ];
