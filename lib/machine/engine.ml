@@ -73,6 +73,7 @@ type t = {
   openq : Openq.t option;
   cores : core array;
   queue : int Event_queue.t; (* payload: core id *)
+  arrival_lane : Event_queue.lane; (* idle open-loop cores, parked until the next arrival *)
   conflict_seen : (int * int * int, unit) Hashtbl.t;
       (* (aggressor AR id, victim AR id, line) triples already reported to
          the checker; bounds conflict-event volume by the static matrix
@@ -171,6 +172,7 @@ let create ?trace ?check (cfg : Config.t) (workload : Workload.t) =
       | Some q -> Some (Openq.create q (Rng.split root_rng 104_729)));
     cores;
     queue;
+    arrival_lane = Event_queue.add_lane queue;
     conflict_seen = Hashtbl.create 64;
     power_owner = -1;
     now = 0;
@@ -1005,12 +1007,7 @@ let step_next_op t c =
           else
             (* Backlog empty but more requests are coming: park until the
                next arrival. Draws nothing from the RNG. *)
-            let ta =
-              match Openq.next_arrival oq with
-              | Some ta -> ta
-              | None -> assert false (* not exhausted ⇒ an arrival exists *)
-            in
-            Int.max 1 (ta - t.now))
+            Int.max 1 (Openq.next_arrival oq - t.now))
 
 let step t c =
   match c.phase with
@@ -1093,14 +1090,15 @@ let run_sequential ~max_cycles t =
   while !continue && !remaining > 0 do
     if Event_queue.is_empty t.queue then
       failwith "Engine.run: event queue drained with unfinished threads";
-    (* The stepped core's next event replaces its current one in a single
-       sift; the queue pops it only when the core finishes. *)
+    (* The stepped core's event stays at the front while it steps; the
+       queue pops it only when the core finishes or moves to a lane. *)
     let time = Event_queue.min_time t.queue in
     let id = Event_queue.min_payload t.queue in
     t.perf.events_popped <- t.perf.events_popped + 1;
     if time > max_cycles then livelock_fail t;
     t.now <- time;
     let c = t.cores.(id) in
+    let picking = c.phase = P_next_op in
     let latency = step t c in
     if c.finished then begin
       ignore (Event_queue.pop_min t.queue : int);
@@ -1109,7 +1107,13 @@ let run_sequential ~max_cycles t =
     end
     else begin
       Stats.add_busy_cycles t.stats latency;
-      Event_queue.replace_min t.queue ~time:(time + Int.max 1 latency) id
+      let at = time + Int.max 1 latency in
+      (* A core that stays in [P_next_op] is parked until the next
+         unadmitted arrival, a time that only moves forward, so it waits on
+         a FIFO lane instead of being sifted into the heap (DESIGN.md
+         §7b). *)
+      if picking && c.phase = P_next_op then Event_queue.requeue t.queue t.arrival_lane ~time:at id
+      else Event_queue.replace_min t.queue ~time:at id
     end;
     if !remaining = 0 then continue := false
   done;

@@ -88,7 +88,7 @@ let complete t ~req ~now =
   t.completed <- t.completed + 1
 
 let next_arrival t =
-  if t.next_idx < Array.length t.arrival_t then Some t.arrival_t.(t.next_idx) else None
+  if t.next_idx < Array.length t.arrival_t then t.arrival_t.(t.next_idx) else max_int
 
 let backlog_depth t = Queue.length t.backlog
 

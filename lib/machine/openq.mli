@@ -46,9 +46,9 @@ val complete : t -> req:int -> now:int -> unit
 (** Stamp [req]'s commit time. Raises [Invalid_argument] if the request
     already completed — one request maps to exactly one committed AR. *)
 
-val next_arrival : t -> int option
+val next_arrival : t -> int
 (** Arrival time of the earliest request not yet admitted or dropped;
-    [None] once the schedule is exhausted. Idle cores sleep until this. *)
+    [max_int] once the schedule is exhausted. Idle cores sleep until this. *)
 
 val exhausted : t -> bool
 (** No future arrivals and nothing waiting: dispatchers can park. *)

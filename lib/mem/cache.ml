@@ -97,7 +97,11 @@ let own_page t line =
     np
   end
 
-let insert t line =
+(* What [place] returns when the line was already present. *)
+let present = -2
+
+(* [insert], except that a hit returns [present]. *)
+let place t line =
   let p = own_page t line in
   let base = base_of t line in
   let stop = base + t.ways in
@@ -114,7 +118,7 @@ let insert t line =
   done;
   if !hit >= 0 then begin
     bump t p !hit;
-    -1
+    present
   end
   else begin
     let victim = if !empty >= 0 then !empty else !lru in
@@ -123,6 +127,12 @@ let insert t line =
     bump t p victim;
     evicted
   end
+
+let insert t line =
+  let r = place t line in
+  if r = present then -1 else r
+
+let fill t line = place t line = present
 
 let invalidate t line =
   let p = page_of t line in

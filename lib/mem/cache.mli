@@ -24,6 +24,11 @@ val insert : t -> Addr.line -> Addr.line
 (** Bring the line in (MRU position). Returns the evicted victim when the set
     was full and the line was not already present, -1 otherwise. *)
 
+val fill : t -> Addr.line -> bool
+(** {!insert} for a caller that drops the victim: returns whether the line
+    was already present, i.e. {!touch}'s answer, in the same single pass
+    over the set. *)
+
 val invalidate : t -> Addr.line -> bool
 (** Drop the line; returns whether it was present. *)
 

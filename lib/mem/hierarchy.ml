@@ -148,8 +148,11 @@ let access t ~core line ~exclusive ~holder =
       { latency = Params.load_latency p ~level:`L2 + coh_latency + remote; l1_victim = victim }
     end
     else begin
+      (* One probe of the L3 set both answers the lookup and fills the
+         line. A hit leaves it MRU, as a separate touch then insert did. *)
+      let l3_hit = Cache.fill t.l3 line in
       let level =
-        if Directory.from_remote coh || Cache.touch t.l3 line then begin
+        if Directory.from_remote coh || l3_hit then begin
           Counter.tick t.cells.l3_hit;
           `L3
         end
@@ -158,7 +161,6 @@ let access t ~core line ~exclusive ~holder =
           `Mem
         end
       in
-      ignore (Cache.insert t.l3 line : Addr.line);
       let victim = install_private t ~core line in
       (* Fills beyond the private caches are serviced via the home slice:
          always charge the asymmetry adder on this path. *)

@@ -139,6 +139,58 @@ let test_golden_fingerprints () =
           seed c cm ab ins wa gc gcm gab gin gwa)
     golden_fingerprints
 
+(* Event counts: the number of events the sequential loop pops, with the
+   run's fingerprint, pinned from the engine before idle cores moved to a
+   FIFO lane. The closed-loop runs are contended at 16 cores with one
+   retry: under B most waits spin on the fallback lock ([spin_cycles]
+   out), under C cores also retry held cacheline locks ([spin_cycles / 2]
+   out). The open-loop points park idle cores on the arrival lane between
+   Poisson arrivals. A queue change that lost, repeated or reordered an
+   event would move these numbers. *)
+let golden_event_counts =
+  let closed preset =
+    Config.with_seed { preset with Config.cores = 16; ops_per_thread = 40; max_retries = 1 } 42
+  in
+  let open_ preset rate =
+    Config.with_openloop
+      (Config.with_seed (Config.with_retries preset 1) 42)
+      (Some
+         {
+           Config.open_rate = rate;
+           open_requests = 2_000;
+           open_process = Config.Open_poisson;
+           open_queue_cap = 0;
+         })
+  in
+  let queue () = Workloads.Registry.find "queue" in
+  let keyed () = Workloads.Registry.open_scaled "arrayswap" ~keys:(1 lsl 12) ~theta:6.0 in
+  [
+    ("queue/B closed", closed Config.baseline, queue, 51013, (165014, 640, 7083, 12124, 7757));
+    ("queue/C closed", closed Config.clear_rw, queue, 40837, (106472, 640, 1720, 16669, 5009));
+    ("arrayswap/B open@20", open_ Config.baseline 20.0, keyed, 88382, (139728, 2000, 15009, 20024, 9399));
+    ("arrayswap/C open@50", open_ Config.clear_rw 50.0, keyed, 34058, (40957, 2000, 674, 15909, 3571));
+  ]
+
+let test_golden_event_counts () =
+  List.iter
+    (fun (name, cfg, workload, gev, gfp) ->
+      let engine = Engine.create cfg (workload ()) in
+      let stats = Engine.run engine in
+      let fp =
+        ( Stats.total_cycles stats,
+          Stats.commits stats,
+          Stats.aborts stats,
+          Stats.instrs stats,
+          Stats.wasted_instrs stats )
+      in
+      let events = (Engine.perfctr engine).Simrt.Perfctr.events_popped in
+      if (events, fp) <> (gev, gfp) then begin
+        let c, cm, ab, ins, wa = fp and gc, gcm, gab, gin, gwa = gfp in
+        Alcotest.failf "%s: got %d events (%d,%d,%d,%d,%d), golden %d events (%d,%d,%d,%d,%d)" name events c
+          cm ab ins wa gev gc gcm gab gin gwa
+      end)
+    golden_event_counts
+
 (* ------------------------------------------------------------------ *)
 (* Atomicity invariants on real workloads, under every configuration. *)
 
@@ -541,6 +593,7 @@ let () =
           case "same seed, same run" test_determinism;
           case "seed sensitivity" test_seed_changes_outcome;
           case "golden fingerprints (pre-rewrite engine)" test_golden_fingerprints;
+          case "golden event counts" test_golden_event_counts;
         ] );
       ( "atomicity",
         per_preset "bitcoin conservation" test_bitcoin_conservation

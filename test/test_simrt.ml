@@ -224,6 +224,169 @@ let prop_queue_interleaved =
                   p = expected))
         script)
 
+(* Lanes against one plain priority queue holding every event. The model
+   numbers each accepted insert from one counter, as the queue does, and
+   remembers which lane (or -1, the heap) each event went to, so it knows a
+   lane's tail. Times come from a narrow range, so ties and appends below a
+   tail are both frequent. Every step's observable result — popped
+   (time, payload) pairs, a raised [Invalid_argument], the length — must
+   agree, and so must the final drain. *)
+module Lane_model = struct
+  module S = Set.Make (struct
+    type t = int * int * int * int (* time, seq, payload, lane *)
+
+    let compare (t1, s1, _, _) (t2, s2, _, _) = compare (t1, s1) (t2, s2)
+  end)
+
+  type t = { mutable set : S.t; mutable seq : int }
+
+  let create () = { set = S.empty; seq = 0 }
+
+  let insert m ~time ~lane payload =
+    m.set <- S.add (time, m.seq, payload, lane) m.set;
+    m.seq <- m.seq + 1
+
+  (* Time of the lane's last event, if it holds any. *)
+  let tail m lane = S.fold (fun (t, _, _, l) acc -> if l = lane then Some t else acc) m.set None
+
+  let below_tail m lane time = match tail m lane with Some t -> time < t | None -> false
+
+  let pop m =
+    let ((time, _, payload, _) as e) = S.min_elt m.set in
+    m.set <- S.remove e m.set;
+    (time, payload)
+end
+
+type lane_op =
+  | L_push of int
+  | L_append of int * int
+  | L_pop_min
+  | L_replace_min of int
+  | L_requeue of int * int
+  | L_pop_until of int
+
+let lane_op_gen =
+  let open QCheck.Gen in
+  let time = int_range 0 8 and lane = int_range 0 2 in
+  frequency
+    [
+      (3, map (fun t -> L_push t) time);
+      (4, map2 (fun l t -> L_append (l, t)) lane time);
+      (3, return L_pop_min);
+      (2, map (fun t -> L_replace_min t) time);
+      (3, map2 (fun l t -> L_requeue (l, t)) lane time);
+      (1, map (fun t -> L_pop_until t) time);
+    ]
+
+let show_lane_op = function
+  | L_push t -> Printf.sprintf "push %d" t
+  | L_append (l, t) -> Printf.sprintf "append %d %d" l t
+  | L_pop_min -> "pop_min"
+  | L_replace_min t -> Printf.sprintf "replace_min %d" t
+  | L_requeue (l, t) -> Printf.sprintf "requeue %d %d" l t
+  | L_pop_until t -> Printf.sprintf "pop_until %d" t
+
+let prop_lanes_match_one_heap =
+  QCheck.Test.make ~name:"lanes pop in one heap's (time, seq) order" ~count:500
+    (QCheck.make ~print:(QCheck.Print.list show_lane_op) QCheck.Gen.(list_size (int_range 0 80) lane_op_gen))
+    (fun script ->
+      let q = Event_queue.create () in
+      let lanes = Array.init 3 (fun _ -> Event_queue.add_lane q) in
+      let m = Lane_model.create () in
+      let next = ref 0 in
+      let fresh () =
+        incr next;
+        !next
+      in
+      let raises f = match f () with () -> false | exception Invalid_argument _ -> true in
+      let popped = ref [] and expected = ref [] in
+      let record_pop () =
+        let time = Event_queue.min_time q in
+        popped := (time, Event_queue.pop_min q) :: !popped;
+        expected := Lane_model.pop m :: !expected
+      in
+      let step = function
+        | L_push time ->
+            let x = fresh () in
+            Event_queue.push q ~time x;
+            Lane_model.insert m ~time ~lane:(-1) x;
+            true
+        | L_append (l, time) ->
+            let x = fresh () in
+            let below = Lane_model.below_tail m l time in
+            if not below then Lane_model.insert m ~time ~lane:l x;
+            raises (fun () -> Event_queue.append q lanes.(l) ~time x) = below
+        | L_pop_min ->
+            if Lane_model.S.is_empty m.set then raises (fun () -> ignore (Event_queue.pop_min q : int))
+            else begin
+              record_pop ();
+              true
+            end
+        | L_replace_min time ->
+            let x = fresh () in
+            if Lane_model.S.is_empty m.set then
+              raises (fun () -> Event_queue.replace_min q ~time x)
+            else begin
+              expected := Lane_model.pop m :: !expected;
+              Lane_model.insert m ~time ~lane:(-1) x;
+              popped := (Event_queue.min_time q, Event_queue.min_payload q) :: !popped;
+              Event_queue.replace_min q ~time x;
+              true
+            end
+        | L_requeue (l, time) ->
+            let x = fresh () in
+            if Lane_model.S.is_empty m.set then raises (fun () -> Event_queue.requeue q lanes.(l) ~time x)
+            else begin
+              (* Pop first: the lane's tail is judged without the head. *)
+              let before = m.set in
+              let head = Lane_model.pop m in
+              if Lane_model.below_tail m l time then begin
+                m.set <- before;
+                raises (fun () -> Event_queue.requeue q lanes.(l) ~time x)
+              end
+              else begin
+                expected := head :: !expected;
+                Lane_model.insert m ~time ~lane:l x;
+                popped := (Event_queue.min_time q, Event_queue.min_payload q) :: !popped;
+                Event_queue.requeue q lanes.(l) ~time x;
+                true
+              end
+            end
+        | L_pop_until horizon ->
+            let rec drain acc =
+              if (not (Lane_model.S.is_empty m.set))
+                 && (let t, _, _, _ = Lane_model.S.min_elt m.set in
+                     t <= horizon)
+              then drain (Lane_model.pop m :: acc)
+              else acc
+            in
+            expected := drain !expected;
+            popped := List.rev_append (Event_queue.pop_until q ~time:horizon) !popped;
+            true
+      in
+      let ok =
+        List.for_all (fun op -> step op && Event_queue.length q = Lane_model.S.cardinal m.set) script
+      in
+      while not (Event_queue.is_empty q) do
+        record_pop ()
+      done;
+      ok && Lane_model.S.is_empty m.set && !popped = !expected)
+
+let test_lane_append_below_tail () =
+  let q = Event_queue.create () in
+  let lane = Event_queue.add_lane q in
+  Event_queue.append q lane ~time:5 "a";
+  Event_queue.append q lane ~time:5 "b";
+  Alcotest.check_raises "below the tail" (Invalid_argument "Event_queue.append: time below the lane's tail")
+    (fun () -> Event_queue.append q lane ~time:4 "c");
+  Alcotest.(check int) "rejected append leaves the queue alone" 2 (Event_queue.length q);
+  Event_queue.push q ~time:1 "h";
+  let order = List.init 3 (fun _ -> match Event_queue.pop q with Some (_, x) -> x | None -> "-") in
+  Alcotest.(check (list string)) "heap before lane, lane FIFO" [ "h"; "a"; "b" ] order;
+  (* An emptied lane takes any time again. *)
+  Event_queue.append q lane ~time:0 "d";
+  Alcotest.(check (option int)) "emptied lane restarts" (Some 0) (Event_queue.peek_time q)
+
 (* ------------------------------------------------------------------ *)
 (* Summary *)
 
@@ -456,6 +619,7 @@ let () =
           Alcotest.test_case "FIFO ties" `Quick test_queue_fifo_ties;
           Alcotest.test_case "peek" `Quick test_queue_peek;
           Alcotest.test_case "clear" `Quick test_queue_clear;
+          Alcotest.test_case "lane append below tail" `Quick test_lane_append_below_tail;
         ]
         @ qsuite
             [
@@ -463,6 +627,7 @@ let () =
               prop_queue_time_seq_sorted;
               prop_queue_pop_until;
               prop_queue_interleaved;
+              prop_lanes_match_one_heap;
             ] );
       ( "pool",
         [
