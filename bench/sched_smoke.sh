@@ -20,8 +20,15 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-dune build bin/clear_sim.exe 2>&1
-BIN=_build/default/bin/clear_sim.exe
+# Under `dune build @ci` the rule's deps have already built the executable
+# in the build context this script runs from; a nested dune there would
+# rebuild the tree and can hang racing the other smoke rules' nested builds.
+if [ -n "${INSIDE_DUNE:-}" ]; then
+  BIN=bin/clear_sim.exe
+else
+  dune build bin/clear_sim.exe 2>&1
+  BIN=_build/default/bin/clear_sim.exe
+fi
 
 HOST_CORES=$( (nproc || getconf _NPROCESSORS_ONLN || echo 1) 2>/dev/null | head -n 1)
 

@@ -29,13 +29,36 @@ let preset_arg =
   let doc = "Configuration: B (requester-wins), P (PowerTM), C (CLEAR/rw), W (CLEAR/PowerTM)." in
   Arg.(value & opt letter_conv "B" & info [ "c"; "config" ] ~doc)
 
-let cores_arg = Arg.(value & opt int 16 & info [ "cores" ] ~doc:"Simulated cores.")
+(* Bounded number converters: an out-of-range value is a command-line error
+   naming the flag (exit 124), never an exception from inside the simulator
+   or a silently accepted nonsense run. *)
+let bounded (base : 'a Arg.conv) ~what ok =
+  let parse s =
+    match Arg.conv_parser base s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "expected %s, got %s" what s))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer base)
 
-let ops_arg = Arg.(value & opt int 200 & info [ "ops" ] ~doc:"Operations per thread.")
+let int_at_least lo = bounded Arg.int ~what:(Printf.sprintf "an integer >= %d" lo) (fun n -> n >= lo)
+
+let cores_conv =
+  bounded Arg.int
+    ~what:(Printf.sprintf "a core count in [1, %d]" Mem.Directory.max_cores)
+    (fun n -> n >= 1 && n <= Mem.Directory.max_cores)
+
+let positive_float =
+  bounded Arg.float ~what:"a finite number > 0" (fun x -> Float.is_finite x && x > 0.)
+
+let cores_arg = Arg.(value & opt cores_conv 16 & info [ "cores" ] ~doc:"Simulated cores.")
+
+let ops_arg = Arg.(value & opt (int_at_least 1) 200 & info [ "ops" ] ~doc:"Operations per thread.")
 
 let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Run seed.")
 
-let retries_arg = Arg.(value & opt int 4 & info [ "retries" ] ~doc:"Retry limit before fallback.")
+let retries_arg =
+  Arg.(value & opt (int_at_least 0) 4 & info [ "retries" ] ~doc:"Retry limit before fallback.")
 
 let frontend_conv =
   let parse s =
@@ -63,30 +86,6 @@ let frontend_arg =
   Arg.(value & opt frontend_conv Machine.Config.Htm
        & info [ "frontend" ] ~doc:"Speculation front-end: htm (transactions) or sle (lock elision).")
 
-(* --pdes / --pdes-window: select the windowed conservative PDES engine
-   driver (DESIGN.md §12). Output is bit-identical to the default driver at
-   every window size; the flags exist for timing comparisons and for
-   exercising the driver from the CLI. *)
-let pdes_term =
-  let flag_arg =
-    Arg.(value & flag
-         & info [ "pdes" ]
-             ~doc:"Use the windowed conservative PDES engine driver (unbounded lookahead \
-                   windows). Results are bit-identical to the default event loop.")
-  in
-  let window_arg =
-    Arg.(value & opt int 0
-         & info [ "pdes-window" ] ~docv:"CYCLES"
-             ~doc:"Cap PDES lookahead windows at $(docv) simulated cycles (0 = unbounded). \
-                   Implies --pdes.")
-  in
-  let mk flag window =
-    if window > 0 then Some (Machine.Pdes.windowed window)
-    else if flag then Some Machine.Pdes.unbounded
-    else None
-  in
-  Term.(const mk $ flag_arg $ window_arg)
-
 let find_workload name =
   match Workloads.Registry.find name with
   | w -> w
@@ -106,7 +105,7 @@ let config_of ?(frontend = Machine.Config.Htm) letter ~cores ~ops ~seed ~retries
   { base with Machine.Config.cores; ops_per_thread = ops; seed; max_retries = retries; frontend }
 
 let run_cmd =
-  let run workload letter cores ops seed retries frontend trace_n trace_out pdes =
+  let run workload letter cores ops seed retries frontend trace_n trace_out =
     let w = find_workload workload in
     let cfg = config_of ~frontend letter ~cores ~ops ~seed ~retries in
     let trace =
@@ -118,7 +117,7 @@ let run_cmd =
     in
     let t0 = Unix.gettimeofday () in
     let engine = Machine.Engine.create ?trace cfg w in
-    let stats = Machine.Engine.run ?pdes engine in
+    let stats = Machine.Engine.run engine in
     let elapsed = Unix.gettimeofday () -. t0 in
     let module S = Machine.Stats in
     Printf.printf "workload        %s (%s, %d cores, %d ops/thread, seed %d)\n" w.name letter cores
@@ -161,18 +160,6 @@ let run_cmd =
     Printf.printf "stall cycles    %d  lock-phase cycles %d\n" (counter "stall_cycles")
       (counter "lock_phase_cycles");
     Printf.printf "host time       %.2f s\n" elapsed;
-    (match pdes with
-    | None -> ()
-    | Some p ->
-        let perf = Machine.Engine.perfctr engine in
-        Printf.printf
-          "pdes            %s: %d windows, %d ext events, %d merge ties, %d stalls, mean \
-           lookahead %.1f (max %d)\n"
-          (Machine.Pdes.describe p) perf.Simrt.Perfctr.pdes_windows
-          perf.Simrt.Perfctr.pdes_ext_events perf.Simrt.Perfctr.pdes_merge_events
-          perf.Simrt.Perfctr.pdes_window_stalls
-          (Simrt.Perfctr.mean_lookahead perf)
-          perf.Simrt.Perfctr.pdes_lookahead_max);
     (match trace with
     | Some tr when trace_n > 0 ->
         let shown = min trace_n (Machine.Trace.retained tr) in
@@ -189,7 +176,7 @@ let run_cmd =
   let term =
     Term.(
       const run $ workload_arg $ preset_arg $ cores_arg $ ops_arg $ seed_arg $ retries_arg
-      $ frontend_arg $ trace_arg $ trace_out_arg $ pdes_term)
+      $ frontend_arg $ trace_arg $ trace_out_arg)
   in
   Cmd.v (Cmd.info "run" ~doc:"Run one benchmark under one configuration.") term
 
@@ -227,7 +214,7 @@ let sched_arg =
 let suite_cmd =
   let module Experiments = Clear_repro.Experiments in
   let module Suite_cache = Clear_repro.Suite_cache in
-  let suite jobs paper workload check stream no_cache cache_clear sched pdes =
+  let suite jobs paper workload check stream no_cache cache_clear sched =
     if cache_clear then begin
       let n = Suite_cache.clear () in
       Printf.eprintf "[suite] cleared %d cache shard(s) from %s\n%!" n Suite_cache.dir
@@ -244,16 +231,11 @@ let suite_cmd =
     in
     let progress label = Printf.eprintf "[suite] %s\n%!" label in
     (* A checked sweep must actually simulate — a cache hit would skip the
-       oracle entirely — so --check bypasses the cache in both directions.
-       Likewise --pdes: run_suite drops the cache so the driver actually
-       runs (shards are keyed by config and could not tell the two apart). *)
+       oracle entirely — so --check bypasses the cache in both directions. *)
     let use_cache = (not no_cache) && not check in
-    (match pdes with
-    | None -> ()
-    | Some p -> Printf.eprintf "[suite] engine driver: %s (cache bypassed)\n%!" (Machine.Pdes.describe p));
     let t0 = Unix.gettimeofday () in
     let s =
-      Experiments.run_suite ~jobs ~check ~stream ~cache:use_cache ?pdes ~workloads ~progress opts
+      Experiments.run_suite ~jobs ~check ~stream ~cache:use_cache ~workloads ~progress opts
     in
     Printf.eprintf "[suite] done in %.1f s on %d domain(s)%s\n%!"
       (Unix.gettimeofday () -. t0) jobs
@@ -293,7 +275,7 @@ let suite_cmd =
     (Cmd.info "suite"
        ~doc:"Run the 4-configuration sweep on a pool of domains; print Figure 8 and the headline.")
     Term.(const suite $ jobs_arg $ paper_arg $ workload_filter $ check_arg $ stream_arg
-          $ no_cache_arg $ cache_clear_arg $ sched_arg $ pdes_term)
+          $ no_cache_arg $ cache_clear_arg $ sched_arg)
 
 (* ------------------------------------------------------------------ *)
 (* sched: scenario sweep against the symmetric baseline                *)
@@ -473,8 +455,10 @@ let sched_cmd =
     let doc = "Benchmark driving the scenario sweep (see `clear_sim list`)." in
     Arg.(value & opt string "stack" & info [ "w"; "workload" ] ~doc)
   in
-  let sched_cores_arg = Arg.(value & opt int 8 & info [ "cores" ] ~doc:"Simulated cores.") in
-  let sched_ops_arg = Arg.(value & opt int 80 & info [ "ops" ] ~doc:"Operations per thread.") in
+  let sched_cores_arg = Arg.(value & opt cores_conv 8 & info [ "cores" ] ~doc:"Simulated cores.") in
+  let sched_ops_arg =
+    Arg.(value & opt (int_at_least 1) 80 & info [ "ops" ] ~doc:"Operations per thread.")
+  in
   Cmd.v
     (Cmd.info "sched"
        ~doc:"Run every schedule scenario (hot core, think skew, NUMA asymmetry, phased start) \
@@ -847,7 +831,7 @@ let openloop_cmd =
   let module Sweep = Openloop.Sweep in
   let d = Sweep.default_options in
   let run json jobs workload keys theta loads requests process_name heat cap configs retries
-      cores seed check stream pdes =
+      cores seed check stream =
     let process =
       match String.lowercase_ascii process_name with
       | "poisson" -> Machine.Config.Open_poisson
@@ -879,7 +863,6 @@ let openloop_cmd =
         jobs;
         check;
         stream;
-        pdes;
       }
     in
     let results =
@@ -899,7 +882,7 @@ let openloop_cmd =
   in
   let json_arg = Arg.(value & flag & info [ "json" ] ~doc:"Machine-readable JSON output.") in
   let keys_arg =
-    Arg.(value & opt int d.Sweep.keys
+    Arg.(value & opt (int_at_least 1) d.Sweep.keys
          & info [ "keys" ]
              ~doc:"Keyed-structure entries (sized well past the L3 so Zipf popularity, not \
                    cache residency, decides hotness).")
@@ -908,12 +891,12 @@ let openloop_cmd =
     Arg.(value & opt float d.Sweep.theta & info [ "theta" ] ~doc:"Zipf popularity skew.")
   in
   let loads_arg =
-    Arg.(value & opt (list float) d.Sweep.loads
+    Arg.(value & opt (list positive_float) d.Sweep.loads
          & info [ "loads" ] ~docv:"R1,R2,..."
              ~doc:"Offered loads to sweep, in requests per 1000 simulated cycles.")
   in
   let requests_arg =
-    Arg.(value & opt int d.Sweep.requests
+    Arg.(value & opt (int_at_least 1) d.Sweep.requests
          & info [ "requests" ] ~doc:"Requests generated per load point.")
   in
   let process_arg =
@@ -936,13 +919,13 @@ let openloop_cmd =
              ~doc:"Configurations to sweep (letters among B, P, C, W).")
   in
   let openloop_retries_arg =
-    Arg.(value & opt int 1
+    Arg.(value & opt (int_at_least 0) 1
          & info [ "retries" ]
              ~doc:"Retry limit before fallback. The default 1 makes the baseline \
                    fallback-heavy — the convoy CLEAR's single-retry bound avoids.")
   in
   let openloop_cores_arg =
-    Arg.(value & opt int Machine.Config.default.Machine.Config.cores
+    Arg.(value & opt cores_conv Machine.Config.default.Machine.Config.cores
          & info [ "cores" ] ~doc:"Simulated cores.")
   in
   let check_arg =
@@ -965,7 +948,7 @@ let openloop_cmd =
              Deterministic per seed at any --jobs.")
     Term.(const run $ json_arg $ jobs_arg $ workload_arg $ keys_arg $ theta_arg $ loads_arg
           $ requests_arg $ process_arg $ heat_arg $ cap_arg $ configs_arg $ openloop_retries_arg
-          $ openloop_cores_arg $ seed_arg $ check_arg $ stream_arg $ pdes_term)
+          $ openloop_cores_arg $ seed_arg $ check_arg $ stream_arg)
 
 let config_cmd =
   let show letter cores ops seed retries =

@@ -9,9 +9,8 @@
 
    Retirement invariant. Let F be the minimum attempt-begin time over all
    in-flight attempts (or the latest stream time when every core is idle).
-   The engine feeds emissions in non-decreasing time order (the sequential
-   loop is monotone in [t.now], and the PDES driver disables extended bursts
-   whenever a checker is attached), and every future witness performs all of
+   The engine feeds emissions in non-decreasing time order (its event loop
+   is monotone in [t.now]), and every future witness performs all of
    its reads and acquires visibility inside its own attempt interval — so
    every future read time and every future visibility is >= F. Hence:
 

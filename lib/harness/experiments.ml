@@ -60,12 +60,8 @@ let config_of_letter opts letter =
    With [~cache:true] each simulation is memoised on disk as one
    [Suite_cache] shard; hits are spliced back in task order, so a partially
    cached sweep still aggregates identically to an uncached one. *)
-let run_suite ?(jobs = 1) ?(check = false) ?stream ?(cache = false) ?pdes
+let run_suite ?(jobs = 1) ?(check = false) ?stream ?(cache = false)
     ?(workloads = Workloads.Registry.all) ?(progress = fun _ -> ()) opts =
-  (* Cache shards are keyed by (config, workload, seed) only; a PDES run is
-     bit-identical by construction but must still exercise the PDES driver,
-     so it never reads or writes shards. *)
-  let cache = cache && Option.is_none pdes in
   let tasks =
     List.concat_map
       (fun (w : Machine.Workload.t) ->
@@ -77,7 +73,7 @@ let run_suite ?(jobs = 1) ?(check = false) ?stream ?(cache = false) ?pdes
           (presets opts))
       workloads
   in
-  let run_all tasks = Simrt.Pool.parallel_map ~jobs (Run.runner ?pdes ?stream ~check) tasks in
+  let run_all tasks = Simrt.Pool.parallel_map ~jobs (Run.runner ?stream ~check) tasks in
   let results =
     if not cache then Array.of_list (run_all tasks)
     else begin

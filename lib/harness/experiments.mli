@@ -39,7 +39,6 @@ val run_suite :
   ?check:bool ->
   ?stream:bool ->
   ?cache:bool ->
-  ?pdes:Machine.Pdes.t ->
   ?workloads:Machine.Workload.t list ->
   ?progress:(string -> unit) ->
   options ->
@@ -56,10 +55,7 @@ val run_suite :
     the executable digest; only missing shards are simulated, and hits are
     spliced back in task order so partially cached sweeps aggregate
     bit-identically. Callers that validate with the oracle should not also
-    pass [~cache:true] — a shard hit would skip validation. With [?pdes]
-    every simulation runs under the windowed conservative PDES engine driver
-    (bit-identical results); PDES runs bypass the shard cache entirely so
-    the driver is actually exercised. *)
+    pass [~cache:true] — a shard hit would skip validation. *)
 
 val config_of_letter : options -> string -> Machine.Config.t
 

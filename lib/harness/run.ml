@@ -22,8 +22,8 @@ type sim = { cfg : Machine.Config.t; workload : Machine.Workload.t; seed : int }
 
 let sims cfg workload ~seeds = List.map (fun seed -> { cfg; workload; seed }) seeds
 
-let run_sim ?pdes { cfg; workload; seed } =
-  Machine.Engine.run_workload ?pdes (Machine.Config.with_seed cfg seed) workload
+let run_sim { cfg; workload; seed } =
+  Machine.Engine.run_workload (Machine.Config.with_seed cfg seed) workload
 
 exception Check_failed of string
 
@@ -36,7 +36,7 @@ let static_gate_of_config (cfg : Machine.Config.t) =
        ~sq_entries:cfg.sq_entries ~rob_entries:cfg.rob_entries ~crt_entries:cfg.crt_entries
        ~crt_ways:cfg.crt_ways cfg.mem_params)
 
-let run_sim_checked ?pdes ?(stream = false) { cfg; workload; seed } =
+let run_sim_checked ?(stream = false) { cfg; workload; seed } =
   let cfg = Machine.Config.with_seed cfg seed in
   let cores = cfg.Machine.Config.cores in
   if stream then begin
@@ -46,14 +46,14 @@ let run_sim_checked ?pdes ?(stream = false) { cfg; workload; seed } =
     let str = Check.Stream.create ~static_gate:(static_gate_of_config cfg) ~cores () in
     let collector = Check.Collector.create_streaming ~cores (Check.Stream.sink str) in
     let engine = Machine.Engine.create ~check:collector cfg workload in
-    let stats = Machine.Engine.run ?pdes engine in
+    let stats = Machine.Engine.run engine in
     let final = Mem.Store.snapshot (Machine.Engine.store engine) in
     (stats, Check.Verdict.of_stream str ~final)
   end
   else begin
     let collector = Check.Collector.create ~cores in
     let engine = Machine.Engine.create ~check:collector cfg workload in
-    let stats = Machine.Engine.run ?pdes engine in
+    let stats = Machine.Engine.run engine in
     let final = Mem.Store.snapshot (Machine.Engine.store engine) in
     (stats, Check.Verdict.evaluate ~static_gate:(static_gate_of_config cfg) collector ~final)
   end
@@ -61,8 +61,8 @@ let run_sim_checked ?pdes ?(stream = false) { cfg; workload; seed } =
 (* Pool-friendly variant: same signature as [run_sim], turns a failed verdict
    into an exception (which [Simrt.Pool.parallel_map] propagates to the
    submitting domain). *)
-let run_sim_enforce ?pdes ?stream sim =
-  let stats, verdict = run_sim_checked ?pdes ?stream sim in
+let run_sim_enforce ?stream sim =
+  let stats, verdict = run_sim_checked ?stream sim in
   if Check.Verdict.ok verdict then stats
   else
     raise
@@ -71,7 +71,7 @@ let run_sim_enforce ?pdes ?stream sim =
             (Machine.Config.preset_letter sim.cfg) sim.seed
             (Check.Verdict.to_string verdict)))
 
-let runner ?pdes ?stream ~check = if check then run_sim_enforce ?pdes ?stream else run_sim ?pdes
+let runner ?stream ~check = if check then run_sim_enforce ?stream else run_sim
 
 let tmean ~trim xs = Summary.trimmed_mean ~trim xs
 
@@ -138,12 +138,12 @@ let best = function
   | [] -> invalid_arg "Run.best: empty candidate list"
   | hd :: tl -> List.fold_left (fun best m -> if m.cycles < best.cycles then m else best) hd tl
 
-let measure ?(jobs = 1) ?(check = false) ?pdes (cfg : Machine.Config.t)
+let measure ?(jobs = 1) ?(check = false) (cfg : Machine.Config.t)
     (workload : Machine.Workload.t) ~seeds ~trim =
-  let runs = Simrt.Pool.parallel_map ~jobs (runner ?pdes ~check) (sims cfg workload ~seeds) in
+  let runs = Simrt.Pool.parallel_map ~jobs (runner ~check) (sims cfg workload ~seeds) in
   of_stats cfg workload ~trim runs
 
-let measure_best_retries ?(jobs = 1) ?(check = false) ?pdes cfg workload ~seeds ~trim ~retry_choices =
+let measure_best_retries ?(jobs = 1) ?(check = false) cfg workload ~seeds ~trim ~retry_choices =
   match retry_choices with
   | [] -> invalid_arg "measure_best_retries: empty retry_choices"
   | choices ->
@@ -152,7 +152,7 @@ let measure_best_retries ?(jobs = 1) ?(check = false) ?pdes cfg workload ~seeds 
           (fun n -> sims (Machine.Config.with_retries cfg n) workload ~seeds)
           choices
       in
-      let results = Array.of_list (Simrt.Pool.parallel_map ~jobs (runner ?pdes ~check) tasks) in
+      let results = Array.of_list (Simrt.Pool.parallel_map ~jobs (runner ~check) tasks) in
       let per_seed = List.length seeds in
       let candidates =
         List.mapi

@@ -39,10 +39,9 @@ val sims : Machine.Config.t -> Machine.Workload.t -> seeds:int list -> sim list
 (** The per-seed task list of one (configuration, workload) pair, in seed
     order. *)
 
-val run_sim : ?pdes:Machine.Pdes.t -> sim -> Machine.Stats.t
+val run_sim : sim -> Machine.Stats.t
 (** Run one simulation to completion. Pure with respect to global state:
-    safe to call from several domains at once. [?pdes] selects the windowed
-    conservative PDES engine driver; output is bit-identical either way. *)
+    safe to call from several domains at once. *)
 
 exception Check_failed of string
 (** Raised by checked runs when an oracle fails; the payload identifies the
@@ -52,8 +51,7 @@ val static_gate_of_config : Machine.Config.t -> Staticcheck.Gate.t
 (** A static soundness gate matching the configuration's table geometry
     (ALT/SQ/ROB/CRT sizes and cache parameters). *)
 
-val run_sim_checked :
-  ?pdes:Machine.Pdes.t -> ?stream:bool -> sim -> Machine.Stats.t * Check.Verdict.t
+val run_sim_checked : ?stream:bool -> sim -> Machine.Stats.t * Check.Verdict.t
 (** Run one simulation with witness capture and evaluate all four oracles
     (serializability, sequential replay, lock safety, static soundness
     gate) on the result. The stats are bit-identical to {!run_sim}'s.
@@ -62,11 +60,11 @@ val run_sim_checked :
     O(live lines) instead of O(history); the verdict is identical either
     way (DESIGN.md §14). *)
 
-val run_sim_enforce : ?pdes:Machine.Pdes.t -> ?stream:bool -> sim -> Machine.Stats.t
+val run_sim_enforce : ?stream:bool -> sim -> Machine.Stats.t
 (** Like {!run_sim} but raises {!Check_failed} unless the verdict is clean.
     Drop-in replacement for {!run_sim} in pool task lists. *)
 
-val runner : ?pdes:Machine.Pdes.t -> ?stream:bool -> check:bool -> sim -> Machine.Stats.t
+val runner : ?stream:bool -> check:bool -> sim -> Machine.Stats.t
 (** {!run_sim_enforce} when [check], {!run_sim} otherwise. *)
 
 val of_stats : Machine.Config.t -> Machine.Workload.t -> trim:int -> Machine.Stats.t list -> t
@@ -81,7 +79,6 @@ val best : t list -> t
 val measure :
   ?jobs:int ->
   ?check:bool ->
-  ?pdes:Machine.Pdes.t ->
   Machine.Config.t ->
   Machine.Workload.t ->
   seeds:int list ->
@@ -95,7 +92,6 @@ val measure :
 val measure_best_retries :
   ?jobs:int ->
   ?check:bool ->
-  ?pdes:Machine.Pdes.t ->
   Machine.Config.t ->
   Machine.Workload.t ->
   seeds:int list ->

@@ -24,8 +24,7 @@ let read_build_id path =
 
 (* Open-system runs never touch the cache: a shard holds only Stats.t, so a
    hit would silently drop the request-lifecycle data (latency percentiles)
-   the run exists to produce — the same reasoning that makes PDES runs
-   bypass the cache in Experiments.run_suite. *)
+   the run exists to produce. *)
 let cacheable (cfg : Machine.Config.t) = cfg.Machine.Config.openloop = None
 
 let load_shard cfg ~workload ~seed : Machine.Stats.t option =

@@ -29,8 +29,7 @@ val cacheable : Machine.Config.t -> bool
     only a {!Machine.Stats.t}, so a hit would silently drop the
     request-lifecycle data the run exists to produce. Such configurations
     bypass the cache in both directions — {!load_shard} misses and
-    {!save_shard} is a no-op — mirroring how PDES runs bypass it in
-    [Experiments.run_suite]. *)
+    {!save_shard} is a no-op. *)
 
 val load_shard : Machine.Config.t -> workload:string -> seed:int -> Machine.Stats.t option
 (** [None] when the shard is missing, unreadable, written by a different

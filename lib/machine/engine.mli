@@ -39,18 +39,11 @@ val create : ?trace:Trace.t -> ?check:Check.Collector.t -> Config.t -> Workload.
     event stream. Capture has no effect on simulated behaviour: results are
     bit-identical with and without it. *)
 
-val run : ?max_cycles:int -> ?pdes:Pdes.t -> t -> Stats.t
+val run : ?max_cycles:int -> t -> Stats.t
 (** Simulate until every thread finished its operations. Raises [Failure] if
     [max_cycles] (default 4e9) elapse first — a livelock guard, not an
     expected outcome. The returned statistics include the total cycle count
-    of the parallel phase.
-
-    With [?pdes] the windowed conservative PDES driver (DESIGN.md §12)
-    replaces the global event loop: cores drain private event bursts bounded
-    by conservative interaction bounds derived from static footprints
-    ({!Staticcheck.Footprint}) with dynamic next-event times as the
-    fallback. Output is bit-identical to the sequential driver for every
-    window size — the option trades scheduling overhead, never accuracy. *)
+    of the parallel phase. *)
 
 val store : t -> Mem.Store.t
 (** The backing store, for post-run invariant checks in tests. *)
@@ -65,5 +58,5 @@ val openq : t -> Openq.t option
     [openloop]. After {!run} it holds the full per-request lifecycle
     (arrival/dispatch/commit stamps) the latency reporter reads. *)
 
-val run_workload : ?pdes:Pdes.t -> Config.t -> Workload.t -> Stats.t
+val run_workload : Config.t -> Workload.t -> Stats.t
 (** [create] + [run]. *)

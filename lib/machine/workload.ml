@@ -14,11 +14,6 @@ type t = {
   memory_words : int;
   setup : Mem.Store.t -> Simrt.Rng.t -> unit;
   make_driver : tid:int -> threads:int -> Mem.Store.t -> Simrt.Rng.t -> driver;
-  pure_driver : bool;
-      (* the driver closures returned by [make_driver] never read or write
-         the store (they only consume the RNG and private cursors) — issuing
-         an op early cannot observe another core's effects, which the PDES
-         engine's next-op insulation arm relies on *)
 }
 
 let op ?(extra_think = 0) ?(lock_id = 0) ar init_regs = { ar; init_regs; extra_think; lock_id }

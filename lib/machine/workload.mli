@@ -32,12 +32,6 @@ type t = {
   setup : Mem.Store.t -> Simrt.Rng.t -> unit;
       (** initialise shared data structures before threads start *)
   make_driver : tid:int -> threads:int -> Mem.Store.t -> Simrt.Rng.t -> driver;
-  pure_driver : bool;
-      (** the driver closures returned by [make_driver] never read or write
-          the store (they only consume their RNG and private cursors), so
-          issuing an op early cannot observe another core's effects. The
-          PDES engine's next-op insulation arm requires this; declare
-          [false] whenever the driver inspects shared memory (labyrinth). *)
 }
 
 val op : ?extra_think:int -> ?lock_id:int -> Isa.Program.ar -> (Isa.Instr.reg * int) list -> op

@@ -51,8 +51,11 @@ let from_remote c = c land 1 = 1
 
 let coherence ~msgs ~from_remote = (msgs lsl 1) lor if from_remote then 1 else 0
 
+let max_cores = 62
+
 let create ~cores ~lines =
-  if cores <= 0 || cores > 62 then invalid_arg "Directory.create: cores must be in [1, 62]";
+  if cores <= 0 || cores > max_cores then
+    invalid_arg (Printf.sprintf "Directory.create: cores must be in [1, %d]" max_cores);
   {
     cores;
     pages = Array.make (max 1 ((lines + page_lines - 1) lsr page_shift)) empty_page;

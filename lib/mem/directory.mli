@@ -12,10 +12,15 @@
 
 type t
 
+val max_cores : int
+(** The most cores a directory tracks (sharer sets are bitmasks in one
+    immediate int). *)
+
 val create : cores:int -> lines:int -> t
 (** [lines] sizes the page table; lines beyond it are still accepted, up to
     2^32. Changing the state of a line outside [\[0, 2^32)] raises
-    [Invalid_argument]; reading it sees an untouched line. *)
+    [Invalid_argument]; so does [cores] outside [\[1, max_cores\]]. Reading a
+    line outside the range sees an untouched line. *)
 
 val cores : t -> int
 

@@ -62,10 +62,6 @@ let directory t = t.directory
 
 let l1 t ~core = t.l1s.(core)
 
-let l2 t ~core = t.l2s.(core)
-
-let l3_set_of t line = line land (Cache.sets t.l3 - 1)
-
 let locked_by t line = Directory.locked_by t.directory line
 
 let numa t = t.numa

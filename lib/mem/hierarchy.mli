@@ -37,13 +37,6 @@ val directory : t -> Directory.t
 
 val l1 : t -> core:int -> Cache.t
 
-val l2 : t -> core:int -> Cache.t
-
-val l3_set_of : t -> Addr.line -> int
-(** The shared-L3 set index [line] maps to. Pure query: the PDES engine uses
-    it to prove two cores' footprints cannot perturb each other's L3
-    replacement state inside a lookahead window. *)
-
 val read_line : t -> core:int -> Addr.line -> outcome
 (** Obtain a shared copy of the line for [core]. *)
 

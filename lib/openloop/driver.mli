@@ -30,7 +30,6 @@ type t = {
 }
 
 val run_point :
-  ?pdes:Machine.Pdes.t ->
   ?check:bool ->
   ?stream:bool ->
   Machine.Config.t ->

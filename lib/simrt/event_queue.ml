@@ -381,16 +381,3 @@ let pop t =
   end
 
 let peek_time t = if t.count = 0 then None else Some (min_time t)
-
-let pop_until t ~time:horizon =
-  (* One [pop] per drained event, but no per-event [peek] round-trips: the
-     windowed PDES driver calls this once per window instead of peeking
-     before every pop. *)
-  let rec drain acc =
-    if t.count = 0 || min_time t > horizon then List.rev acc
-    else
-      let time = min_time t in
-      let payload = pop_min t in
-      drain ((time, payload) :: acc)
-  in
-  drain []

@@ -65,12 +65,6 @@ val requeue : 'a t -> lane -> time:int -> 'a -> unit
 val peek_time : 'a t -> int option
 (** Time of the earliest event without removing it. *)
 
-val pop_until : 'a t -> time:int -> (int * 'a) list
-(** [pop_until q ~time] removes and returns every event scheduled at or
-    before [time], in exactly the order repeated {!pop} calls would yield
-    ((time, insertion) order). Batched drain for windowed consumers: events
-    beyond the horizon pay no heap operation at all. *)
-
 val clear : 'a t -> unit
 (** Drop every event and restart the insertion counter. Lanes stay
     registered, empty. *)

@@ -20,27 +20,6 @@ type t = {
   mutable allocated_words : int;
       (** OCaml words allocated on the minor heap during [Engine.run] (blocks
           too large for it, such as page copies, are not counted) *)
-  mutable pdes_windows : int;  (** lookahead bursts executed by the PDES driver *)
-  mutable pdes_window_stalls : int;
-      (** extension attempts cut short: an ineligible peer, an unresolvable
-          footprint, or a dynamic pre-check (conflict mask, mode change) *)
-  mutable pdes_merge_events : int;  (** events executed by the global merged selection *)
-  mutable pdes_ext_events : int;
-      (** events executed past the dynamic next-event bound, i.e. justified
-          only by the static-footprint insulation argument *)
-  mutable pdes_lookahead_total : int;  (** summed per-burst lookahead distance (cycles) *)
-  mutable pdes_lookahead_max : int;  (** largest single-burst lookahead (cycles) *)
-  mutable static_cover_exact : int;
-      (** PDES footprint resolutions where the exact line set enumerated *)
-  mutable static_cover_cover : int;
-      (** footprint resolutions that fell back to a line-interval cover
-          small enough to expand (cap hit or region-bounded indirection) *)
-  mutable static_cover_capped : int;
-      (** resolutions where exact enumeration hit the expansion cap — the
-          formerly silent [Footprint.lines_for] failure mode, now counted *)
-  mutable static_cover_unresolved : int;
-      (** resolutions with no usable footprint: an unbounded site, or a
-          cover too large to expand (pool-sized region extents) *)
   mutable open_arrivals : int;
       (** open-system requests admitted to the queue (excludes drops) *)
   mutable open_dropped : int;  (** requests dropped at saturation (queue cap hit) *)
@@ -59,11 +38,8 @@ val create : unit -> t
 val reset : t -> unit
 
 val merge_into : dst:t -> t -> unit
-(** Counters add; [pdes_lookahead_max], [open_qdepth_hw] and
-    [check_live_lines] take the maximum. *)
-
-val mean_lookahead : t -> float
-(** [pdes_lookahead_total / pdes_windows]; 0 when no window ran. *)
+(** Counters add; [open_qdepth_hw] and [check_live_lines] take the
+    maximum. *)
 
 val to_list : t -> (string * int) list
 (** Stable name/value pairs for reporting. *)

@@ -301,7 +301,6 @@ let make ?(vars = 24) ?(ring_capacity = 48) ?(pool_per_thread = 256) () =
     memory_words = Layout.used_words layout;
     setup;
     make_driver;
-    pure_driver = true;
   }
 
 let workload = make ()

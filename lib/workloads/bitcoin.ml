@@ -41,7 +41,6 @@ let make ?(wallets = 64) ?(theta = zipf_theta_heavy) () =
     memory_words = Layout.used_words layout;
     setup;
     make_driver;
-    pure_driver = true;
   }
 
 let workload = make ()

@@ -66,7 +66,6 @@ let make ?(capacity = 64) () =
     memory_words = Layout.used_words layout;
     setup;
     make_driver;
-    pure_driver = true;
   }
 
 let workload = make ()

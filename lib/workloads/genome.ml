@@ -178,7 +178,6 @@ let make ?(buckets = 16) ?(segment_range = 192) ?(pool_per_thread = 512) () =
     memory_words = Layout.used_words layout;
     setup;
     make_driver;
-    pure_driver = true;
   }
 
 let workload = make ()

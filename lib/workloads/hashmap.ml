@@ -128,7 +128,6 @@ let make ?(buckets = 8) ?(key_range = 160) ?(pool_per_thread = 512) () =
     memory_words = Layout.used_words layout;
     setup;
     make_driver;
-    pure_driver = true;
   }
 
 let workload = make ()

@@ -56,7 +56,6 @@ let make ?(clusters = 8) ~name () =
     memory_words = Layout.used_words layout;
     setup;
     make_driver;
-    pure_driver = true;
   }
 
 let high = make ~clusters:6 ~name:"kmeans-h" ()

@@ -31,7 +31,6 @@ let make ?(objects = 2) () =
     memory_words = Layout.used_words layout;
     setup;
     make_driver;
-    pure_driver = true;
   }
 
 let workload = make ()

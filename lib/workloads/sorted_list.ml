@@ -107,7 +107,6 @@ let make ?(initial = 10) ?(key_range = 24) ?(pool_per_thread = 512) () =
     memory_words = Layout.used_words layout;
     setup;
     make_driver;
-    pure_driver = true;
   }
 
 let workload = make ()

@@ -100,7 +100,6 @@ let make ?(resources = 8) ?(chain = 6) ~name () =
     memory_words = Layout.used_words layout;
     setup;
     make_driver;
-    pure_driver = true;
   }
 
 let high = make ~resources:6 ~chain:8 ~name:"vacation-h" ()

@@ -164,7 +164,6 @@ let make ?(triangles = 48) ?(ring_capacity = 64) ?(pool_per_thread = 256) () =
     memory_words = Layout.used_words layout;
     setup;
     make_driver;
-    pure_driver = true;
   }
 
 let workload = make ()

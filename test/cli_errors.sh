@@ -1,0 +1,50 @@
+#!/bin/sh
+# Out-of-range numeric flags must be command-line errors: exit 124
+# (cmdliner's CLI-error code) with a message naming the flag, never an
+# uncaught exception (exit 125) or a silently accepted run (exit 0). The
+# boundary values themselves must still be accepted.
+#
+# Usage: sh test/cli_errors.sh path/to/clear_sim.exe
+
+set -u
+
+bin=$1
+fail=0
+
+reject() {
+  flag=$1
+  shift
+  err=$("$bin" "$@" 2>&1 >/dev/null)
+  code=$?
+  if [ "$code" -ne 124 ]; then
+    echo "FAIL: clear_sim $*: exit $code, expected 124"
+    fail=1
+  elif ! printf '%s\n' "$err" | grep -q -- "'$flag'"; then
+    echo "FAIL: clear_sim $*: error message does not name $flag"
+    fail=1
+  fi
+}
+
+accept() {
+  if ! "$bin" "$@" >/dev/null 2>&1; then
+    echo "FAIL: clear_sim $*: rejected a value inside the bound"
+    fail=1
+  fi
+}
+
+for cmd in run check openloop; do
+  reject --cores "$cmd" --cores 0
+  reject --cores "$cmd" --cores 65
+done
+reject --requests openloop --requests 0
+reject --loads openloop --loads=-5
+reject --loads openloop --loads 30,0
+reject --keys openloop --keys 0
+reject --ops run --ops=-1
+reject --retries run --retries=-2
+reject --retries openloop --retries=-1
+
+accept run --cores 1 --ops 1 --retries 0
+accept run --cores 62 --ops 1
+
+exit $fail

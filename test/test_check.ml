@@ -298,7 +298,6 @@ let counter_workload =
     memory_words = 256;
     setup = (fun _ _ -> ());
     make_driver = (fun ~tid:_ ~threads:_ _ _ () -> Workload.op ar []);
-    pure_driver = true;
   }
 
 let test_injected_bug_caught () =

@@ -47,7 +47,6 @@ let fig5_workload () =
         Store.write store ptr0 line_b;
         Store.write store ptr1 line_a);
     make_driver = (fun ~tid ~threads:_ _ _ () -> Workload.op (if tid = 0 then ar0 else ar1) []);
-    pure_driver = true;
   }
 
 let test_fig5_no_deadlock () =
@@ -108,7 +107,6 @@ let deviation_workload () =
         (fun ~tid ~threads:_ _ rng () ->
           if tid = 0 && Simrt.Rng.chance rng 0.5 then Workload.op flip []
           else Workload.op chase []);
-      pure_driver = true;
     },
     (cell0, cell1) )
 
@@ -144,7 +142,6 @@ let wide_workload ~lines =
     memory_words = 64 + (lines * 8) + 64;
     setup = (fun store _ -> Store.fill store 64 ~len:(lines * 8) 0);
     make_driver = (fun ~tid:_ ~threads:_ _ _ () -> Workload.op ar []);
-    pure_driver = true;
   }
 
 let test_alt_overflow_no_conversion () =
@@ -182,7 +179,6 @@ let many_ars_workload ~ar_count =
     make_driver =
       (fun ~tid:_ ~threads:_ _ rng () ->
         Workload.op arr.(Simrt.Rng.int rng ar_count) []);
-    pure_driver = true;
   }
 
 let test_ert_pressure () =

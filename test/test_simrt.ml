@@ -168,32 +168,6 @@ let prop_queue_time_seq_sorted =
       in
       popped = expected)
 
-(* pop_until must be observationally equal to repeated pop while the head
-   is at or before the horizon — same events, same order — and must leave
-   everything later untouched. *)
-let prop_queue_pop_until =
-  QCheck.Test.make ~name:"pop_until == repeated pop up to the horizon" ~count:300
-    QCheck.(pair (list (int_range 0 30)) (int_range 0 30))
-    (fun (times, horizon) ->
-      let fill () =
-        let q = Event_queue.create () in
-        List.iteri (fun i t -> Event_queue.push q ~time:t (t, i)) times;
-        q
-      in
-      let qa = fill () and qb = fill () in
-      let batch = Event_queue.pop_until qa ~time:horizon in
-      let rec drain acc =
-        match Event_queue.peek_time qb with
-        | Some t when t <= horizon -> (
-            match Event_queue.pop qb with Some ev -> drain (ev :: acc) | None -> List.rev acc)
-        | _ -> List.rev acc
-      in
-      let manual = drain [] in
-      let rec rest q acc =
-        match Event_queue.pop q with Some ev -> rest q (ev :: acc) | None -> List.rev acc
-      in
-      batch = manual && rest qa [] = rest qb [])
-
 (* Interleaved pushes and pops must preserve the same invariant: what pops
    next is always the earliest (time, seq) of what is currently queued. *)
 let prop_queue_interleaved =
@@ -263,7 +237,6 @@ type lane_op =
   | L_pop_min
   | L_replace_min of int
   | L_requeue of int * int
-  | L_pop_until of int
 
 let lane_op_gen =
   let open QCheck.Gen in
@@ -275,7 +248,6 @@ let lane_op_gen =
       (3, return L_pop_min);
       (2, map (fun t -> L_replace_min t) time);
       (3, map2 (fun l t -> L_requeue (l, t)) lane time);
-      (1, map (fun t -> L_pop_until t) time);
     ]
 
 let show_lane_op = function
@@ -284,7 +256,6 @@ let show_lane_op = function
   | L_pop_min -> "pop_min"
   | L_replace_min t -> Printf.sprintf "replace_min %d" t
   | L_requeue (l, t) -> Printf.sprintf "requeue %d %d" l t
-  | L_pop_until t -> Printf.sprintf "pop_until %d" t
 
 let prop_lanes_match_one_heap =
   QCheck.Test.make ~name:"lanes pop in one heap's (time, seq) order" ~count:500
@@ -352,17 +323,6 @@ let prop_lanes_match_one_heap =
                 true
               end
             end
-        | L_pop_until horizon ->
-            let rec drain acc =
-              if (not (Lane_model.S.is_empty m.set))
-                 && (let t, _, _, _ = Lane_model.S.min_elt m.set in
-                     t <= horizon)
-              then drain (Lane_model.pop m :: acc)
-              else acc
-            in
-            expected := drain !expected;
-            popped := List.rev_append (Event_queue.pop_until q ~time:horizon) !popped;
-            true
       in
       let ok =
         List.for_all (fun op -> step op && Event_queue.length q = Lane_model.S.cardinal m.set) script
@@ -625,7 +585,6 @@ let () =
             [
               prop_queue_sorted;
               prop_queue_time_seq_sorted;
-              prop_queue_pop_until;
               prop_queue_interleaved;
               prop_lanes_match_one_heap;
             ] );

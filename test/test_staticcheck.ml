@@ -228,48 +228,26 @@ let prop_containment =
                QCheck.Test.fail_reportf "seed %d: %d stores > static bound %d" seed store_count k);
       true)
 
-(* The interval cover must contain the exact enumeration whenever both
-   resolve — [lines_cover] is advertised as a superset of [lines_for]. *)
-let in_cover cover line = Array.exists (fun (lo, hi) -> lo <= line && line <= hi) cover
-
-let prop_cover_superset =
-  QCheck.Test.make ~name:"lines_cover contains lines_for whenever both resolve" ~count:400
-    QCheck.(int_bound 1_000_000)
-    (fun seed ->
-      let ar, init_regs = gen_ar seed in
-      let fp = Staticcheck.Footprint.of_ar ar in
-      (match
-         ( Staticcheck.Footprint.lines_for_r fp ~init:init_regs,
-           Staticcheck.Footprint.lines_cover fp ~init:init_regs )
-       with
-      | `Lines lines, Some cover ->
-          Array.iter
-            (fun l ->
-              if not (in_cover cover l) then
-                QCheck.Test.fail_reportf "seed %d: exact line %d outside cover" seed l)
-            lines
-      | `Lines _, None ->
-          QCheck.Test.fail_reportf "seed %d: exact set resolved but cover did not" seed
-      | (`Capped | `Unresolvable), _ -> ());
-      true)
-
-(* Dynamic soundness of the cover alone: every line an execution actually
-   touches lies inside [lines_cover] under the same binding — the property
-   the PDES extension path and the conflict matrix both lean on. *)
+(* Dynamic soundness of the may-conflict covers: every line an execution
+   actually touches lies inside the region's full-footprint cover, and every
+   line it writes inside its write cover — the per-region facts the
+   pairwise conflict matrix is built from. *)
 let prop_dynamic_in_cover =
   QCheck.Test.make ~name:"every dynamic footprint line lies in the static cover" ~count:400
     QCheck.(int_bound 1_000_000)
     (fun seed ->
       let ar, init_regs = gen_ar seed in
       let reads, writes, _store_count, _completed = run_recorded ar ~init_regs in
-      (match Staticcheck.Footprint.lines_cover (Staticcheck.Footprint.of_ar ar) ~init:init_regs with
-      | None -> () (* unbounded site: no cover claimed, nothing to check *)
-      | Some cover ->
-          List.iter
-            (fun l ->
-              if not (in_cover cover l) then
-                QCheck.Test.fail_reportf "seed %d: dynamic line %d escapes the cover" seed l)
-            (reads @ writes));
+      let info = (Staticcheck.Conflict.ars (Staticcheck.Conflict.of_ars [ ar ])).(0) in
+      let within what cover lines =
+        List.iter
+          (fun l ->
+            if not (Staticcheck.Conflict.mem cover l) then
+              QCheck.Test.fail_reportf "seed %d: dynamic %s line %d escapes the cover" seed what l)
+          lines
+      in
+      within "accessed" info.Staticcheck.Conflict.rw (reads @ writes);
+      within "written" info.Staticcheck.Conflict.w writes;
       true)
 
 (* ------------------------------------------------------------------ *)
@@ -364,5 +342,5 @@ let () =
             test_gate_injected_bug_distinct_verdict;
           Alcotest.test_case "checked run passes" `Quick test_gate_checked_run_passes;
         ]
-        @ qsuite [ prop_containment; prop_cover_superset; prop_dynamic_in_cover ] );
+        @ qsuite [ prop_containment; prop_dynamic_in_cover ] );
     ]
