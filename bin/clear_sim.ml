@@ -262,7 +262,7 @@ let suite_cmd =
     Arg.(value & flag
          & info [ "stream" ]
              ~doc:"Run the --check oracles online (incremental checker with bounded memory, \
-                   DESIGN.md §14); identical verdicts, O(live lines) peak checker state.")
+                   DESIGN.md §14); identical verdicts, no retained history.")
   in
   let no_cache_arg =
     Arg.(value & flag
@@ -938,7 +938,7 @@ let openloop_cmd =
     Arg.(value & flag
          & info [ "stream" ]
              ~doc:"Run the --check oracles online (incremental checker with bounded memory, \
-                   DESIGN.md §14); identical verdicts, O(live lines) peak checker state.")
+                   DESIGN.md §14); identical verdicts, no retained history.")
   in
   Cmd.v
     (Cmd.info "openloop"

@@ -19,8 +19,8 @@ type conflict = {
 }
 
 type sink = {
-  sink_initial : Mem.Store.image -> unit;
-  sink_commit : Witness.t -> unit;
+  sink_initial : Mem.Store.t -> unit;
+  sink_commit : Capbuf.t -> unit;
   sink_driver_writes : time:int -> core:int -> stores:(Mem.Addr.t * int) list -> unit;
   sink_lock_event : Lock_safety.event -> unit;
   sink_decision : decision -> unit;
@@ -64,33 +64,21 @@ let is_streaming t = t.sink <> None
 
 let stream_stats t = Option.map (fun s -> s.sink_stats ()) t.sink
 
-let set_initial t snap =
-  t.initial <- Some snap;
-  match t.sink with None -> () | Some s -> s.sink_initial snap
+let set_initial t store =
+  match t.sink with
+  | None -> t.initial <- Some (Mem.Store.snapshot store)
+  | Some s -> s.sink_initial store
 
 let set_ars t ars =
   t.ars <- ars;
   match t.sink with None -> () | Some s -> s.sink_ars ars
 
-let add_commit t ~time ~core ~ar ~init_regs ~mode ~retries ~reads ~writes ~stores =
-  let w =
-    {
-      Witness.seq = t.next_seq;
-      time;
-      core;
-      ar;
-      init_regs;
-      mode;
-      retries;
-      reads;
-      writes;
-      stores;
-    }
-  in
+let add_commit t buf ~time ~core ~ar ~init_regs ~mode ~retries =
+  Capbuf.seal buf ~seq:t.next_seq ~time ~core ~ar ~init_regs ~mode ~retries;
   t.next_seq <- t.next_seq + 1;
   match t.sink with
-  | None -> t.rev_entries <- Commit w :: t.rev_entries
-  | Some s -> s.sink_commit w
+  | None -> t.rev_entries <- Commit (Capbuf.to_witness buf) :: t.rev_entries
+  | Some s -> s.sink_commit buf
 
 let add_driver_writes t ~time ~core ~stores =
   if stores <> [] then

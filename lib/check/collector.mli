@@ -1,10 +1,12 @@
-(** Accumulates everything the engine emits for one checked run.
+(** Receives everything the engine emits for one checked run.
 
     The engine (when created with a collector) feeds this during simulation:
     the initial memory snapshot, one witness per committed attempt, any
     store writes performed by workload drivers {e outside} atomic regions
     (thread-private scratch buffers; see DESIGN.md §9), and the complete
-    lock/release event stream. {!Verdict.evaluate} consumes the result. *)
+    lock/release event stream. An accumulating collector keeps it all for
+    {!Verdict.evaluate}; a streaming one forwards each emission to a
+    {!sink}. *)
 
 type entry =
   | Commit of Witness.t
@@ -41,8 +43,13 @@ type conflict = {
     matrix size, not the run length. *)
 
 type sink = {
-  sink_initial : Mem.Store.image -> unit;
-  sink_commit : Witness.t -> unit;
+  sink_initial : Mem.Store.t -> unit;
+      (** Receives the simulation's live store after workload setup, before
+          any simulated cycle; the sink may snapshot or observe it. *)
+  sink_commit : Capbuf.t -> unit;
+      (** Receives the committing core's sealed capture buffer as a
+          borrowed witness view, valid only during this call (see
+          {!Capbuf}). *)
   sink_driver_writes : time:int -> core:int -> stores:(Mem.Addr.t * int) list -> unit;
   sink_lock_event : Lock_safety.event -> unit;
   sink_decision : decision -> unit;
@@ -52,15 +59,16 @@ type sink = {
 }
 (** An online consumer of the emission stream. A streaming collector
     forwards every emission here instead of accumulating it, so a checked
-    run holds O(live state) instead of O(history); {!Stream.sink} builds
-    one over the incremental oracles. Plain closures — no module dependency
-    from here onto the streaming checker. *)
+    run retains no witness; {!Stream.sink} builds one over the incremental
+    oracles. Plain closures — no module dependency from here onto the
+    streaming checker. *)
 
 type t
 
 val create : cores:int -> t
 (** A post hoc (accumulating) collector: everything is retained for
-    {!Verdict.evaluate} after the run. *)
+    {!Verdict.evaluate} after the run. Each borrowed witness is copied
+    ({!Capbuf.to_witness}) as it arrives. *)
 
 val create_streaming : cores:int -> sink -> t
 (** A streaming collector: emissions are forwarded to [sink] in emission
@@ -76,23 +84,26 @@ val stream_stats : t -> (int * int) option
 (** [sink_stats] passthrough — [None] on accumulating collectors. The
     engine folds this into its perf counters at end of run. *)
 
-val set_initial : t -> Mem.Store.image -> unit
-(** Memory snapshot taken after workload setup, before any simulated cycle.
-    An {!Mem.Store.image} is a cheap chunk-sharing freeze, not a copy. *)
+val set_initial : t -> Mem.Store.t -> unit
+(** The simulation's store after workload setup, before any simulated
+    cycle. An accumulating collector keeps a snapshot of it (a cheap
+    chunk-sharing freeze, not a copy) for {!initial}; a streaming collector
+    hands the live store to its sink. *)
 
 val add_commit :
   t ->
+  Capbuf.t ->
   time:int ->
   core:int ->
   ar:Isa.Program.ar ->
   init_regs:(Isa.Instr.reg * int) list ->
   mode:Witness.mode ->
   retries:int ->
-  reads:(Mem.Addr.line * int) list ->
-  writes:(Mem.Addr.line * int) list ->
-  stores:(Mem.Addr.t * int) list ->
   unit
-(** Record a committed attempt; the commit-order [seq] is assigned here. *)
+(** Record a committed attempt whose footprint and store log are in the
+    given capture buffer: assign the commit-order [seq], {!Capbuf.seal} the
+    buffer, and copy it (accumulating) or lend it to the sink (streaming).
+    Allocates nothing on a streaming collector. *)
 
 val add_driver_writes : t -> time:int -> core:int -> stores:(Mem.Addr.t * int) list -> unit
 (** Ignored when [stores] is empty. *)
@@ -117,6 +128,7 @@ val add_conflict :
   unit
 
 val initial : t -> Mem.Store.image option
+(** The snapshot {!set_initial} took; [None] on streaming collectors. *)
 
 val entries : t -> entry list
 (** Commits and driver writes, in emission order. *)

@@ -19,7 +19,7 @@
 
 type divergence =
   | Store_mismatch of {
-      witness : Witness.t;
+      witness : Witness.header;
       index : int;  (** position in the store log *)
       expected : (Mem.Addr.t * int) option;  (** simulated entry, if any *)
       got : (Mem.Addr.t * int) option;  (** replayed entry, if any *)
@@ -30,7 +30,7 @@ type divergence =
       simulated : int;
       differing : int;  (** total differing words *)
     }
-  | Replay_error of { witness : Witness.t; message : string }
+  | Replay_error of { witness : Witness.header; message : string }
       (** The re-executed body faulted (out-of-range access, runaway loop). *)
 
 val pp_divergence : Format.formatter -> divergence -> unit
@@ -38,26 +38,37 @@ val pp_divergence : Format.formatter -> divergence -> unit
 (** {1 Windowed cursor}
 
     The incremental face of the oracle, used by {!Stream}: each committed
-    prefix is replayed into the rolling store and discarded, so an online
-    checker carries O(touched memory words), never the witness history. *)
+    prefix is replayed into the replayed memory and discarded, so an online
+    checker never carries the witness history. *)
 
 type cursor
 
 val start : initial:Mem.Store.image -> cursor
 (** A fresh replay store built from [initial] (COW — shares every untouched
-    chunk with the simulation's store). *)
+    chunk with the simulation's store): O(touched words). *)
 
-val step : cursor -> Witness.t -> (unit, divergence) result
-(** Replay one committed witness, in commit order, folding its stores into
-    the rolling store. After an [Error] the cursor is dead — report and
-    stop. *)
+val attach : Mem.Store.t -> cursor
+(** Replay on the simulation's live store: the replayed memory is the store
+    itself except at the words where they differ, which an observer
+    installed on the store ({!Mem.Store.set_observer}) files as the
+    simulation changes them and replayed writes clear. That set spans only
+    the writes not yet replayed, so the cursor holds O(in-flight writes)
+    and reads memory the simulation has just touched. Must be called before
+    the first simulated cycle; {!finish} then takes the store's final
+    snapshot. *)
+
+val step : cursor -> Capbuf.t -> (unit, divergence) result
+(** Replay one committed witness (a borrowed view), in commit order,
+    folding its stores into the rolling store and comparing each against
+    the simulated log as it executes. Allocates nothing on success. After
+    an [Error] the cursor is dead — report and stop. *)
 
 val apply_driver_writes : cursor -> (Mem.Addr.t * int) list -> unit
 (** Apply a driver's non-transactional writes at their recorded stream
     position. *)
 
 val finish : cursor -> final:Mem.Store.image -> (unit, divergence) result
-(** Whole-image backstop: the rolling store must be bit-identical to the
+(** Whole-image backstop: the replayed memory must be bit-identical to the
     simulated final memory. *)
 
 val run :

@@ -1,8 +1,8 @@
 type kind = Rw | Ww | Wr
 
 type violation = {
-  earlier : Witness.t;
-  later : Witness.t;
+  earlier : Witness.header;
+  later : Witness.header;
   line : Mem.Addr.line;
   kind : kind;
   detail : string;
@@ -14,8 +14,8 @@ let pp_violation fmt v =
   Format.fprintf fmt
     "@[<v2>serializability violation on line %d [%s]:@ earlier: %a@ later:   %a@ %s@ cycle: [%a] \
      -> [%a] (commit order) -> [%a] (dependency)@]"
-    v.line (kind_name v.kind) Witness.pp v.earlier Witness.pp v.later v.detail Witness.pp v.earlier
-    Witness.pp v.later Witness.pp v.earlier
+    v.line (kind_name v.kind) Witness.pp_header v.earlier Witness.pp_header v.later v.detail
+    Witness.pp_header v.earlier Witness.pp_header v.later Witness.pp_header v.earlier
 
 (* Per-line state: the last committed writer (with the cycle its write became
    visible) and every reader that committed since. Readers before the last
@@ -54,8 +54,8 @@ let add t (w : Witness.t) =
             raise
               (Found
                  {
-                   earlier;
-                   later = w;
+                   earlier = Witness.header earlier;
+                   later = Witness.header w;
                    line;
                    kind = Rw;
                    detail =
@@ -77,8 +77,8 @@ let add t (w : Witness.t) =
             raise
               (Found
                  {
-                   earlier;
-                   later = w;
+                   earlier = Witness.header earlier;
+                   later = Witness.header w;
                    line;
                    kind = Ww;
                    detail =
@@ -93,8 +93,8 @@ let add t (w : Witness.t) =
               raise
                 (Found
                    {
-                     earlier = reader;
-                     later = w;
+                     earlier = Witness.header reader;
+                     later = Witness.header w;
                      line;
                      kind = Wr;
                      detail =

@@ -27,8 +27,8 @@
 type kind = Rw | Ww | Wr
 
 type violation = {
-  earlier : Witness.t;  (** committed first *)
-  later : Witness.t;  (** committed second, closes the cycle *)
+  earlier : Witness.header;  (** committed first *)
+  later : Witness.header;  (** committed second, closes the cycle *)
   line : Mem.Addr.line;
   kind : kind;
   detail : string;

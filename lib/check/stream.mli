@@ -11,12 +11,23 @@
       when all cores are idle). Every future read time and visibility is
       ≥ F, so readers with first-read time ≤ F and writers with visibility
       ≤ F can never close a Wr / Rw / Ww cycle and are dropped, folded into
-      per-line high-water counters. Memory is O(live lines), not
-      O(history).
+      high-water counters. The state is ints in flat arrays — per-line
+      writer and reader summaries, plus the report header of each witness
+      a live entry still names — so no witness is retained: the checker
+      holds O(live entries) ints, not O(history) witnesses.
     - {b replay}: the windowed {!Replay} cursor — committed prefixes are
-      replayed into the rolling store and discarded.
+      replayed and discarded; fed through {!sink}, it replays on the
+      simulation's live store plus the few words where the two differ
+      ({!Replay.attach}).
     - {b lock safety}: {!Lock_safety} is already incremental.
     - {b static gate}: each witness / decision is checked as it arrives.
+
+    Witnesses arrive as borrowed {!Capbuf.t} views and are not used after
+    {!add_commit} returns. A commit allocates nothing unless it reports a
+    violation. Measured at the benchmark's serving points (about a
+    thousand live lines), the checker holds a few hundred KiB and a
+    checked run's peak RSS is within 20 MiB of the unchecked run's
+    (DESIGN.md §14).
 
     Each oracle latches its first error and stops being fed (its post hoc
     counterpart stops at the first error too); the others keep running, so
@@ -46,15 +57,24 @@ type t
 val create : ?static_gate:Staticcheck.Gate.t -> ?sweep_every:int -> cores:int -> unit -> t
 (** [sweep_every] (default 512) is the retirement cadence in commits: peak
     live state is bounded by the live lines plus one sweep window. Raises
-    [Invalid_argument] when it is < 1. *)
+    [Invalid_argument] when it is < 1. Allocates a few KiB; the per-AR
+    static-gate work happens on each AR's first commit, not here. *)
 
 val set_initial : t -> Mem.Store.image -> unit
-(** Must be fed before the first commit for the replay oracle to run;
-    {!finish} raises [Invalid_argument] otherwise. *)
+(** Replay from this initial image ({!Replay.start}) — for hand-fed
+    histories; {!sink} instead replays on the store the engine hands over
+    ({!Replay.attach}), and [final] in {!finish} must then be that store's
+    final snapshot. One of the two must happen before the first commit for
+    the replay oracle to run; {!finish} raises [Invalid_argument]
+    otherwise. *)
 
-val add_commit : t -> Witness.t -> unit
+
+val add_commit : t -> Capbuf.t -> unit
 (** Feed witnesses in commit order ([seq] ascending, non-decreasing
-    [time]). *)
+    [time]). The view is only read during the call. *)
+
+val add_witness : t -> Witness.t -> unit
+(** {!add_commit} for a retained witness (hand-built histories). *)
 
 val add_driver_writes :
   t -> time:int -> core:int -> stores:(Mem.Addr.t * int) list -> unit

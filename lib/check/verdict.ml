@@ -14,10 +14,12 @@ let ok t =
    end-of-discovery decision inside the static envelope, and every observed
    conflict line inside the static may-conflict cover for its AR pair. *)
 let run_static_gate gate collector =
+  let buf = Capbuf.create () and regs = Array.make Isa.Instr.num_regs 0 in
   let check_witness (w : Witness.t) =
-    Staticcheck.Gate.check_commit gate ~ar:w.Witness.ar ~init_regs:w.Witness.init_regs
-      ~reads:(List.map fst w.Witness.reads)
-      ~writes:(List.map fst w.Witness.writes)
+    Capbuf.load buf w;
+    Capbuf.fill_regs buf regs;
+    Staticcheck.Gate.check_footprint gate ~ar:w.Witness.ar ~regs ~reads:(Capbuf.read_lines buf)
+      ~n_reads:(Capbuf.n_reads buf) ~writes:(Capbuf.write_lines buf) ~n_writes:(Capbuf.n_writes buf)
   in
   let check_decision (d : Collector.decision) =
     Staticcheck.Gate.check_decision gate ~ar:d.Collector.ar ~decision:d.Collector.decision

@@ -8,6 +8,21 @@ let mode_name = function
   | Nscl -> "ns-cl"
   | Fallback -> "fallback"
 
+type header = {
+  seq : int;
+  time : int;
+  core : int;
+  ar : Isa.Program.ar;
+  mode : mode;
+  retries : int;
+  n_reads : int;
+  n_writes : int;
+}
+
+let pp_header fmt (h : header) =
+  Format.fprintf fmt "#%d t=%d core=%d %s %s (%dR/%dW)" h.seq h.time h.core (mode_name h.mode)
+    h.ar.Isa.Program.name h.n_reads h.n_writes
+
 type t = {
   seq : int;
   time : int;
@@ -21,11 +36,18 @@ type t = {
   stores : (Mem.Addr.t * int) list;
 }
 
-let visibility w line =
+let header (w : t) =
+  {
+    seq = w.seq;
+    time = w.time;
+    core = w.core;
+    ar = w.ar;
+    mode = w.mode;
+    retries = w.retries;
+    n_reads = List.length w.reads;
+    n_writes = List.length w.writes;
+  }
+
+let visibility (w : t) line =
   let first_write = List.assoc line w.writes in
   if mode_buffered w.mode then w.time else first_write
-
-let pp fmt w =
-  Format.fprintf fmt "#%d t=%d core=%d %s %s (%dR/%dW)" w.seq w.time w.core
-    (mode_name w.mode) w.ar.Isa.Program.name (List.length w.reads)
-    (List.length w.writes)

@@ -56,9 +56,9 @@ val run_sim_checked : ?stream:bool -> sim -> Machine.Stats.t * Check.Verdict.t
     (serializability, sequential replay, lock safety, static soundness
     gate) on the result. The stats are bit-identical to {!run_sim}'s.
     With [~stream:true] the oracles run online against {!Check.Stream} —
-    state retires behind the committed frontier, so peak checker memory is
-    O(live lines) instead of O(history); the verdict is identical either
-    way (DESIGN.md §14). *)
+    state retires behind the committed frontier and no witness is retained,
+    so checker memory follows the live lines instead of the history; the
+    verdict is identical either way (DESIGN.md §14). *)
 
 val run_sim_enforce : ?stream:bool -> sim -> Machine.Stats.t
 (** Like {!run_sim} but raises {!Check_failed} unless the verdict is clean.

@@ -2,10 +2,15 @@ exception Error of string
 
 let default_fuel = 200_000
 
-let run ?(fuel = default_fuel) (ar : Program.ar) ~init_regs ~load ~store =
-  let regs = Array.make Instr.num_regs 0 in
-  List.iter (fun (r, v) -> regs.(r) <- v) init_regs;
-  let operand = function Instr.Reg r -> regs.(r) | Instr.Imm i -> i in
+let operand regs = function Instr.Reg r -> regs.(r) | Instr.Imm i -> i
+
+let rec install regs = function
+  | [] -> ()
+  | (r, v) :: rest ->
+      regs.(r) <- v;
+      install regs rest
+
+let exec ?(fuel = default_fuel) ~regs (ar : Program.ar) ~load ~store =
   let body = ar.Program.body in
   let pc = ref 0 in
   let steps = ref 0 in
@@ -20,18 +25,23 @@ let run ?(fuel = default_fuel) (ar : Program.ar) ~init_regs ~load ~store =
     | Instr.Halt -> running := false
     | Instr.Nop -> incr pc
     | Instr.Mov { dst; src } ->
-        regs.(dst) <- operand src;
+        regs.(dst) <- operand regs src;
         incr pc
     | Instr.Binop { op; dst; a; b } ->
-        regs.(dst) <- Instr.eval_binop op (operand a) (operand b);
+        regs.(dst) <- Instr.eval_binop op (operand regs a) (operand regs b);
         incr pc
     | Instr.Jmp target -> pc := target
     | Instr.Br { cond; a; b; target } ->
-        pc := (if Instr.eval_cond cond (operand a) (operand b) then target else !pc + 1)
+        pc := (if Instr.eval_cond cond (operand regs a) (operand regs b) then target else !pc + 1)
     | Instr.Ld { dst; base; off; region = _ } ->
-        regs.(dst) <- load (operand base + off);
+        regs.(dst) <- load (operand regs base + off);
         incr pc
     | Instr.St { base; off; src; region = _ } ->
-        store (operand base + off) (operand src);
+        store (operand regs base + off) (operand regs src);
         incr pc
   done
+
+let run ?fuel ar ~init_regs ~load ~store =
+  let regs = Array.make Instr.num_regs 0 in
+  install regs init_regs;
+  exec ?fuel ~regs ar ~load ~store

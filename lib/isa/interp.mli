@@ -22,3 +22,14 @@ val run :
   unit
 (** Execute the body from PC 0 until [Halt]. Registers start at zero with
     [init_regs] installed, mirroring [Regfile.load_initial]. *)
+
+val exec :
+  ?fuel:int ->
+  regs:int array ->
+  Program.ar ->
+  load:(int -> int) ->
+  store:(int -> int -> unit) ->
+  unit
+(** {!run} on a caller-owned register file of [Instr.num_regs] slots that
+    already holds the initial registers: a replay loop reuses one file and
+    allocates nothing per region. *)

@@ -58,6 +58,9 @@ type t = {
   cfg : Config.t;
   trace : Trace.t option;
   check : Check.Collector.t option;
+  driver_cap : Check.Capbuf.t; (* driver writes outside ARs, while checking *)
+  store_observer : (Mem.Addr.t -> int -> unit) option; (* the checker's, if any *)
+  driver_observer : (Mem.Addr.t -> int -> unit) option; (* logs into [driver_cap] *)
   store : Mem.Store.t;
   hierarchy : Mem.Hierarchy.t;
   conflicts : Conflict_map.t;
@@ -138,17 +141,29 @@ let create ?trace ?check (cfg : Config.t) (workload : Workload.t) =
       let time = Sched.Profile.start_offset cfg.sched ~core:c.id ~base:cfg.think_cycles c.rng in
       Event_queue.push queue ~time c.id)
     cores;
-  (* Snapshot after setup and driver construction (closure-creation-time
-     writes are part of the initial image), before any simulated cycle. *)
+  (* Hand over the store after setup and driver construction
+     (closure-creation-time writes are part of the initial image), before
+     any simulated cycle. *)
   (match check with
   | None -> ()
   | Some col ->
       Check.Collector.set_ars col workload.ars;
-      Check.Collector.set_initial col (Mem.Store.snapshot store));
+      Check.Collector.set_initial col store);
+  let driver_cap = Check.Capbuf.create () in
+  (* The checker may observe the store itself; the driver observer logs
+     driver writes and passes every write on to it. *)
+  let store_observer = Mem.Store.observer store in
   {
     cfg;
     trace;
     check;
+    driver_cap;
+    store_observer;
+    driver_observer =
+      Some
+        (fun addr value ->
+          Check.Capbuf.note_store driver_cap ~addr ~value;
+          match store_observer with None -> () | Some f -> f addr value);
     store;
     hierarchy;
     (* Hint from the workload's own memory, not [cfg.memory_words] (whose
@@ -369,10 +384,9 @@ let do_commit t c =
   (match t.check with
   | None -> ()
   | Some col ->
-      Check.Collector.add_commit col ~time:t.now ~core:c.id ~ar:op.Workload.ar
+      Check.Collector.add_commit col c.cap ~time:t.now ~core:c.id ~ar:op.Workload.ar
         ~init_regs:op.Workload.init_regs ~mode:(witness_mode_of c.mode)
-        ~retries:c.retries_counted ~reads:(Check.Capbuf.reads c.cap)
-        ~writes:(Check.Capbuf.writes c.cap) ~stores:(Check.Capbuf.stores c.cap));
+        ~retries:c.retries_counted);
   Txn.iter_lines c.txn (fun line -> Conflict_map.remove_line t.conflicts ~core:c.id line);
   cleanup_cl_locks t c;
   if capturing t then lock_ev t (Check.Lock_safety.Attempt_end { time = t.now; core = c.id });
@@ -952,15 +966,17 @@ let issue_op t c =
     | None -> c.driver ()
     | Some col ->
         (* Drivers may write the store outside any AR (thread-private
-           scratch, e.g. labyrinth's path buffers). Capture those writes so
-           the replay oracle can apply them at the right point. *)
-        let rev = ref [] in
-        let op =
-          Mem.Store.with_observer t.store
-            (fun a v -> rev := (a, v) :: !rev)
-            (fun () -> c.driver ())
-        in
-        Check.Collector.add_driver_writes col ~time:t.now ~core:c.id ~stores:(List.rev !rev);
+           scratch, e.g. labyrinth's path buffers). The observer built at
+           [create] logs those writes into [driver_cap] while the driver
+           runs, so the replay oracle can apply them at the right point. *)
+        Mem.Store.set_observer t.store t.driver_observer;
+        let op = c.driver () in
+        Mem.Store.set_observer t.store t.store_observer;
+        if Check.Capbuf.n_stores t.driver_cap > 0 then begin
+          Check.Collector.add_driver_writes col ~time:t.now ~core:c.id
+            ~stores:(Check.Capbuf.stores t.driver_cap);
+          Check.Capbuf.reset t.driver_cap
+        end;
         op
   in
   c.op <- Some op;

@@ -32,12 +32,12 @@ val create : ?trace:Trace.t -> ?check:Check.Collector.t -> Config.t -> Workload.
 (** Builds the machine, allocates the backing store and runs the workload's
     [setup]. When [trace] is given, per-core lifecycle events are recorded
     into it. When [check] is given, the engine captures the material the
-    execution oracle needs: the initial memory snapshot, one
-    {!Check.Witness.t} per committed attempt (read/write footprint with
-    first-access cycles plus the drained store log — O(footprint) per
-    commit), non-transactional driver writes, and the complete lock/release
-    event stream. Capture has no effect on simulated behaviour: results are
-    bit-identical with and without it. *)
+    execution oracle needs: the store after setup, one witness per
+    committed attempt (read/write footprint with first-access cycles plus
+    the drained store log — O(footprint) per commit, lent to the collector
+    as the core's {!Check.Capbuf.t}), non-transactional driver writes, and
+    the complete lock/release event stream. Capture has no effect on
+    simulated behaviour: results are bit-identical with and without it. *)
 
 val run : ?max_cycles:int -> t -> Stats.t
 (** Simulate until every thread finished its operations. Raises [Failure] if

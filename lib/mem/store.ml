@@ -48,6 +48,7 @@ let read t a =
 let write t a v =
   if a < 0 || a >= t.words then
     invalid_arg (Printf.sprintf "Store.write: address %d out of bounds" a);
+  (match t.observer with None -> () | Some f -> f a v);
   let ci = a lsr chunk_shift in
   if Bytes.unsafe_get t.owned ci = '\000' then begin
     (* [Array.make] fills a major-heap block with plain stores; copying
@@ -56,8 +57,7 @@ let write t a v =
     t.chunks.(ci) <- (if c == zero_chunk then Array.make chunk_words 0 else Array.copy c);
     Bytes.unsafe_set t.owned ci '\001'
   end;
-  (Array.unsafe_get t.chunks ci).(a land chunk_mask) <- v;
-  match t.observer with None -> () | Some f -> f a v
+  (Array.unsafe_get t.chunks ci).(a land chunk_mask) <- v
 
 let fill t a ~len v =
   for i = a to a + len - 1 do
@@ -124,7 +124,6 @@ let image_diff a b =
     a.i_chunks;
   if !differing = 0 then None else Some (!first, !a_val, !b_val, !differing)
 
-let with_observer t f body =
-  let saved = t.observer in
-  t.observer <- Some f;
-  Fun.protect ~finally:(fun () -> t.observer <- saved) body
+let observer t = t.observer
+
+let set_observer t f = t.observer <- f

@@ -50,8 +50,12 @@ val image_diff : image -> image -> (Addr.t * int * int * int) option
     shared chunks are skipped without scanning. Raises [Invalid_argument]
     when the images differ in size. *)
 
-val with_observer : t -> (Addr.t -> int -> unit) -> (unit -> 'a) -> 'a
-(** [with_observer t f body] runs [body] with [f] invoked after every
-    {!write} (including {!fill}), then restores the previous observer. Used
-    by the execution oracle to witness non-transactional stores performed by
-    workload drivers. *)
+val set_observer : t -> (Addr.t -> int -> unit) option -> unit
+(** [set_observer t (Some f)] invokes [f a v] on every {!write} (including
+    {!fill}) of [v] to [a], {e before} the word changes — so [read t a] in
+    [f] is still the old value — until the observer is replaced. Used by
+    the execution oracle to follow the simulation's memory and to witness
+    non-transactional stores performed by workload drivers; passing the
+    same preallocated option each time allocates nothing. *)
+
+val observer : t -> (Addr.t -> int -> unit) option

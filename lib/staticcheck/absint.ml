@@ -454,16 +454,3 @@ let analyze ?(name = "<raw>") ?(regions = []) (body : I.t array) : summary =
   end
 
 let analyze_ar (ar : Isa.Program.ar) = analyze ~name:ar.name ~regions:ar.regions ar.body
-
-(* Concrete membership of a witness line in a site set, under the witness's
-   initial registers. *)
-let line_in_sites ~init sites line =
-  List.exists
-    (fun s ->
-      match s.component with
-      | Cany -> true
-      | Cwords { lo; hi } | Cregion { lo; hi; _ } -> lo asr 3 <= line && line <= hi asr 3
-      | Crel { reg; lo; hi } ->
-          let base = init reg in
-          (base + lo) asr 3 <= line && line <= (base + hi) asr 3)
-    sites

@@ -67,7 +67,3 @@ val analyze_ar : Isa.Program.ar -> summary
 val line_bound : site list -> bound
 (** Distinct-line bound for an arbitrary site subset (e.g. one region's
     write sites), with the same counting rules the summary bounds use. *)
-
-val line_in_sites : init:(Isa.Instr.reg -> int) -> site list -> Mem.Addr.line -> bool
-(** Concrete containment check used by the soundness gate: is [line] within
-    some site's component once initial registers are bound by [init]? *)

@@ -13,87 +13,143 @@ type violation =
       cover : string;
     }
 
+(* A site set flattened to three ints per site: the base register (-1 for
+   an absolute extent) and the word extent [lo, hi] relative to it. *)
+type sites = int array
+
+(* Per-AR facts, built on the AR's first commit: the summary, its sites
+   split once into the may-read and may-write sets, and the decision
+   prediction on first use. *)
+type entry = {
+  ar : Isa.Program.ar;
+  summary : Absint.summary;
+  read_sites : sites;
+  write_sites : sites;
+  mutable prediction : Predict.t option;
+}
+
 type t = {
   params : Predict.params;
   fault_drop_store : bool;
-  summaries : (int * string, Absint.summary) Hashtbl.t;
-  predictions : (int * string, Predict.t) Hashtbl.t;
+  memo : entry list array;  (* buckets by [id land (length - 1)] *)
   mutable conflicts : Conflict.t option;  (* built lazily from the first workload seen *)
 }
 
 let create ?(fault_drop_store = false) params =
-  {
-    params;
-    fault_drop_store;
-    summaries = Hashtbl.create 8;
-    predictions = Hashtbl.create 8;
-    conflicts = None;
-  }
+  { params; fault_drop_store; memo = Array.make 64 []; conflicts = None }
 
-let key (ar : Isa.Program.ar) = (ar.Isa.Program.id, ar.Isa.Program.name)
+let analyze t ar =
+  let s = Absint.analyze_ar ar in
+  if not t.fault_drop_store then s
+  else begin
+    (* Fault injection for the gate's own tests: pretend the analyzer
+       missed the first store site, so a real write escapes the
+       may-write set and the gate must catch it. *)
+    let dropped = ref false in
+    let sites =
+      List.filter
+        (fun (site : Absint.site) ->
+          if site.Absint.written && not !dropped then begin
+            dropped := true;
+            false
+          end
+          else true)
+        s.Absint.sites
+    in
+    { s with Absint.sites }
+  end
 
-let summary t ar =
-  match Hashtbl.find_opt t.summaries (key ar) with
-  | Some s -> s
-  | None ->
-      let s = Absint.analyze_ar ar in
-      let s =
-        if not t.fault_drop_store then s
-        else begin
-          (* Fault injection for the gate's own tests: pretend the analyzer
-             missed the first store site, so a real write escapes the
-             may-write set and the gate must catch it. *)
-          let dropped = ref false in
-          let sites =
-            List.filter
-              (fun (site : Absint.site) ->
-                if site.Absint.written && not !dropped then begin
-                  dropped := true;
-                  false
-                end
-                else true)
-              s.Absint.sites
-          in
-          { s with Absint.sites }
-        end
+let flatten written (s : Absint.summary) =
+  List.concat_map
+    (fun (site : Absint.site) ->
+      if site.Absint.written <> written then []
+      else
+        match site.Absint.component with
+        | Absint.Cany -> [ -1; min_int; max_int ]
+        | Absint.Cwords { lo; hi } | Absint.Cregion { lo; hi; _ } -> [ -1; lo; hi ]
+        | Absint.Crel { reg; lo; hi } -> [ reg; lo; hi ])
+    s.Absint.sites
+  |> Array.of_list
+
+let same (a : Isa.Program.ar) (b : Isa.Program.ar) =
+  a == b || (a.Isa.Program.id = b.Isa.Program.id && String.equal a.Isa.Program.name b.Isa.Program.name)
+
+let rec lookup ar = function
+  | [] -> raise Not_found
+  | e :: rest -> if same e.ar ar then e else lookup ar rest
+
+(* Memoised per (ar id, name); a hit allocates nothing. *)
+let entry t (ar : Isa.Program.ar) =
+  let b = ar.Isa.Program.id land (Array.length t.memo - 1) in
+  match lookup ar t.memo.(b) with
+  | e -> e
+  | exception Not_found ->
+      let summary = analyze t ar in
+      let e =
+        {
+          ar;
+          summary;
+          read_sites = flatten false summary;
+          write_sites = flatten true summary;
+          prediction = None;
+        }
       in
-      Hashtbl.add t.summaries (key ar) s;
-      s
+      t.memo.(b) <- e :: t.memo.(b);
+      e
+
+let summary t ar = (entry t ar).summary
 
 let prediction t ar =
-  match Hashtbl.find_opt t.predictions (key ar) with
+  let e = entry t ar in
+  match e.prediction with
   | Some p -> p
   | None ->
-      let p = Predict.predict ~params:t.params ~written_regions:[] (summary t ar) in
-      Hashtbl.add t.predictions (key ar) p;
+      let p = Predict.predict ~params:t.params ~written_regions:[] e.summary in
+      e.prediction <- Some p;
       p
 
-let check_commit t ~(ar : Isa.Program.ar) ~init_regs ~reads ~writes =
-  let s = summary t ar in
-  let init r = Option.value (List.assoc_opt r init_regs) ~default:0 in
-  let reads_set = List.filter (fun (site : Absint.site) -> not site.Absint.written) s.Absint.sites
-  and writes_set = List.filter (fun (site : Absint.site) -> site.Absint.written) s.Absint.sites in
-  let escape access sites line =
-    Footprint_escape
-      {
-        ar = ar.Isa.Program.name;
-        access;
-        line;
-        bound =
-          Printf.sprintf "%d site(s), %s line bound" (List.length sites)
-            (Absint.bound_to_string
-               (if access = `Read then s.Absint.read_lines else s.Absint.write_lines));
-      }
-  in
-  let rec first_escape access sites = function
-    | [] -> Ok ()
-    | line :: rest ->
-        if Absint.line_in_sites ~init sites line then first_escape access sites rest
-        else Error (escape access sites line)
-  in
-  match first_escape `Read reads_set reads with
-  | Error _ as e -> e
-  | Ok () -> first_escape `Write writes_set writes
+(* Is [line] within some site's extent, given the initial register file
+   [regs]? *)
+let rec covered sites ~regs line k =
+  k < Array.length sites
+  &&
+  let reg = sites.(k) in
+  let base = if reg < 0 then 0 else regs.(reg) in
+  ((base + sites.(k + 1)) asr 3 <= line && line <= (base + sites.(k + 2)) asr 3)
+  || covered sites ~regs line (k + 3)
+
+(* Index of the first of the [n] lines no site covers, or -1. *)
+let rec first_escape sites ~regs lines n i =
+  if i >= n then -1
+  else if covered sites ~regs lines.(i) 0 then first_escape sites ~regs lines n (i + 1)
+  else i
+
+let escape e (ar : Isa.Program.ar) access sites line =
+  Error
+    (Footprint_escape
+       {
+         ar = ar.Isa.Program.name;
+         access;
+         line;
+         bound =
+           Printf.sprintf "%d site(s), %s line bound" (Array.length sites)
+             (Absint.bound_to_string
+                (if access = `Read then e.summary.Absint.read_lines else e.summary.Absint.write_lines));
+       })
+
+let check_footprint t ~ar ~regs ~reads ~n_reads ~writes ~n_writes =
+  let e = entry t ar in
+  let r = first_escape e.read_sites ~regs reads n_reads 0 in
+  if r >= 0 then escape e ar `Read e.read_sites reads.(r)
+  else
+    let w = first_escape e.write_sites ~regs writes n_writes 0 in
+    if w >= 0 then escape e ar `Write e.write_sites writes.(w) else Ok ()
+
+let check_commit t ~ar ~init_regs ~reads ~writes =
+  let regs = Array.make Isa.Instr.num_regs 0 in
+  List.iter (fun (r, v) -> regs.(r) <- v) init_regs;
+  check_footprint t ~ar ~regs ~reads:(Array.of_list reads) ~n_reads:(List.length reads)
+    ~writes:(Array.of_list writes) ~n_writes:(List.length writes)
 
 let conflict_matrix t ~ars =
   match t.conflicts with

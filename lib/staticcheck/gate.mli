@@ -33,6 +33,22 @@ val summary : t -> Isa.Program.ar -> Absint.summary
 
 val prediction : t -> Isa.Program.ar -> Predict.t
 
+val check_footprint :
+  t ->
+  ar:Isa.Program.ar ->
+  regs:int array ->
+  reads:Mem.Addr.line array ->
+  n_reads:int ->
+  writes:Mem.Addr.line array ->
+  n_writes:int ->
+  (unit, violation) result
+(** Dynamic footprint ⊆ static may-sets, concretised under the witness's
+    initial register file [regs] ([Isa.Instr.num_regs] slots; registers
+    the operation did not set hold 0, as in the engine). The footprint is
+    the first [n_reads] / [n_writes] lines of the arrays, checked in order,
+    reads first. The AR's sites are split into the two sets once per AR; a
+    passing check allocates nothing. *)
+
 val check_commit :
   t ->
   ar:Isa.Program.ar ->
@@ -40,8 +56,8 @@ val check_commit :
   reads:Mem.Addr.line list ->
   writes:Mem.Addr.line list ->
   (unit, violation) result
-(** Dynamic footprint ⊆ static may-sets, concretised under the witness's
-    initial registers (absent registers default to 0, as in the engine). *)
+(** {!check_footprint} over lists, the initial registers installed in
+    order. *)
 
 val check_decision :
   t -> ar:Isa.Program.ar -> decision:Clear.Decision.mode -> (unit, violation) result

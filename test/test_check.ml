@@ -249,6 +249,48 @@ let test_replay_applies_driver_writes () =
   Alcotest.(check bool) "driver writes reach the replay image" true
     (Result.is_ok (Check.Replay.run ~initial ~entries ~final))
 
+(* The live cursor replays on the simulation's own store, filing the words
+   the simulation changes ahead of the replay. It must reach the verdict
+   the image-based replay reaches over the same history: a faithful commit
+   and driver write pass, a stray write and a wrong store log are caught
+   with the same report, and a word written back to its old value is not a
+   difference. *)
+let test_replay_live_matches_image () =
+  let run_both ~sim_commit_value ~log_value =
+    let store = Store.create ~words:16 in
+    let initial = Store.snapshot store in
+    let cur = Check.Replay.attach store in
+    let w = witness ~ar:store_ar ~writes:[ (0, 1) ] ~stores:[ (0, log_value) ] () in
+    Store.write store 12 7;
+    Check.Replay.apply_driver_writes cur [ (12, 7) ];
+    Store.write store 0 sim_commit_value;
+    let buf = Check.Capbuf.create () in
+    Check.Capbuf.load buf w;
+    let stepped = Check.Replay.step cur buf in
+    Store.write store 3 4;
+    Store.write store 3 0;
+    Store.write store 9 123;
+    let final = Store.snapshot store in
+    let live = match stepped with Error _ as e -> e | Ok () -> Check.Replay.finish cur ~final in
+    let entries =
+      [
+        Check.Collector.Driver_writes { time = 0; core = 1; stores = [ (12, 7) ] };
+        Check.Collector.Commit w;
+      ]
+    in
+    (live, Check.Replay.run ~initial ~entries ~final)
+  in
+  let live, image = run_both ~sim_commit_value:5 ~log_value:5 in
+  (match live with
+  | Error (Check.Replay.Memory_mismatch { addr = 9; replayed = 0; simulated = 123; differing = 1 }) -> ()
+  | _ -> Alcotest.fail "live replay missed the stray write");
+  Alcotest.(check bool) "stray write: same report" true (live = image);
+  let live, image = run_both ~sim_commit_value:6 ~log_value:6 in
+  (match live with
+  | Error (Check.Replay.Store_mismatch { index = 0; _ }) -> ()
+  | _ -> Alcotest.fail "live replay missed the store mismatch");
+  Alcotest.(check bool) "store mismatch: same report" true (live = image)
+
 (* ------------------------------------------------------------------ *)
 (* End-to-end: checked real runs *)
 
@@ -380,7 +422,7 @@ let stream_over ?(sweep_every = 1) ws =
       | `Begin (w : Check.Witness.t) ->
           Check.Stream.add_lock_event str
             (Check.Lock_safety.Attempt_begin { time = t; core = w.Check.Witness.core })
-      | `Commit w -> Check.Stream.add_commit str w
+      | `Commit w -> Check.Stream.add_witness str w
       | `End (w : Check.Witness.t) ->
           Check.Stream.add_lock_event str
             (Check.Lock_safety.Attempt_end { time = t; core = w.Check.Witness.core }))
@@ -482,7 +524,7 @@ let test_stream_sweep_every_validated () =
 
 let test_stream_requires_initial () =
   let str = Check.Stream.create ~cores:4 () in
-  Check.Stream.add_commit str (witness ~seq:0 ~time:10 ~core:0 ());
+  Check.Stream.add_witness str (witness ~seq:0 ~time:10 ~core:0 ());
   Alcotest.check_raises "finish without initial snapshot"
     (Invalid_argument "Stream.finish: no initial snapshot was fed") (fun () ->
       ignore (Check.Stream.finish str ~final:(image_of (Array.make 16 0))))
@@ -640,6 +682,7 @@ let () =
           Alcotest.test_case "detects store mismatch" `Quick test_replay_detects_store_mismatch;
           Alcotest.test_case "detects memory mismatch" `Quick test_replay_detects_memory_mismatch;
           Alcotest.test_case "applies driver writes" `Quick test_replay_applies_driver_writes;
+          Alcotest.test_case "live cursor matches image replay" `Quick test_replay_live_matches_image;
         ] );
       ( "end to end",
         [

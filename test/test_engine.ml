@@ -536,9 +536,9 @@ let per_preset name f = List.map (fun (l, p) -> case (name ^ " [" ^ l ^ "]") (f 
    memory hierarchy) allocates almost nothing; what remains is per
    operation (the driver's op, commit bookkeeping) and per non-L1-hit
    access (the returned outcome). The budgets are the words per popped
-   event measured when they were set (9.94 open-loop, 13.48 closed-loop)
-   plus 25%, so putting allocation back on the hot path fails here and not
-   only in the benchmark. *)
+   event measured when they were set (9.94 open-loop, 11.01 open-loop
+   streamed-checked, 13.48 closed-loop) plus 25%, so putting allocation
+   back on the hot path fails here and not only in the benchmark. *)
 
 let words_per_event engine =
   ignore (Engine.run engine : Stats.t);
@@ -550,20 +550,36 @@ let check_budget name ~budget w =
 
 (* One 5 000-request point of the benchmark's open-loop serving shape:
    CLEAR at retry limit 1, Poisson arrivals, arrayswap over 2^17 keys. *)
+let open_point_cfg =
+  Config.with_openloop
+    (Config.with_seed (Config.with_retries Config.clear_rw 1) 42)
+    (Some
+       {
+         Config.open_rate = 50.0;
+         open_requests = 5_000;
+         open_process = Config.Open_poisson;
+         open_queue_cap = 0;
+       })
+
+let open_point_workload () = Workloads.Registry.open_scaled "arrayswap" ~keys:(1 lsl 17) ~theta:6.0
+
 let test_alloc_open_point () =
-  let cfg =
-    Config.with_openloop
-      (Config.with_seed (Config.with_retries Config.clear_rw 1) 42)
-      (Some
-         {
-           Config.open_rate = 50.0;
-           open_requests = 5_000;
-           open_process = Config.Open_poisson;
-           open_queue_cap = 0;
-         })
+  check_budget "open-loop arrayswap" ~budget:12.4
+    (words_per_event (Engine.create open_point_cfg (open_point_workload ())))
+
+(* The same point checked online, as the benchmark's [checked] workload
+   runs it: the streaming oracles behind a streaming collector, static gate
+   included. A commit lends its capture buffer to the checker, which keeps
+   only ints, so checking adds little beyond the lock-event records.
+   Building the witness lists again on every commit reads 15.9 here. *)
+let test_alloc_streamed_point () =
+  let cores = open_point_cfg.Config.cores in
+  let str =
+    Check.Stream.create ~static_gate:(Clear_repro.Run.static_gate_of_config open_point_cfg) ~cores ()
   in
-  let workload = Workloads.Registry.open_scaled "arrayswap" ~keys:(1 lsl 17) ~theta:6.0 in
-  check_budget "open-loop arrayswap" ~budget:12.4 (words_per_event (Engine.create cfg workload))
+  let check = Check.Collector.create_streaming ~cores (Check.Stream.sink str) in
+  check_budget "streamed-checked open-loop arrayswap" ~budget:13.8
+    (words_per_event (Engine.create ~check open_point_cfg (open_point_workload ())))
 
 (* One closed-loop paper-protocol sim: 16 cores contending under CLEAR, so
    discovery, cacheline locking and the fallback path all run. *)
@@ -629,6 +645,7 @@ let () =
       ( "allocation",
         [
           case "open-loop point within budget" test_alloc_open_point;
+          case "streamed-checked open-loop point within budget" test_alloc_streamed_point;
           case "closed-loop sim within budget" test_alloc_closed_sim;
         ] );
     ]

@@ -347,6 +347,12 @@ let serial_fingerprint = function
   | Error (v : Check.Serial.violation) ->
       Some (v.Check.Serial.kind, v.Check.Serial.line, v.earlier.Check.Witness.seq, v.later.Check.Witness.seq)
 
+(* The printed report, which also names the earlier witness's header — the
+   part of a witness the streaming checker keeps as ints. *)
+let serial_report = function
+  | Ok () -> None
+  | Error v -> Some (Format.asprintf "%a" Check.Serial.pp_violation v)
+
 let prop_stream_matches_serial =
   QCheck.Test.make ~name:"Check.Stream agrees with post hoc Check.Serial" ~count:120
     QCheck.(int_bound 1_000_000)
@@ -354,7 +360,9 @@ let prop_stream_matches_serial =
       let rng = Random.State.make [| seed; 0x57e4 |] in
       let events = events_of_attempts (gen_attempts rng) in
       let ws = List.filter_map (function _, `Witness w -> Some w | _ -> None) events in
-      let posthoc = serial_fingerprint (Check.Serial.check ws) in
+      let posthoc_result = Check.Serial.check ws in
+      let posthoc = serial_fingerprint posthoc_result in
+      let posthoc_report = serial_report posthoc_result in
       let zero = Store.image_of_array (Array.make 16 0) in
       List.for_all
         (fun sweep_every ->
@@ -366,7 +374,7 @@ let prop_stream_matches_serial =
               | `Begin a ->
                   Check.Stream.add_lock_event str
                     (Check.Lock_safety.Attempt_begin { time = t; core = a.g_core })
-              | `Witness w -> Check.Stream.add_commit str w
+              | `Witness w -> Check.Stream.add_witness str w
               | `End a ->
                   Check.Stream.add_lock_event str
                     (Check.Lock_safety.Attempt_end { time = t; core = a.g_core }))
@@ -374,8 +382,127 @@ let prop_stream_matches_serial =
           let results = Check.Stream.finish str ~final:zero in
           Result.is_ok results.Check.Stream.replay
           && Result.is_ok results.Check.Stream.locks
-          && serial_fingerprint results.Check.Stream.serial = posthoc)
+          && serial_fingerprint results.Check.Stream.serial = posthoc
+          && serial_report results.Check.Stream.serial = posthoc_report)
         [ 1; 2; 7; 512 ])
+
+(* Lock safety against a plain list model of its rules: a holder list of
+   (line, core) pairs and, per core, the held lines newest first. Random
+   streams over few cores and lines hit every violation — re-lock, a lock
+   held elsewhere, foreign and stray unlocks, out-of-order keys, attempts
+   that begin or end holding locks, locks left at the end — and long wide
+   streams hold enough lines at once to grow and shrink the flat holder
+   table. The first violation must match field for field. *)
+module Lock_model = struct
+  open Check.Lock_safety
+
+  let err time core fmt = Printf.ksprintf (fun reason -> Error { time; core; reason }) fmt
+
+  let check ~cores events =
+    let holders = ref [] and held = Array.make cores [] and last_key = Array.make cores min_int in
+    let add = function
+      | Attempt_begin { time; core } ->
+          if held.(core) <> [] then
+            err time core "attempt begins while still holding %d line lock(s) from a previous attempt"
+              (List.length held.(core))
+          else begin
+            last_key.(core) <- min_int;
+            Ok ()
+          end
+      | Lock { time; core; line; key } -> (
+          match List.assoc_opt line !holders with
+          | Some h when h = core -> err time core "re-locked line %d it already holds" line
+          | Some h -> err time core "locked line %d already held by core %d" line h
+          | None ->
+              if key < last_key.(core) then
+                err time core "lock on line %d breaks lexicographic order (key %d after %d)" line key
+                  last_key.(core)
+              else begin
+                holders := (line, core) :: !holders;
+                held.(core) <- line :: held.(core);
+                last_key.(core) <- key;
+                Ok ()
+              end)
+      | Unlock { time; core; line } -> (
+          match List.assoc_opt line !holders with
+          | Some h when h = core ->
+              holders := List.remove_assoc line !holders;
+              held.(core) <- List.filter (( <> ) line) held.(core);
+              Ok ()
+          | Some h -> err time core "unlocked line %d held by core %d" line h
+          | None -> err time core "unlocked line %d that is not locked" line)
+      | Attempt_end { time; core } -> (
+          match held.(core) with
+          | [] -> Ok ()
+          | first :: _ ->
+              err time core "attempt ends with %d unreleased line lock(s) (first: line %d)"
+                (List.length held.(core)) first)
+    in
+    let rec feed = function
+      | [] ->
+          let rec finish core =
+            if core >= cores then Ok ()
+            else if held.(core) <> [] then
+              err max_int core "simulation ended with %d line lock(s) still held"
+                (List.length held.(core))
+            else finish (core + 1)
+          in
+          finish 0
+      | e :: rest -> ( match add e with Ok () -> feed rest | Error _ as r -> r)
+    in
+    feed events
+end
+
+(* Dense streams: few cores and lines, every event kind at random, so most
+   end in a violation. Wide streams: mostly well-formed — unlocks of held
+   lines, ascending keys — so many lines stay locked at once and the holder
+   table grows and deletes. *)
+let gen_lock_events rng =
+  let gi bound = QCheck.Gen.generate1 ~rand:rng (QCheck.Gen.int_bound bound) in
+  let module L = Check.Lock_safety in
+  if gi 2 > 0 then begin
+    let cores = 1 + gi 2 in
+    let key = Array.make cores 0 in
+    ( cores,
+      List.init (1 + gi 30) (fun time ->
+          let core = gi (cores - 1) in
+          match gi 4 with
+          | 0 ->
+              key.(core) <- 0;
+              L.Attempt_begin { time; core }
+          | 1 -> L.Attempt_end { time; core }
+          | 2 -> L.Unlock { time; core; line = gi 3 }
+          | _ ->
+              (* keys mostly ascend within an attempt, sometimes not *)
+              if gi 9 > 0 then key.(core) <- key.(core) + gi 2 else key.(core) <- key.(core) - 1;
+              L.Lock { time; core; line = gi 3; key = key.(core) }) )
+  end
+  else begin
+    let cores = 4 in
+    let held = Array.make cores [] and key = Array.make cores 0 in
+    ( cores,
+      List.init (50 + gi 400) (fun time ->
+          let core = gi (cores - 1) in
+          match (gi 9, held.(core)) with
+          | 0, [] -> L.Attempt_begin { time; core }
+          | 1, [] -> L.Attempt_end { time; core }
+          | (0 | 1 | 2 | 3), (_ :: _ as hs) ->
+              let line = if gi 199 > 0 then List.nth hs (gi (List.length hs - 1)) else gi 9_999 in
+              held.(core) <- List.filter (( <> ) line) hs;
+              L.Unlock { time; core; line }
+          | _ ->
+              let line = core + (4 * gi 2_499) in
+              held.(core) <- line :: held.(core);
+              key.(core) <- key.(core) + gi 1;
+              L.Lock { time; core; line; key = key.(core) }) )
+  end
+
+let prop_lock_safety_matches_model =
+  QCheck.Test.make ~name:"Check.Lock_safety agrees with a list model" ~count:600
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let cores, events = gen_lock_events (Random.State.make [| seed; 0x10c4 |]) in
+      Check.Lock_safety.check ~cores events = Lock_model.check ~cores events)
 
 let test_fuzz_stream_agrees_with_posthoc () =
   (* Full engine runs: the streaming verdict equals the post hoc one byte
@@ -430,6 +557,7 @@ let () =
       ( "streaming",
         [
           QCheck_alcotest.to_alcotest prop_stream_matches_serial;
+          QCheck_alcotest.to_alcotest prop_lock_safety_matches_model;
           Alcotest.test_case "engine runs stream to identical verdicts" `Quick
             test_fuzz_stream_agrees_with_posthoc;
         ] );
