@@ -39,21 +39,26 @@ PAR_JOBS=$HOST_CORES
 [ "$PAR_JOBS" -lt 1 ] && PAR_JOBS=1
 
 echo "[sched_smoke] scenario sweep with the execution oracle (--check, --jobs $PAR_JOBS)..."
-"$BIN" sched --json --check --jobs "$PAR_JOBS" >BENCH_sched.json
+OUT=$(mktemp) SEQ=$(mktemp)
+trap 'rm -f "$OUT" "$SEQ"' EXIT
+"$BIN" sched --json --check --jobs "$PAR_JOBS" >"$OUT"
 
 # The sweep must be jobs-invariant: a sequential run has to produce the
 # same JSON byte for byte.
 if [ "$PAR_JOBS" -gt 1 ]; then
-  SEQ=$(mktemp)
-  trap 'rm -f "$SEQ"' EXIT
   "$BIN" sched --json --check --jobs 1 >"$SEQ"
-  if ! cmp -s BENCH_sched.json "$SEQ"; then
+  if ! cmp -s "$OUT" "$SEQ"; then
     echo "[sched_smoke] FAIL: --jobs 1 and --jobs $PAR_JOBS sweeps differ" >&2
-    diff BENCH_sched.json "$SEQ" >&2 || true
+    diff "$OUT" "$SEQ" >&2 || true
     exit 1
   fi
   echo "[sched_smoke] sweep identical across job counts"
 fi
+
+# The sweep JSON is host-independent; the benchmark record adds the host's
+# core count as its first field.
+awk -v hc="$HOST_CORES" 'NR == 1 { print; print "  \"host_cores\": " hc ","; next } { print }' \
+  "$OUT" >BENCH_sched.json
 
 SHIFTED=$(sed -n 's/.*"materially_different": \([0-9][0-9]*\),.*/\1/p' BENCH_sched.json | head -n 1)
 if [ -z "$SHIFTED" ]; then

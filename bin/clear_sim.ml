@@ -51,6 +51,9 @@ let cores_conv =
 let positive_float =
   bounded Arg.float ~what:"a finite number > 0" (fun x -> Float.is_finite x && x > 0.)
 
+let non_negative_float =
+  bounded Arg.float ~what:"a finite number >= 0" (fun x -> Float.is_finite x && x >= 0.)
+
 let cores_arg = Arg.(value & opt cores_conv 16 & info [ "cores" ] ~doc:"Simulated cores.")
 
 let ops_arg = Arg.(value & opt (int_at_least 1) 200 & info [ "ops" ] ~doc:"Operations per thread.")
@@ -73,7 +76,7 @@ let frontend_conv =
   Arg.conv (parse, print)
 
 let trace_arg =
-  Arg.(value & opt int 0
+  Arg.(value & opt (int_at_least 0) 0
        & info [ "trace" ] ~doc:"Print the last N lifecycle events of the run (0 = off).")
 
 let trace_out_arg =
@@ -114,6 +117,16 @@ let run_cmd =
         Some (Machine.Trace.create ~capacity:(1 lsl 20) ())
       else if trace_n > 0 then Some (Machine.Trace.create ())
       else None
+    in
+    (* Open the export file before simulating, so a bad path fails fast. *)
+    let trace_oc =
+      Option.map
+        (fun file ->
+          try open_out_bin file
+          with Sys_error msg ->
+            Printf.eprintf "clear_sim run: cannot write --trace-out file: %s\n" msg;
+            exit 2)
+        trace_out
     in
     let t0 = Unix.gettimeofday () in
     let engine = Machine.Engine.create ?trace cfg w in
@@ -166,10 +179,10 @@ let run_cmd =
         Printf.printf "--- last %d events (of %d recorded) ---\n" shown (Machine.Trace.recorded tr);
         Machine.Trace.dump ~limit:trace_n tr Format.std_formatter
     | Some _ | None -> ());
-    match (trace, trace_out) with
-    | Some tr, Some file ->
-        Out_channel.with_open_bin file (fun oc ->
-            Out_channel.output_string oc (Machine.Trace.to_chrome_json tr));
+    match (trace, trace_oc, trace_out) with
+    | Some tr, Some oc, Some file ->
+        Out_channel.output_string oc (Machine.Trace.to_chrome_json tr);
+        close_out oc;
         Printf.printf "trace written   %s (%d events)\n" file (Machine.Trace.retained tr)
     | _ -> ()
   in
@@ -180,14 +193,16 @@ let run_cmd =
   in
   Cmd.v (Cmd.info "run" ~doc:"Run one benchmark under one configuration.") term
 
-let jobs_arg =
+let jobs_arg context =
   let doc =
     "Worker domains for the sweep (default: host cores minus one). Results are \
      bit-identical at any job count. Values above the host's recommended \
      domain count are clamped (extra domains only add scheduling overhead)."
   in
-  let arg = Arg.(value & opt int (Simrt.Pool.default_jobs ()) & info [ "j"; "jobs" ] ~doc) in
-  Cmdliner.Term.(const (Simrt.Pool.clamp_jobs ~context:"suite") $ arg)
+  let arg =
+    Arg.(value & opt (int_at_least 1) (Simrt.Pool.default_jobs ()) & info [ "j"; "jobs" ] ~doc)
+  in
+  Cmdliner.Term.(const (Simrt.Pool.clamp_jobs ~context) $ arg)
 
 let sched_profile_conv =
   let parse s =
@@ -214,7 +229,7 @@ let sched_arg =
 let suite_cmd =
   let module Experiments = Clear_repro.Experiments in
   let module Suite_cache = Clear_repro.Suite_cache in
-  let suite jobs paper workload check stream no_cache cache_clear sched =
+  let suite jobs paper workload check no_cache cache_clear sched =
     if cache_clear then begin
       let n = Suite_cache.clear () in
       Printf.eprintf "[suite] cleared %d cache shard(s) from %s\n%!" n Suite_cache.dir
@@ -235,7 +250,7 @@ let suite_cmd =
     let use_cache = (not no_cache) && not check in
     let t0 = Unix.gettimeofday () in
     let s =
-      Experiments.run_suite ~jobs ~check ~stream ~cache:use_cache ~workloads ~progress opts
+      Experiments.run_suite ~jobs ~check ~cache:use_cache ~workloads ~progress opts
     in
     Printf.eprintf "[suite] done in %.1f s on %d domain(s)%s\n%!"
       (Unix.gettimeofday () -. t0) jobs
@@ -258,12 +273,6 @@ let suite_cmd =
                    sequential replay, lock safety, static soundness gate). Implies bypassing \
                    the suite cache.")
   in
-  let stream_arg =
-    Arg.(value & flag
-         & info [ "stream" ]
-             ~doc:"Run the --check oracles online (incremental checker with bounded memory, \
-                   DESIGN.md §14); identical verdicts, no retained history.")
-  in
   let no_cache_arg =
     Arg.(value & flag
          & info [ "no-cache" ] ~doc:"Neither read nor write the on-disk per-simulation shards.")
@@ -274,7 +283,7 @@ let suite_cmd =
   Cmd.v
     (Cmd.info "suite"
        ~doc:"Run the 4-configuration sweep on a pool of domains; print Figure 8 and the headline.")
-    Term.(const suite $ jobs_arg $ paper_arg $ workload_filter $ check_arg $ stream_arg
+    Term.(const suite $ jobs_arg "suite" $ paper_arg $ workload_filter $ check_arg
           $ no_cache_arg $ cache_clear_arg $ sched_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -464,11 +473,11 @@ let sched_cmd =
        ~doc:"Run every schedule scenario (hot core, think skew, NUMA asymmetry, phased start) \
              against the symmetric baseline across all four configurations and report how the \
              retry/fallback mix shifts. Deterministic per (workload, cores, ops, seed).")
-    Term.(const run $ json_arg $ check_arg $ fingerprint_arg $ jobs_arg $ sched_workload_arg
+    Term.(const run $ json_arg $ check_arg $ fingerprint_arg $ jobs_arg "sched" $ sched_workload_arg
           $ sched_cores_arg $ sched_ops_arg $ retries_arg)
 
 let check_cmd =
-  let check workload all letter cores ops seed retries frontend stream fault_blind_line =
+  let check workload all letter cores ops seed retries frontend fault_blind_line =
     let ws = if all then Workloads.Registry.all else [ find_workload workload ] in
     let cfg = config_of ~frontend letter ~cores ~ops ~seed ~retries in
     let cfg = { cfg with Machine.Config.fault_blind_line } in
@@ -476,7 +485,7 @@ let check_cmd =
     List.iter
       (fun (w : Machine.Workload.t) ->
         let _stats, verdict =
-          Clear_repro.Run.run_sim_checked ~stream { Clear_repro.Run.cfg; workload = w; seed }
+          Clear_repro.Run.run_sim_checked { Clear_repro.Run.cfg; workload = w; seed }
         in
         if Check.Verdict.ok verdict then
           Printf.printf "%-12s %s  OK (%d commits)\n%!" w.name letter
@@ -491,18 +500,12 @@ let check_cmd =
   let all_arg =
     Arg.(value & flag & info [ "all" ] ~doc:"Check every benchmark instead of one.")
   in
-  let stream_arg =
-    Arg.(value & flag
-         & info [ "stream" ]
-             ~doc:"Run the oracles online (incremental checker with bounded memory, DESIGN.md \
-                   §14) instead of post hoc; the verdict is identical either way.")
-  in
   let fault_blind_arg =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt (some (int_at_least 0)) None
          & info [ "fault-blind-line" ] ~docv:"LINE"
              ~doc:"Inject the conflict-blindness engine bug on $(docv) (the engine stops \
-                   detecting conflicts there). The oracles must catch it — used by the smoke \
-                   gates to prove both checking paths fail loudly.")
+                   detecting conflicts there). The oracles must catch it: a demonstration \
+                   that the checker fails loudly.")
   in
   Cmd.v
     (Cmd.info "check"
@@ -510,7 +513,7 @@ let check_cmd =
              captured witnesses, bit-exact sequential replay of all committed ARs, and \
              lock-safety invariants. Exits non-zero on any violation.")
     Term.(const check $ workload_arg $ all_arg $ preset_arg $ cores_arg $ ops_arg $ seed_arg
-          $ retries_arg $ frontend_arg $ stream_arg $ fault_blind_arg)
+          $ retries_arg $ frontend_arg $ fault_blind_arg)
 
 let list_cmd =
   let list () =
@@ -831,7 +834,7 @@ let openloop_cmd =
   let module Sweep = Openloop.Sweep in
   let d = Sweep.default_options in
   let run json jobs workload keys theta loads requests process_name heat cap configs retries
-      cores seed check stream =
+      cores seed check =
     let process =
       match String.lowercase_ascii process_name with
       | "poisson" -> Machine.Config.Open_poisson
@@ -862,7 +865,6 @@ let openloop_cmd =
         seed;
         jobs;
         check;
-        stream;
       }
     in
     let results =
@@ -888,7 +890,8 @@ let openloop_cmd =
                    cache residency, decides hotness).")
   in
   let theta_arg =
-    Arg.(value & opt float d.Sweep.theta & info [ "theta" ] ~doc:"Zipf popularity skew.")
+    Arg.(value & opt non_negative_float d.Sweep.theta
+         & info [ "theta" ] ~doc:"Zipf popularity skew (0 = uniform).")
   in
   let loads_arg =
     Arg.(value & opt (list positive_float) d.Sweep.loads
@@ -904,11 +907,11 @@ let openloop_cmd =
          & info [ "process" ] ~doc:"Arrival process: poisson or burst.")
   in
   let heat_arg =
-    Arg.(value & opt float 1.5
+    Arg.(value & opt non_negative_float 1.5
          & info [ "heat" ] ~doc:"Burstiness of the burst arrival process (ignored for poisson).")
   in
   let cap_arg =
-    Arg.(value & opt int d.Sweep.queue_cap
+    Arg.(value & opt (int_at_least 0) d.Sweep.queue_cap
          & info [ "cap" ]
              ~doc:"Waiting-request bound; arrivals beyond it are dropped at saturation \
                    (0 = unbounded).")
@@ -934,21 +937,15 @@ let openloop_cmd =
              ~doc:"Validate each configuration's lowest load point with the execution oracle \
                    (exit 1 on violation).")
   in
-  let stream_arg =
-    Arg.(value & flag
-         & info [ "stream" ]
-             ~doc:"Run the --check oracles online (incremental checker with bounded memory, \
-                   DESIGN.md §14); identical verdicts, no retained history.")
-  in
   Cmd.v
     (Cmd.info "openloop"
        ~doc:"Open-system sweep: requests arrive on their own schedule (Poisson or bursty), \
              queue while cores are busy, and record enqueue-to-commit sojourn latency. Emits \
              the latency-vs-offered-load curve with exact p50/p99/p999 percentiles. \
              Deterministic per seed at any --jobs.")
-    Term.(const run $ json_arg $ jobs_arg $ workload_arg $ keys_arg $ theta_arg $ loads_arg
+    Term.(const run $ json_arg $ jobs_arg "openloop" $ workload_arg $ keys_arg $ theta_arg $ loads_arg
           $ requests_arg $ process_arg $ heat_arg $ cap_arg $ configs_arg $ openloop_retries_arg
-          $ openloop_cores_arg $ seed_arg $ check_arg $ stream_arg)
+          $ openloop_cores_arg $ seed_arg $ check_arg)
 
 let config_cmd =
   let show letter cores ops seed retries =

@@ -1,7 +1,3 @@
-type entry =
-  | Commit of Witness.t
-  | Driver_writes of { time : int; core : int; stores : (Mem.Addr.t * int) list }
-
 type decision = {
   time : int;
   core : int;
@@ -29,93 +25,29 @@ type sink = {
   sink_stats : unit -> int * int;
 }
 
-type t = {
-  n_cores : int;
-  sink : sink option;
-  mutable initial : Mem.Store.image option;
-  mutable rev_entries : entry list;
-  mutable rev_lock_events : Lock_safety.event list;
-  mutable rev_decisions : decision list;
-  mutable rev_conflicts : conflict list;
-  mutable ars : Isa.Program.ar list;
-  mutable next_seq : int;
-}
+type t = { n_cores : int; sink : sink; mutable next_seq : int }
 
-let make ~cores sink =
-  {
-    n_cores = cores;
-    sink;
-    initial = None;
-    rev_entries = [];
-    rev_lock_events = [];
-    rev_decisions = [];
-    rev_conflicts = [];
-    ars = [];
-    next_seq = 0;
-  }
-
-let create ~cores = make ~cores None
-
-let create_streaming ~cores sink = make ~cores (Some sink)
+let create_streaming ~cores sink = { n_cores = cores; sink; next_seq = 0 }
 
 let cores t = t.n_cores
 
-let is_streaming t = t.sink <> None
+let stream_stats t = t.sink.sink_stats ()
 
-let stream_stats t = Option.map (fun s -> s.sink_stats ()) t.sink
+let set_initial t store = t.sink.sink_initial store
 
-let set_initial t store =
-  match t.sink with
-  | None -> t.initial <- Some (Mem.Store.snapshot store)
-  | Some s -> s.sink_initial store
-
-let set_ars t ars =
-  t.ars <- ars;
-  match t.sink with None -> () | Some s -> s.sink_ars ars
+let set_ars t ars = t.sink.sink_ars ars
 
 let add_commit t buf ~time ~core ~ar ~init_regs ~mode ~retries =
   Capbuf.seal buf ~seq:t.next_seq ~time ~core ~ar ~init_regs ~mode ~retries;
   t.next_seq <- t.next_seq + 1;
-  match t.sink with
-  | None -> t.rev_entries <- Commit (Capbuf.to_witness buf) :: t.rev_entries
-  | Some s -> s.sink_commit buf
+  t.sink.sink_commit buf
 
 let add_driver_writes t ~time ~core ~stores =
-  if stores <> [] then
-    match t.sink with
-    | None -> t.rev_entries <- Driver_writes { time; core; stores } :: t.rev_entries
-    | Some s -> s.sink_driver_writes ~time ~core ~stores
+  if stores <> [] then t.sink.sink_driver_writes ~time ~core ~stores
 
-let add_lock_event t ev =
-  match t.sink with
-  | None -> t.rev_lock_events <- ev :: t.rev_lock_events
-  | Some s -> s.sink_lock_event ev
+let add_lock_event t ev = t.sink.sink_lock_event ev
 
-let add_decision t ~time ~core ~ar ~decision =
-  let d = { time; core; ar; decision } in
-  match t.sink with
-  | None -> t.rev_decisions <- d :: t.rev_decisions
-  | Some s -> s.sink_decision d
+let add_decision t ~time ~core ~ar ~decision = t.sink.sink_decision { time; core; ar; decision }
 
 let add_conflict t ~time ~aggressor_core ~victim_core ~aggressor_ar ~victim_ar ~line =
-  let c = { time; aggressor_core; victim_core; aggressor_ar; victim_ar; line } in
-  match t.sink with
-  | None -> t.rev_conflicts <- c :: t.rev_conflicts
-  | Some s -> s.sink_conflict c
-
-let initial t = t.initial
-
-let entries t = List.rev t.rev_entries
-
-let witnesses t =
-  List.filter_map (function Commit w -> Some w | Driver_writes _ -> None) (entries t)
-
-let lock_events t = List.rev t.rev_lock_events
-
-let decisions t = List.rev t.rev_decisions
-
-let conflicts t = List.rev t.rev_conflicts
-
-let ars t = t.ars
-
-let commit_count t = t.next_seq
+  t.sink.sink_conflict { time; aggressor_core; victim_core; aggressor_ar; victim_ar; line }

@@ -1,19 +1,11 @@
-(** Receives everything the engine emits for one checked run.
+(** Forwards everything the engine emits for one checked run to a {!sink}.
 
     The engine (when created with a collector) feeds this during simulation:
     the initial memory snapshot, one witness per committed attempt, any
     store writes performed by workload drivers {e outside} atomic regions
     (thread-private scratch buffers; see DESIGN.md §9), and the complete
-    lock/release event stream. An accumulating collector keeps it all for
-    {!Verdict.evaluate}; a streaming one forwards each emission to a
-    {!sink}. *)
-
-type entry =
-  | Commit of Witness.t
-  | Driver_writes of { time : int; core : int; stores : (Mem.Addr.t * int) list }
-      (** Non-transactional stores a driver issued while choosing its next
-          operation, in program order. Replayed positionally; not part of the
-          serializability check. *)
+    lock/release event stream. The collector numbers commits and retains
+    nothing; each emission goes to the sink in emission order. *)
 
 type decision = {
   time : int;
@@ -57,38 +49,24 @@ type sink = {
   sink_ars : Isa.Program.ar list -> unit;
   sink_stats : unit -> int * int;  (** (peak live lines, retired entries) *)
 }
-(** An online consumer of the emission stream. A streaming collector
-    forwards every emission here instead of accumulating it, so a checked
-    run retains no witness; {!Stream.sink} builds one over the incremental
-    oracles. Plain closures — no module dependency from here onto the
-    streaming checker. *)
+(** An online consumer of the emission stream. {!Stream.sink} builds one
+    over the incremental oracles. Plain closures — no module dependency
+    from here onto the streaming checker. *)
 
 type t
 
-val create : cores:int -> t
-(** A post hoc (accumulating) collector: everything is retained for
-    {!Verdict.evaluate} after the run. Each borrowed witness is copied
-    ({!Capbuf.to_witness}) as it arrives. *)
-
 val create_streaming : cores:int -> sink -> t
-(** A streaming collector: emissions are forwarded to [sink] in emission
-    order and discarded; {!entries}/{!witnesses}/{!lock_events}/
-    {!decisions} stay empty. Witness [seq] assignment and
-    {!commit_count} work identically in both modes. *)
+(** A collector forwarding every emission to [sink] in emission order. *)
 
 val cores : t -> int
 
-val is_streaming : t -> bool
-
-val stream_stats : t -> (int * int) option
-(** [sink_stats] passthrough — [None] on accumulating collectors. The
-    engine folds this into its perf counters at end of run. *)
+val stream_stats : t -> int * int
+(** [sink_stats] passthrough. The engine folds this into its perf counters
+    at end of run. *)
 
 val set_initial : t -> Mem.Store.t -> unit
 (** The simulation's store after workload setup, before any simulated
-    cycle. An accumulating collector keeps a snapshot of it (a cheap
-    chunk-sharing freeze, not a copy) for {!initial}; a streaming collector
-    hands the live store to its sink. *)
+    cycle; handed live to the sink. *)
 
 val add_commit :
   t ->
@@ -102,8 +80,7 @@ val add_commit :
   unit
 (** Record a committed attempt whose footprint and store log are in the
     given capture buffer: assign the commit-order [seq], {!Capbuf.seal} the
-    buffer, and copy it (accumulating) or lend it to the sink (streaming).
-    Allocates nothing on a streaming collector. *)
+    buffer, and lend it to the sink. Allocates nothing. *)
 
 val add_driver_writes : t -> time:int -> core:int -> stores:(Mem.Addr.t * int) list -> unit
 (** Ignored when [stores] is empty. *)
@@ -126,25 +103,3 @@ val add_conflict :
   victim_ar:Isa.Program.ar ->
   line:Mem.Addr.line ->
   unit
-
-val initial : t -> Mem.Store.image option
-(** The snapshot {!set_initial} took; [None] on streaming collectors. *)
-
-val entries : t -> entry list
-(** Commits and driver writes, in emission order. *)
-
-val witnesses : t -> Witness.t list
-(** Just the commits, in commit order. *)
-
-val lock_events : t -> Lock_safety.event list
-
-val decisions : t -> decision list
-(** End-of-discovery decisions, in emission order. *)
-
-val conflicts : t -> conflict list
-(** Deduplicated conflict events, in emission order. *)
-
-val ars : t -> Isa.Program.ar list
-(** As fed by {!set_ars}; empty if the engine never called it. *)
-
-val commit_count : t -> int

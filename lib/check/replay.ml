@@ -197,23 +197,3 @@ let finish cur ~final =
     | None -> Ok ()
     | Some (addr, replayed, simulated, differing) ->
         Error (Memory_mismatch { addr; replayed; simulated; differing })
-
-let run ~initial ~entries ~final =
-  let cur = start ~initial in
-  let scratch = Capbuf.create () in
-  let fed =
-    List.fold_left
-      (fun acc entry ->
-        match acc with
-        | Error _ -> acc
-        | Ok () -> (
-            match entry with
-            | Collector.Commit w ->
-                Capbuf.load scratch w;
-                step cur scratch
-            | Collector.Driver_writes { stores; _ } ->
-                apply_driver_writes cur stores;
-                Ok ()))
-      (Ok ()) entries
-  in
-  match fed with Error _ as e -> e | Ok () -> finish cur ~final

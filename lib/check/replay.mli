@@ -35,11 +35,13 @@ type divergence =
 
 val pp_divergence : Format.formatter -> divergence -> unit
 
-(** {1 Windowed cursor}
+(** {1 Cursor}
 
-    The incremental face of the oracle, used by {!Stream}: each committed
-    prefix is replayed into the replayed memory and discarded, so an online
-    checker never carries the witness history. *)
+    The oracle is incremental: each committed witness is replayed into the
+    replayed memory as it arrives and then forgotten, so the checker never
+    carries the witness history. {!Stream} drives it online; the tests'
+    post hoc reference drives {!start}/{!step}/{!finish} over a retained
+    history. *)
 
 type cursor
 
@@ -70,14 +72,3 @@ val apply_driver_writes : cursor -> (Mem.Addr.t * int) list -> unit
 val finish : cursor -> final:Mem.Store.image -> (unit, divergence) result
 (** Whole-image backstop: the replayed memory must be bit-identical to the
     simulated final memory. *)
-
-val run :
-  initial:Mem.Store.image ->
-  entries:Collector.entry list ->
-  final:Mem.Store.image ->
-  (unit, divergence) result
-(** [run ~initial ~entries ~final] replays [entries] on a store built from
-    [initial] and compares against [final] — {!start}/{!step}/{!finish}
-    over a complete per-run entry list. Both images share untouched
-    chunks with the simulation's store, so the whole-image comparison costs
-    O(words actually written) rather than O(memory size). *)

@@ -1,8 +1,9 @@
 (* Incremental, bounded-memory face of the execution oracle (DESIGN.md §14).
 
-   The post hoc oracles consume a complete per-run history: every witness,
-   lock event and decision, retained until the run ends. This module checks
-   the same stream online, one emission at a time, and retires state as soon
+   {!Serial.check}, {!Lock_safety.check} and a replay from the initial image
+   consume a complete per-run history: every witness, lock event and
+   decision, retained until the run ends. This module checks the engine's
+   emission stream online, one emission at a time, and retires state as soon
    as the global committed frontier proves it can no longer participate in a
    violation — so a checked run carries O(live entries) ints of checker
    state instead of O(history) witnesses.
@@ -110,10 +111,10 @@ type t = {
   mutable since_sweep : int;
   (* Per-oracle first-error latches: after an oracle fails it stops being
      fed (its post hoc counterpart stops at the first error too); the other
-     oracles keep running, matching {!Verdict.evaluate}'s independent
-     results. The static gate latches witness and decision violations
-     separately because the post hoc gate checks all witnesses before any
-     decision. *)
+     oracles keep running, so each result matches the post hoc oracle's
+     independent result. The static gate latches witness, decision and
+     conflict violations separately so that it reports the violation a gate
+     checking all witnesses, then all decisions, then all conflicts would. *)
   mutable serial_err : Serial.violation option;
   mutable replay_err : Replay.divergence option;
   mutable lock_err : Lock_safety.violation option;
@@ -569,8 +570,8 @@ let finish t ~final =
     Option.map
       (fun (_ : Staticcheck.Gate.t) ->
         (* Witness violations outrank decision violations, which outrank
-           conflict violations, matching the post hoc gate's
-           witnesses-then-decisions-then-conflicts order. *)
+           conflict violations: the witnesses-then-decisions-then-conflicts
+           order of a gate run over the whole history. *)
         match (t.gate_commit_err, t.gate_decision_err, t.gate_conflict_err) with
         | Some v, _, _ -> Error v
         | None, Some v, _ -> Error v

@@ -1,9 +1,11 @@
 (** Incremental, bounded-memory execution oracle (DESIGN.md §14).
 
-    Consumes the same emission stream a post hoc {!Collector} accumulates —
-    witness by witness, at commit time — and produces, for every oracle, a
-    result identical field for field to the post hoc evaluation, while
-    retiring state the committed frontier proves inert:
+    Consumes the engine's emission stream through a {!Collector} — witness
+    by witness, at commit time — and produces, for every oracle, the result
+    a post hoc run of {!Serial.check}, a {!Replay.start} replay,
+    {!Lock_safety.check} and the static gate over the retained history
+    would produce, field for field, while retiring state the committed
+    frontier proves inert:
 
     - {b serializability}: {!Serial}'s per-line state under a retirement
       discipline. Let F be the minimum attempt-begin time over in-flight
@@ -31,7 +33,8 @@
 
     Each oracle latches its first error and stops being fed (its post hoc
     counterpart stops at the first error too); the others keep running, so
-    the final {!results} match {!Verdict.evaluate} exactly. *)
+    the final {!results} match the post hoc oracles exactly. The tests hold
+    the two equal through a post hoc reference built on the same modules. *)
 
 type stats = {
   live_lines : int;  (** lines currently holding checker state *)

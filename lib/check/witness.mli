@@ -8,8 +8,8 @@
 
     The engine hands witnesses over as borrowed {!Capbuf.t} views, valid
     only during the callback that receives them. A [t] is the retained,
-    immutable form: what an accumulating collector keeps and what tests
-    build by hand. A {!header} is the part of a witness a violation report
+    immutable form: what hand-built histories and the tests' post hoc
+    reference hold. A {!header} is the part of a witness a violation report
     names; the streaming checker keeps only headers of live witnesses. *)
 
 type mode = Speculative | Scl | Nscl | Fallback

@@ -60,7 +60,7 @@ let config_of_letter opts letter =
    With [~cache:true] each simulation is memoised on disk as one
    [Suite_cache] shard; hits are spliced back in task order, so a partially
    cached sweep still aggregates identically to an uncached one. *)
-let run_suite ?(jobs = 1) ?(check = false) ?stream ?(cache = false)
+let run_suite ?(jobs = 1) ?(check = false) ?(cache = false)
     ?(workloads = Workloads.Registry.all) ?(progress = fun _ -> ()) opts =
   let tasks =
     List.concat_map
@@ -73,7 +73,7 @@ let run_suite ?(jobs = 1) ?(check = false) ?stream ?(cache = false)
           (presets opts))
       workloads
   in
-  let run_all tasks = Simrt.Pool.parallel_map ~jobs (Run.runner ?stream ~check) tasks in
+  let run_all tasks = Simrt.Pool.parallel_map ~jobs (Run.runner ~check) tasks in
   let results =
     if not cache then Array.of_list (run_all tasks)
     else begin

@@ -37,7 +37,6 @@ type suite = {
 val run_suite :
   ?jobs:int ->
   ?check:bool ->
-  ?stream:bool ->
   ?cache:bool ->
   ?workloads:Machine.Workload.t list ->
   ?progress:(string -> unit) ->
@@ -49,8 +48,8 @@ val run_suite :
     and explicitly seeded, and aggregation order does not depend on [jobs].
     With [~check:true] every simulation in the sweep is validated by the
     execution oracle inside the worker; the first violation raises
-    {!Run.Check_failed}. Adding [~stream:true] runs those oracles online
-    ({!Check.Stream}) with bounded checker memory and an identical verdict. With [~cache:true] each simulation is memoised on
+    {!Run.Check_failed}. The oracles run online ({!Check.Stream}) with
+    bounded checker memory. With [~cache:true] each simulation is memoised on
     disk as one {!Suite_cache} shard keyed by (config, workload, seed) and
     the executable digest; only missing shards are simulated, and hits are
     spliced back in task order so partially cached sweeps aggregate

@@ -36,33 +36,23 @@ let static_gate_of_config (cfg : Machine.Config.t) =
        ~sq_entries:cfg.sq_entries ~rob_entries:cfg.rob_entries ~crt_entries:cfg.crt_entries
        ~crt_ways:cfg.crt_ways cfg.mem_params)
 
-let run_sim_checked ?(stream = false) { cfg; workload; seed } =
+(* The collector forwards every emission into the online oracles and
+   retains nothing (DESIGN.md §14). *)
+let run_sim_checked { cfg; workload; seed } =
   let cfg = Machine.Config.with_seed cfg seed in
   let cores = cfg.Machine.Config.cores in
-  if stream then begin
-    (* Online path: the collector forwards every emission into the
-       incremental oracles and retains nothing; the verdict is identical
-       to the post hoc branch below (DESIGN.md §14). *)
-    let str = Check.Stream.create ~static_gate:(static_gate_of_config cfg) ~cores () in
-    let collector = Check.Collector.create_streaming ~cores (Check.Stream.sink str) in
-    let engine = Machine.Engine.create ~check:collector cfg workload in
-    let stats = Machine.Engine.run engine in
-    let final = Mem.Store.snapshot (Machine.Engine.store engine) in
-    (stats, Check.Verdict.of_stream str ~final)
-  end
-  else begin
-    let collector = Check.Collector.create ~cores in
-    let engine = Machine.Engine.create ~check:collector cfg workload in
-    let stats = Machine.Engine.run engine in
-    let final = Mem.Store.snapshot (Machine.Engine.store engine) in
-    (stats, Check.Verdict.evaluate ~static_gate:(static_gate_of_config cfg) collector ~final)
-  end
+  let str = Check.Stream.create ~static_gate:(static_gate_of_config cfg) ~cores () in
+  let collector = Check.Collector.create_streaming ~cores (Check.Stream.sink str) in
+  let engine = Machine.Engine.create ~check:collector cfg workload in
+  let stats = Machine.Engine.run engine in
+  let final = Mem.Store.snapshot (Machine.Engine.store engine) in
+  (stats, Check.Verdict.of_stream str ~final)
 
 (* Pool-friendly variant: same signature as [run_sim], turns a failed verdict
    into an exception (which [Simrt.Pool.parallel_map] propagates to the
    submitting domain). *)
-let run_sim_enforce ?stream sim =
-  let stats, verdict = run_sim_checked ?stream sim in
+let run_sim_enforce sim =
+  let stats, verdict = run_sim_checked sim in
   if Check.Verdict.ok verdict then stats
   else
     raise
@@ -71,7 +61,7 @@ let run_sim_enforce ?stream sim =
             (Machine.Config.preset_letter sim.cfg) sim.seed
             (Check.Verdict.to_string verdict)))
 
-let runner ?stream ~check = if check then run_sim_enforce ?stream else run_sim
+let runner ~check = if check then run_sim_enforce else run_sim
 
 let tmean ~trim xs = Summary.trimmed_mean ~trim xs
 

@@ -51,20 +51,19 @@ val static_gate_of_config : Machine.Config.t -> Staticcheck.Gate.t
 (** A static soundness gate matching the configuration's table geometry
     (ALT/SQ/ROB/CRT sizes and cache parameters). *)
 
-val run_sim_checked : ?stream:bool -> sim -> Machine.Stats.t * Check.Verdict.t
-(** Run one simulation with witness capture and evaluate all four oracles
-    (serializability, sequential replay, lock safety, static soundness
-    gate) on the result. The stats are bit-identical to {!run_sim}'s.
-    With [~stream:true] the oracles run online against {!Check.Stream} —
-    state retires behind the committed frontier and no witness is retained,
-    so checker memory follows the live lines instead of the history; the
-    verdict is identical either way (DESIGN.md §14). *)
+val run_sim_checked : sim -> Machine.Stats.t * Check.Verdict.t
+(** Run one simulation with witness capture and check it with all four
+    oracles (serializability, sequential replay, lock safety, static
+    soundness gate) online, through {!Check.Stream}: state retires behind
+    the committed frontier and no witness is retained, so checker memory
+    follows the live lines instead of the history (DESIGN.md §14). The
+    stats are bit-identical to {!run_sim}'s. *)
 
-val run_sim_enforce : ?stream:bool -> sim -> Machine.Stats.t
+val run_sim_enforce : sim -> Machine.Stats.t
 (** Like {!run_sim} but raises {!Check_failed} unless the verdict is clean.
     Drop-in replacement for {!run_sim} in pool task lists. *)
 
-val runner : ?stream:bool -> check:bool -> sim -> Machine.Stats.t
+val runner : check:bool -> sim -> Machine.Stats.t
 (** {!run_sim_enforce} when [check], {!run_sim} otherwise. *)
 
 val of_stats : Machine.Config.t -> Machine.Workload.t -> trim:int -> Machine.Stats.t list -> t

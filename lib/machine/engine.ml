@@ -1050,16 +1050,14 @@ let sync_open_perf t =
       t.perf.open_qdepth_hw <- max t.perf.open_qdepth_hw (Openq.qdepth_hw oq)
 
 (* Streaming-oracle memory counters, synced once at end of run like the
-   open-queue totals above. Accumulating collectors report nothing here. *)
+   open-queue totals above. *)
 let sync_check_perf t =
   match t.check with
   | None -> ()
-  | Some col -> (
-      match Check.Collector.stream_stats col with
-      | None -> ()
-      | Some (live_hw, retired) ->
-          t.perf.check_live_lines <- max t.perf.check_live_lines live_hw;
-          t.perf.check_retired <- t.perf.check_retired + retired)
+  | Some col ->
+      let live_hw, retired = Check.Collector.stream_stats col in
+      t.perf.check_live_lines <- max t.perf.check_live_lines live_hw;
+      t.perf.check_retired <- t.perf.check_retired + retired
 
 let livelock_fail t =
   let dump =

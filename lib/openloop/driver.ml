@@ -24,19 +24,18 @@ type t = {
   check_retired : int;  (** checker entries retired behind the frontier *)
 }
 
-let run_point ?(check = false) ?(stream = false) (cfg : Config.t)
-    (workload : Machine.Workload.t) =
+(* [?stream] is accepted and ignored: checked points always stream. *)
+let run_point ?(check = false) ?stream:_ (cfg : Config.t) (workload : Machine.Workload.t) =
   let q =
     match cfg.Config.openloop with
     | Some q -> q
     | None -> invalid_arg "Openloop.Driver.run_point: config has no open queue"
   in
-  let stream = check && stream in
-  (* [streamer] holds the online checker when streaming; the collector then
-     forwards emissions instead of accumulating them, which is what keeps
-     always-on checking affordable at open-system history lengths. *)
+  (* The collector forwards emissions to the online checker and retains
+     nothing, which is what keeps always-on checking affordable at
+     open-system history lengths. *)
   let streamer =
-    if stream then
+    if check then
       Some
         (Check.Stream.create
            ~static_gate:(Clear_repro.Run.static_gate_of_config cfg)
@@ -44,26 +43,18 @@ let run_point ?(check = false) ?(stream = false) (cfg : Config.t)
     else None
   in
   let collector =
-    match streamer with
-    | Some str ->
-        Some (Check.Collector.create_streaming ~cores:cfg.Config.cores (Check.Stream.sink str))
-    | None ->
-        if check then Some (Check.Collector.create ~cores:cfg.Config.cores) else None
+    Option.map
+      (fun str -> Check.Collector.create_streaming ~cores:cfg.Config.cores (Check.Stream.sink str))
+      streamer
   in
   let engine = Machine.Engine.create ?check:collector cfg workload in
   let stats = Machine.Engine.run engine in
   let oracle_ok =
-    match (streamer, collector) with
-    | _, None -> true
-    | Some str, _ ->
+    match streamer with
+    | None -> true
+    | Some str ->
         let final = Mem.Store.snapshot (Machine.Engine.store engine) in
         Check.Verdict.ok (Check.Verdict.of_stream str ~final)
-    | None, Some col ->
-        let final = Mem.Store.snapshot (Machine.Engine.store engine) in
-        Check.Verdict.ok
-          (Check.Verdict.evaluate
-             ~static_gate:(Clear_repro.Run.static_gate_of_config cfg)
-             col ~final)
   in
   let perf = Machine.Engine.perfctr engine in
   let oq =
@@ -88,7 +79,7 @@ let run_point ?(check = false) ?(stream = false) (cfg : Config.t)
     sojourn = Report.Percentile.of_samples (Machine.Openq.sojourns oq);
     wait = Report.Percentile.of_samples (Machine.Openq.waits oq);
     checked = check;
-    stream;
+    stream = check;
     oracle_ok;
     events = perf.Simrt.Perfctr.events_popped;
     check_live_lines = perf.Simrt.Perfctr.check_live_lines;

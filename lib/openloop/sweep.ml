@@ -12,7 +12,6 @@ type options = {
   seed : int;
   jobs : int;
   check : bool;
-  stream : bool;
 }
 
 (* Defaults shared by the CLI and the smoke harness. Retries 1 makes the
@@ -40,7 +39,6 @@ let default_options =
     seed = 42;
     jobs = 1;
     check = false;
-    stream = false;
   }
 
 let run (o : options) =
@@ -69,7 +67,7 @@ let run (o : options) =
   (* Order-preserving map: results line up with the (config, load) grid, so
      the emitted curve is identical at any job count. *)
   Simrt.Pool.parallel_map ~jobs:o.jobs
-    (fun (cfg, check) -> Driver.run_point ~check ~stream:o.stream cfg workload)
+    (fun (cfg, check) -> Driver.run_point ~check cfg workload)
     tasks
 
 let to_json (o : options) results =

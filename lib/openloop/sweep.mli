@@ -18,7 +18,6 @@ type options = {
   seed : int;
   jobs : int;
   check : bool;  (** oracle-check each config's lowest load point *)
-  stream : bool;  (** run those checks online ({!Check.Stream}) *)
 }
 
 val default_options : options

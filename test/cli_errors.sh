@@ -43,8 +43,32 @@ reject --keys openloop --keys 0
 reject --ops run --ops=-1
 reject --retries run --retries=-2
 reject --retries openloop --retries=-1
+reject --heat openloop --heat=-2 --process burst
+reject --cap openloop --cap=-1
+reject --theta openloop --theta nan
+reject --theta openloop --theta=-1
+reject --trace run --trace=-5
+reject --fault-blind-line check --fault-blind-line=-1
+for cmd in suite openloop sched; do
+  reject --jobs "$cmd" --jobs 0
+done
+
+# An unwritable --trace-out file is an error naming the file, reported
+# before the simulation runs: non-zero exit, but not an uncaught exception.
+trace_out=/nonexistent/dir/t.json
+err=$("$bin" run --trace-out "$trace_out" 2>&1 >/dev/null)
+code=$?
+if [ "$code" -eq 0 ] || [ "$code" -eq 125 ]; then
+  echo "FAIL: clear_sim run --trace-out $trace_out: exit $code"
+  fail=1
+elif ! printf '%s\n' "$err" | grep -q -- "$trace_out"; then
+  echo "FAIL: clear_sim run --trace-out $trace_out: error message does not name the file"
+  fail=1
+fi
 
 accept run --cores 1 --ops 1 --retries 0
 accept run --cores 62 --ops 1
+accept run --cores 1 --ops 1 --trace 0
+accept openloop --theta 0 --heat 0 --process burst --cap 0 --requests 20 --loads 30 --jobs 1
 
 exit $fail

@@ -203,7 +203,7 @@ let test_replay_accepts_faithful_history () =
   final.(0) <- 5;
   let final = image_of final in
   Alcotest.(check bool) "faithful history accepted" true
-    (Result.is_ok (Check.Replay.run ~initial ~entries:[ Check.Collector.Commit w ] ~final))
+    (Result.is_ok (Posthoc.replay ~initial ~entries:[ Posthoc.Commit w ] ~final))
 
 let test_replay_detects_store_mismatch () =
   (* The witness claims the simulation drained M[0] <- 6; the body stores 5. *)
@@ -212,7 +212,7 @@ let test_replay_detects_store_mismatch () =
   let final = Array.make 16 0 in
   final.(0) <- 6;
   let final = image_of final in
-  match Check.Replay.run ~initial ~entries:[ Check.Collector.Commit w ] ~final with
+  match Posthoc.replay ~initial ~entries:[ Posthoc.Commit w ] ~final with
   | Error (Check.Replay.Store_mismatch _) -> ()
   | Error d ->
       Alcotest.failf "wrong divergence: %s" (Format.asprintf "%a" Check.Replay.pp_divergence d)
@@ -226,7 +226,7 @@ let test_replay_detects_memory_mismatch () =
   final.(0) <- 5;
   final.(9) <- 123;
   let final = image_of final in
-  match Check.Replay.run ~initial ~entries:[ Check.Collector.Commit w ] ~final with
+  match Posthoc.replay ~initial ~entries:[ Posthoc.Commit w ] ~final with
   | Error (Check.Replay.Memory_mismatch { addr; differing; _ }) ->
       Alcotest.(check int) "first differing word" 9 addr;
       Alcotest.(check int) "one differing word" 1 differing
@@ -240,14 +240,9 @@ let test_replay_applies_driver_writes () =
   final.(0) <- 5;
   final.(12) <- 7;
   let final = image_of final in
-  let entries =
-    [
-      Check.Collector.Driver_writes { time = 0; core = 1; stores = [ (12, 7) ] };
-      Check.Collector.Commit w;
-    ]
-  in
+  let entries = [ Posthoc.Driver_writes [ (12, 7) ]; Posthoc.Commit w ] in
   Alcotest.(check bool) "driver writes reach the replay image" true
-    (Result.is_ok (Check.Replay.run ~initial ~entries ~final))
+    (Result.is_ok (Posthoc.replay ~initial ~entries ~final))
 
 (* The live cursor replays on the simulation's own store, filing the words
    the simulation changes ahead of the replay. It must reach the verdict
@@ -272,13 +267,8 @@ let test_replay_live_matches_image () =
     Store.write store 9 123;
     let final = Store.snapshot store in
     let live = match stepped with Error _ as e -> e | Ok () -> Check.Replay.finish cur ~final in
-    let entries =
-      [
-        Check.Collector.Driver_writes { time = 0; core = 1; stores = [ (12, 7) ] };
-        Check.Collector.Commit w;
-      ]
-    in
-    (live, Check.Replay.run ~initial ~entries ~final)
+    let entries = [ Posthoc.Driver_writes [ (12, 7) ]; Posthoc.Commit w ] in
+    (live, Posthoc.replay ~initial ~entries ~final)
   in
   let live, image = run_both ~sim_commit_value:5 ~log_value:5 in
   (match live with
@@ -300,7 +290,7 @@ let test_checked_run_clean () =
   List.iter
     (fun (label, cfg) ->
       let sim = { Run.cfg = small cfg; workload = Workloads.Mwobject.workload; seed = 7 } in
-      let _stats, verdict = Run.run_sim_checked sim in
+      let _stats, verdict = Posthoc.run_sim_checked sim in
       if not (Check.Verdict.ok verdict) then
         Alcotest.failf "%s: %s" label (Check.Verdict.to_string verdict))
     [
@@ -315,7 +305,7 @@ let test_check_does_not_perturb () =
      with and without the collector. *)
   let sim = { Run.cfg = small Config.clear_power; workload = Workloads.Bst.workload; seed = 11 } in
   let plain = Run.run_sim sim in
-  let checked, verdict = Run.run_sim_checked sim in
+  let checked, verdict = Posthoc.run_sim_checked sim in
   Alcotest.(check bool) "verdict clean" true (Check.Verdict.ok verdict);
   Alcotest.(check int) "same cycles" (Stats.total_cycles plain) (Stats.total_cycles checked);
   Alcotest.(check int) "same commits" (Stats.commits plain) (Stats.commits checked);
@@ -349,14 +339,14 @@ let test_injected_bug_caught () =
      confirm the unfaulted run is clean and conserves the count. *)
   let cfg = { (small Config.baseline) with Config.ops_per_thread = 80 } in
   let clean_sim = { Run.cfg; workload = counter_workload; seed = 5 } in
-  let _stats, verdict = Run.run_sim_checked clean_sim in
+  let _stats, verdict = Posthoc.run_sim_checked clean_sim in
   Alcotest.(check bool) "control run clean" true (Check.Verdict.ok verdict);
   (let engine = Engine.create (Config.with_seed cfg 5) counter_workload in
    let stats = Engine.run engine in
    Alcotest.(check int) "control conserves count" (Stats.commits stats)
      (Store.read (Engine.store engine) 0));
   let faulty = { cfg with Config.fault_blind_line = Some 0 } in
-  let _stats, verdict = Run.run_sim_checked { clean_sim with Run.cfg = faulty } in
+  let _stats, verdict = Posthoc.run_sim_checked { clean_sim with Run.cfg = faulty } in
   Alcotest.(check bool) "injected bug caught" true (not (Check.Verdict.ok verdict));
   (* Lost updates manifest as a stale read (serializability) and as a replay
      divergence; the lock oracle has nothing to complain about. *)
@@ -529,55 +519,77 @@ let test_stream_requires_initial () =
     (Invalid_argument "Stream.finish: no initial snapshot was fed") (fun () ->
       ignore (Check.Stream.finish str ~final:(image_of (Array.make 16 0))))
 
-let test_streaming_collector_rejects_posthoc_evaluate () =
-  (* A streaming collector keeps no history; asking it for a post hoc
-     verdict must fail loudly instead of reporting a hollow pass. *)
-  let str = Check.Stream.create ~cores:4 () in
-  let col = Check.Collector.create_streaming ~cores:4 (Check.Stream.sink str) in
-  Alcotest.(check bool) "collector marked streaming" true (Check.Collector.is_streaming col);
-  Alcotest.check_raises "evaluate refused"
-    (Invalid_argument "Verdict.evaluate: streaming collector retains no history; use of_stream")
-    (fun () -> ignore (Check.Verdict.evaluate col ~final:(image_of (Array.make 16 0))))
+(* The configuration `clear_sim check --cores N --ops M` runs (seed 42,
+   retry limit 4). *)
+let cli_cfg preset ~cores ~ops =
+  { preset with Config.cores; ops_per_thread = ops; seed = 42; max_retries = 4 }
 
 let test_stream_end_to_end_agreement () =
-  (* Whole-engine runs: the streaming verdict must equal the post hoc one —
-     same report, byte for byte — on clean runs of all four presets. *)
+  (* Whole-engine runs: the streaming verdict must equal the post hoc
+     reference's — same report, byte for byte — on clean runs of all four
+     presets, and on the CLI check grid's points. *)
   List.iter
-    (fun (label, cfg) ->
-      let sim = { Run.cfg = small cfg; workload = Workloads.Mwobject.workload; seed = 7 } in
-      let _stats, posthoc = Run.run_sim_checked sim in
-      let _stats, streamed = Run.run_sim_checked ~stream:true sim in
+    (fun (label, sim) ->
+      let _stats, posthoc = Posthoc.run_sim_checked sim in
+      let _stats, streamed = Run.run_sim_checked sim in
       Alcotest.(check bool) (label ^ " both clean") true
         (Check.Verdict.ok posthoc && Check.Verdict.ok streamed);
       Alcotest.(check string) (label ^ " same report") (Check.Verdict.to_string posthoc)
         (Check.Verdict.to_string streamed))
-    [
-      ("B", Config.baseline);
-      ("P", Config.power_tm);
-      ("C", Config.clear_rw);
-      ("W", Config.clear_power);
-    ]
+    (List.map
+       (fun (label, cfg) ->
+         (label, { Run.cfg = small cfg; workload = Workloads.Mwobject.workload; seed = 7 }))
+       [
+         ("B", Config.baseline);
+         ("P", Config.power_tm);
+         ("C", Config.clear_rw);
+         ("W", Config.clear_power);
+       ]
+    @ List.map
+        (fun (label, cfg, workload) ->
+          (label, { Run.cfg = cli_cfg cfg ~cores:4 ~ops:30; workload; seed = 42 }))
+        [
+          ("mwobject W", Config.clear_power, Workloads.Mwobject.workload);
+          ("labyrinth C", Config.clear_rw, Workloads.Labyrinth.workload);
+          ("stack B", Config.baseline, Workloads.Stack.workload);
+        ])
 
 let test_stream_catches_injected_bug () =
   (* The fault_blind_line bug from test_injected_bug_caught must fail the
-     streaming path identically: same oracles flagged, same report. *)
-  let cfg =
-    { (small Config.baseline) with Config.ops_per_thread = 80; fault_blind_line = Some 0 }
-  in
-  let sim = { Run.cfg; workload = counter_workload; seed = 5 } in
-  let _stats, posthoc = Run.run_sim_checked sim in
-  let _stats, streamed = Run.run_sim_checked ~stream:true sim in
-  Alcotest.(check bool) "posthoc flags the bug" true (not (Check.Verdict.ok posthoc));
-  Alcotest.(check bool) "stream flags the bug" true (not (Check.Verdict.ok streamed));
-  Alcotest.(check string) "identical failure report" (Check.Verdict.to_string posthoc)
-    (Check.Verdict.to_string streamed)
+     streaming path identically: same oracles flagged, same report — on the
+     counter workload and on the CLI fault point (mwobject B, 8 cores, 80
+     ops, line 8 blind). *)
+  List.iter
+    (fun (label, sim) ->
+      let _stats, posthoc = Posthoc.run_sim_checked sim in
+      let _stats, streamed = Run.run_sim_checked sim in
+      Alcotest.(check bool) (label ^ ": posthoc flags the bug") true (not (Check.Verdict.ok posthoc));
+      Alcotest.(check bool) (label ^ ": stream flags the bug") true (not (Check.Verdict.ok streamed));
+      Alcotest.(check string) (label ^ ": identical failure report")
+        (Check.Verdict.to_string posthoc) (Check.Verdict.to_string streamed))
+    [
+      ( "counter",
+        {
+          Run.cfg =
+            { (small Config.baseline) with Config.ops_per_thread = 80; fault_blind_line = Some 0 };
+          workload = counter_workload;
+          seed = 5;
+        } );
+      ( "mwobject B",
+        {
+          Run.cfg =
+            { (cli_cfg Config.baseline ~cores:8 ~ops:80) with Config.fault_blind_line = Some 8 };
+          workload = Workloads.Mwobject.workload;
+          seed = 42;
+        } );
+    ]
 
 let test_stream_does_not_perturb () =
   (* The observation-only contract extends to streaming: stats are
      bit-identical to the unchecked run. *)
   let sim = { Run.cfg = small Config.clear_power; workload = Workloads.Bst.workload; seed = 11 } in
   let plain = Run.run_sim sim in
-  let streamed, verdict = Run.run_sim_checked ~stream:true sim in
+  let streamed, verdict = Run.run_sim_checked sim in
   Alcotest.(check bool) "verdict clean" true (Check.Verdict.ok verdict);
   Alcotest.(check int) "same cycles" (Stats.total_cycles plain) (Stats.total_cycles streamed);
   Alcotest.(check int) "same commits" (Stats.commits plain) (Stats.commits streamed);
@@ -594,15 +606,27 @@ let test_stream_suite_smoke () =
       sched = Sched.Profile.symmetric;
     }
   in
-  let run stream =
-    Clear_repro.Experiments.run_suite ~jobs:2 ~check:true ~stream
-      ~workloads:[ Workloads.Stack.workload; Workloads.Mwobject.workload ]
-      opts
-  in
-  (* Streaming validation accepts the same suite and measures identically. *)
+  let workloads = [ Workloads.Stack.workload; Workloads.Mwobject.workload ] in
+  let run check = Clear_repro.Experiments.run_suite ~jobs:2 ~check ~workloads opts in
+  (* Streaming validation accepts the suite and measures identically to the
+     unchecked sweep, and the post hoc reference passes every simulation
+     in it. *)
   let a = run false and b = run true in
   Alcotest.(check bool) "same rows" true
-    (a.Clear_repro.Experiments.rows = b.Clear_repro.Experiments.rows)
+    (a.Clear_repro.Experiments.rows = b.Clear_repro.Experiments.rows);
+  List.iter
+    (fun (w : Workload.t) ->
+      List.iter
+        (fun letter ->
+          let cfg = Clear_repro.Experiments.config_of_letter opts letter in
+          List.iter
+            (fun (sim : Run.sim) ->
+              let _stats, v = Posthoc.run_sim_checked sim in
+              if not (Check.Verdict.ok v) then
+                Alcotest.failf "%s %s: %s" w.Workload.name letter (Check.Verdict.to_string v))
+            (Run.sims (Config.with_retries cfg 2) w ~seeds:opts.Clear_repro.Experiments.seeds))
+        Clear_repro.Experiments.letters)
+    workloads
 
 (* ------------------------------------------------------------------ *)
 (* Trace: Unlocked events, dump clamp, Chrome export *)
@@ -699,8 +723,6 @@ let () =
           Alcotest.test_case "retires behind the frontier" `Quick test_stream_retires_behind_frontier;
           Alcotest.test_case "sweep_every validated" `Quick test_stream_sweep_every_validated;
           Alcotest.test_case "finish requires initial" `Quick test_stream_requires_initial;
-          Alcotest.test_case "post hoc evaluate refused" `Quick
-            test_streaming_collector_rejects_posthoc_evaluate;
           Alcotest.test_case "end-to-end agreement (all presets)" `Quick
             test_stream_end_to_end_agreement;
           Alcotest.test_case "injected bug caught identically" `Quick

@@ -202,7 +202,7 @@ let test_fuzz_oracles_pass () =
           (fun (plabel, prof) ->
             let cfg = Machine.Config.with_sched (shape cfg) prof in
             let sim = { Clear_repro.Run.cfg; workload = w; seed } in
-            let _stats, verdict = Clear_repro.Run.run_sim_checked sim in
+            let _stats, verdict = Posthoc.run_sim_checked sim in
             if not (Check.Verdict.ok verdict) then
               Alcotest.failf "seed %d %s %s: %s" seed label plabel
                 (Check.Verdict.to_string verdict))
@@ -248,15 +248,15 @@ let test_numa_blind_fault_caught () =
   (* Control 1: the fault knob is inert on a flat matrix (no access has a
      positive adder, so nothing is blind). *)
   let sim = { Clear_repro.Run.cfg = cfg "symmetric" true; workload = counter_workload; seed = 5 } in
-  let _stats, verdict = Clear_repro.Run.run_sim_checked sim in
+  let _stats, verdict = Posthoc.run_sim_checked sim in
   Alcotest.(check bool) "flat matrix: knob inert, run clean" true (Check.Verdict.ok verdict);
   (* Control 2: numa2x without the fault is clean. *)
   let sim = { Clear_repro.Run.cfg = cfg "numa2x" false; workload = counter_workload; seed = 5 } in
-  let _stats, verdict = Clear_repro.Run.run_sim_checked sim in
+  let _stats, verdict = Posthoc.run_sim_checked sim in
   Alcotest.(check bool) "numa2x without fault clean" true (Check.Verdict.ok verdict);
   (* The bug: numa2x with the dropped cross-socket probe loses updates. *)
   let sim = { Clear_repro.Run.cfg = cfg "numa2x" true; workload = counter_workload; seed = 5 } in
-  let _stats, verdict = Clear_repro.Run.run_sim_checked sim in
+  let _stats, verdict = Posthoc.run_sim_checked sim in
   Alcotest.(check bool) "numa-blind fault caught" true (not (Check.Verdict.ok verdict));
   Alcotest.(check bool) "serializability or replay flagged" true
     (Result.is_error verdict.Check.Verdict.serial || Result.is_error verdict.Check.Verdict.replay)
@@ -512,8 +512,8 @@ let test_fuzz_stream_agrees_with_posthoc () =
     List.iter
       (fun (label, cfg) ->
         let sim = { Clear_repro.Run.cfg = shape cfg; workload = w; seed } in
-        let _stats, posthoc = Clear_repro.Run.run_sim_checked sim in
-        let _stats, streamed = Clear_repro.Run.run_sim_checked ~stream:true sim in
+        let _stats, posthoc = Posthoc.run_sim_checked sim in
+        let _stats, streamed = Clear_repro.Run.run_sim_checked sim in
         Alcotest.(check string)
           (Printf.sprintf "seed %d %s stream report" seed label)
           (Check.Verdict.to_string posthoc)
@@ -534,8 +534,8 @@ let test_fuzz_stream_agrees_with_posthoc () =
       (Sched.Scenarios.find_exn "numa2x")
   in
   let sim = { Clear_repro.Run.cfg; workload = counter_workload; seed = 5 } in
-  let _stats, posthoc = Clear_repro.Run.run_sim_checked sim in
-  let _stats, streamed = Clear_repro.Run.run_sim_checked ~stream:true sim in
+  let _stats, posthoc = Posthoc.run_sim_checked sim in
+  let _stats, streamed = Clear_repro.Run.run_sim_checked sim in
   Alcotest.(check bool) "fault caught by stream" true (not (Check.Verdict.ok streamed));
   Alcotest.(check string) "identical failing report" (Check.Verdict.to_string posthoc)
     (Check.Verdict.to_string streamed)

@@ -151,7 +151,7 @@ let test_pooled_capture_bit_identical_closed () =
       let cfg = small_closed preset in
       let sim = { Clear_repro.Run.cfg; workload = Workloads.Arrayswap.workload; seed = 11 } in
       let plain = Clear_repro.Run.run_sim sim in
-      let checked, verdict = Clear_repro.Run.run_sim_checked sim in
+      let checked, verdict = Posthoc.run_sim_checked sim in
       Alcotest.(check bool) (name ^ " verdict clean") true (Check.Verdict.ok verdict);
       Alcotest.(check int) (name ^ " cycles") (Machine.Stats.total_cycles plain)
         (Machine.Stats.total_cycles checked);
@@ -179,20 +179,28 @@ let test_pooled_capture_bit_identical_open () =
   let checked = Driver.run_point ~check:true cfg w in
   Alcotest.(check bool) "oracle clean" true checked.Driver.oracle_ok;
   Alcotest.(check bool) "checked flag" true checked.Driver.checked;
-  (* Everything outside the two check-reporting fields is bit-identical. *)
+  (* Everything outside the check-reporting fields is bit-identical. *)
   Alcotest.(check bool) "same lifecycle + latency" true
-    ({ checked with Driver.checked = false; oracle_ok = plain.Driver.oracle_ok } = plain)
+    ({
+       checked with
+       Driver.checked = false;
+       stream = false;
+       oracle_ok = plain.Driver.oracle_ok;
+       check_live_lines = 0;
+       check_retired = 0;
+     }
+    = plain)
 
 let test_streamed_point_bit_identical () =
-  (* The streaming checker is observation-only too: a --check --stream point
-     must agree with the unchecked point on every lifecycle and latency
-     field, report a clean oracle, and expose its memory counters. *)
+  (* The streaming checker is observation-only too: a checked point must
+     agree with the unchecked point on every lifecycle and latency field,
+     report a clean oracle, and expose its memory counters. *)
   let cfg = open_cfg Config.clear_rw in
   let w = Lazy.force open_workload in
   let plain = Driver.run_point ~check:false cfg w in
-  let streamed = Driver.run_point ~check:true ~stream:true cfg w in
+  let streamed = Driver.run_point ~check:true cfg w in
   Alcotest.(check bool) "oracle clean" true streamed.Driver.oracle_ok;
-  Alcotest.(check bool) "stream flag" true streamed.Driver.stream;
+  Alcotest.(check bool) "stream flag follows checked" true streamed.Driver.stream;
   Alcotest.(check bool) "streamed point otherwise bit-identical" true
     ({
        streamed with
@@ -205,9 +213,9 @@ let test_streamed_point_bit_identical () =
     = plain);
   Alcotest.(check bool) "live-line high water reported" true (streamed.Driver.check_live_lines > 0);
   Alcotest.(check int) "unchecked point has no checker state" 0 plain.Driver.check_live_lines;
-  (* Streaming and post hoc verdicts agree on the same point. *)
-  let posthoc = Driver.run_point ~check:true cfg w in
-  Alcotest.(check bool) "posthoc agrees" posthoc.Driver.oracle_ok streamed.Driver.oracle_ok
+  (* The ignored [?stream] argument changes nothing. *)
+  Alcotest.(check bool) "?stream ignored" true
+    (Driver.run_point ~check:true ~stream:false cfg w = streamed)
 
 (* ------------------------------------------------------------------ *)
 (* Request-lifecycle conservation and saturation *)

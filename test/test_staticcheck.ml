@@ -279,17 +279,19 @@ let test_gate_injected_bug_distinct_verdict () =
       7
   in
   let w = Workloads.Registry.find "arrayswap" in
-  let collector = Check.Collector.create ~cores:cfg.Machine.Config.cores in
-  let engine = Machine.Engine.create ~check:collector cfg w in
-  let _stats = Machine.Engine.run engine in
-  let final = Mem.Store.snapshot (Machine.Engine.store engine) in
   let params =
     Pr.params_of ~alt_capacity:cfg.Machine.Config.alt_capacity ~sq_entries:cfg.sq_entries
       ~rob_entries:cfg.rob_entries ~crt_entries:cfg.crt_entries ~crt_ways:cfg.crt_ways
       cfg.mem_params
   in
   let faulty = G.create ~fault_drop_store:true params in
-  let v = Check.Verdict.evaluate ~static_gate:faulty collector ~final in
+  let cores = cfg.Machine.Config.cores in
+  let str = Check.Stream.create ~static_gate:faulty ~cores () in
+  let collector = Check.Collector.create_streaming ~cores (Check.Stream.sink str) in
+  let engine = Machine.Engine.create ~check:collector cfg w in
+  let _stats = Machine.Engine.run engine in
+  let final = Mem.Store.snapshot (Machine.Engine.store engine) in
+  let v = Check.Verdict.of_stream str ~final in
   Alcotest.(check bool) "verdict fails" false (Check.Verdict.ok v);
   Alcotest.(check bool) "serial still ok" true (Result.is_ok v.Check.Verdict.serial);
   Alcotest.(check bool) "replay still ok" true (Result.is_ok v.Check.Verdict.replay);
@@ -304,7 +306,7 @@ let test_gate_injected_bug_distinct_verdict () =
 let test_gate_checked_run_passes () =
   let cfg = { Machine.Config.clear_power with Machine.Config.cores = 2; ops_per_thread = 10 } in
   let w = Workloads.Registry.find "sorted-list" in
-  let _stats, v = Clear_repro.Run.run_sim_checked { Clear_repro.Run.cfg; workload = w; seed = 5 } in
+  let _stats, v = Posthoc.run_sim_checked { Clear_repro.Run.cfg; workload = w; seed = 5 } in
   Alcotest.(check bool) "verdict ok" true (Check.Verdict.ok v);
   match v.Check.Verdict.static_ with
   | Some (Ok ()) -> ()
