@@ -1,11 +1,12 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation, runs the design-choice ablations, and times the simulator's
-   core structures with Bechamel.
+   evaluation, runs the design-choice ablations, and runs the repository's
+   gate (bench/gate.ml).
 
      dune exec bench/main.exe                  -- everything (quick-sized)
      dune exec bench/main.exe fig8             -- one artefact
      dune exec bench/main.exe -- --paper all   -- paper-sized sweep (slow)
      dune exec bench/main.exe -- --jobs 8 fig8 -- sweep on 8 domains
+     dune exec bench/main.exe -- gate          -- every hard gate, BENCH_gate.json rows
 
    The suite runs on a pool of OCaml domains (--jobs N, default: host cores
    minus one) and is memoised on disk under _cache/ as one shard per
@@ -15,17 +16,13 @@
    shares shards across runs again. --no-cache bypasses the disk cache
    (it neither reads nor writes); --check validates every simulation with
    the execution oracle (and implies --no-cache, since a cache hit would
-   skip validation); --smoke selects a tiny fixed suite used by
-   bench/perf_smoke.sh and bench/check_smoke.sh; --only W1,W2 restricts the
-   sweep to the named workloads (bench/paper_smoke.sh); --sched NAME runs
-   the sweep under a schedule scenario (see `clear_sim sched`).
-
-   --perf runs a small fixed sweep sequentially and dumps the engine's
-   hot-path performance counters (Simrt.Perfctr), both as a table and as
-   machine-readable "perfctr NAME VALUE" lines for bench/perf_smoke.sh.
+   skip validation); --smoke selects a tiny fixed suite (the gate's smoke
+   suite); --only W1,W2 restricts the sweep to the named workloads; --sched
+   NAME runs the sweep under a schedule scenario (see `clear_sim sched`).
+   The gate runs at its own fixed sizes and ignores these flags.
 
    Artefacts: table1 table2 fig1 fig8 fig9 fig10 fig11 fig12 fig13 headline
-   ablation micro all *)
+   ablation sle storage all *)
 
 module Experiments = Clear_repro.Experiments
 module Run = Clear_repro.Run
@@ -45,7 +42,7 @@ let quick_suite_options =
     sched = Sched.Profile.symmetric;
   }
 
-(* Tiny fixed suite for perf smoke-testing: seconds, not minutes, even on one
+(* Tiny fixed suite for the smoke gate: seconds, not minutes, even on one
    core, yet still the full 4-config x 19-benchmark cross product. *)
 let smoke_suite_options =
   {
@@ -65,17 +62,14 @@ let use_disk_cache = ref true
 
 let check = ref false
 
-let perf = ref false
-
 (* --sched NAME: run the whole artefact sweep under a schedule scenario.
    Scenario runs use distinct Suite_cache shard keys (the profile is part of
    the config digest), so they never collide with symmetric results. *)
 let sched_profile = ref Sched.Profile.symmetric
 
-(* --only W1,W2: restrict the suite sweep to the named workloads. This is
-   how bench/paper_smoke.sh keeps a paper-sized (--paper) timing run
-   affordable on a small host; figures derived from a restricted suite only
-   contain the selected rows. *)
+(* --only W1,W2: restrict the suite sweep to the named workloads, which keeps
+   a paper-sized (--paper) run affordable on a small host; figures derived
+   from a restricted suite only contain the selected rows. *)
 let only_workloads : Machine.Workload.t list option ref = ref None
 
 (* The suite is computed once per process and reused by every figure
@@ -199,113 +193,6 @@ let emit name t =
       Report.Csv.save ~path t;
       Printf.eprintf "[bench] wrote %s\n%!" path
 
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks of the core structures and the simulator. *)
-
-let bechamel_tests () =
-  let open Bechamel in
-  let alt_test =
-    Test.make ~name:"alt:record+prepare (32 lines)"
-      (Staged.stage (fun () ->
-           let alt = Clear.Alt.create ~capacity:32 ~dir_set_of:(fun l -> l land 1023) () in
-           for i = 0 to 31 do
-             ignore (Clear.Alt.record alt (i * 17) ~written:(i land 1 = 0))
-           done;
-           Clear.Alt.prepare_locking alt ~lock_all:false ~extra:(fun _ -> false);
-           Clear.Alt.lock_groups alt))
-  in
-  let ert_test =
-    Test.make ~name:"ert:lookup_or_insert (64 pcs, 16 entries)"
-      (Staged.stage (fun () ->
-           let ert = Clear.Ert.create () in
-           for pc = 0 to 63 do
-             ignore (Clear.Ert.lookup_or_insert ert ~pc)
-           done))
-  in
-  let cache_test =
-    Test.make ~name:"cache:insert sweep (1024 lines)"
-      (Staged.stage (fun () ->
-           let c = Mem.Cache.create ~sets:64 ~ways:12 in
-           for l = 0 to 1023 do
-             ignore (Mem.Cache.insert c l)
-           done))
-  in
-  let analysis_test =
-    let ars = (Workloads.Registry.find "bayes").Machine.Workload.ars in
-    Test.make ~name:"analysis:classify bayes (14 ARs)"
-      (Staged.stage (fun () -> ignore (Clear.Analysis.classify_workload ars)))
-  in
-  let engine_test =
-    let cfg =
-      { Config.clear_power with Config.cores = 4; ops_per_thread = 20; memory_words = 1 lsl 20 }
-    in
-    Test.make ~name:"engine:4 cores x 20 ops of bitcoin"
-      (Staged.stage (fun () -> ignore (Machine.Engine.run_workload cfg Workloads.Bitcoin.workload)))
-  in
-  [ alt_test; ert_test; cache_test; analysis_test; engine_test ]
-
-let run_bechamel () =
-  let open Bechamel in
-  let open Toolkit in
-  let instances = [ Instance.monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 0.4) ~kde:(Some 500) () in
-  let tests = bechamel_tests () in
-  let t = Table.create ~title:"Bechamel micro-benchmarks" ~columns:[ "Test"; "ns/run" ] in
-  List.iter
-    (fun test ->
-      List.iter
-        (fun (name, result) ->
-          let estimate =
-            try
-              let a =
-                Analyze.one (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-                  Instance.monotonic_clock result
-              in
-              match Analyze.OLS.estimates a with Some [ e ] -> e | Some _ | None -> nan
-            with _ -> nan
-          in
-          (* Report failed estimates explicitly rather than printing "nan". *)
-          let cell =
-            if Float.is_nan estimate then "n/a (no estimate)" else Printf.sprintf "%.0f" estimate
-          in
-          Table.add_row t [ name; cell ])
-        (* Sort by the test-name key only: Bechamel result values contain
-           abstract structures for which polymorphic compare is meaningless. *)
-        (Benchmark.all cfg instances test |> Hashtbl.to_seq |> List.of_seq
-        |> List.sort (fun (a, _) (b, _) -> String.compare a b)))
-    tests;
-  emit "micro" t
-
-(* Hot-path counter dump: a small fixed sweep, run sequentially in-process so
-   the counters aggregate in one place (domains would each own a private
-   engine and the numbers would need plumbing back). *)
-let run_perf opts =
-  let total = Simrt.Perfctr.create () in
-  let ws = match !only_workloads with Some l -> l | None -> ablation_workloads () in
-  List.iter
-    (fun (w : Machine.Workload.t) ->
-      List.iter
-        (fun letter ->
-          let cfg = Experiments.config_of_letter opts letter in
-          List.iter
-            (fun seed ->
-              let eng = Machine.Engine.create (Config.with_seed cfg seed) w in
-              ignore (Machine.Engine.run eng : Stats.t);
-              Simrt.Perfctr.merge_into ~dst:total (Machine.Engine.perfctr eng))
-            opts.Experiments.seeds)
-        [ "B"; "P"; "C"; "W" ])
-    ws;
-  let t =
-    Table.create
-      ~title:
-        (Printf.sprintf "Engine hot-path counters (%d workloads x 4 configs x seeds)"
-           (List.length ws))
-      ~columns:[ "Counter"; "Total" ]
-  in
-  List.iter (fun (n, v) -> Table.add_row t [ n; string_of_int v ]) (Simrt.Perfctr.to_list total);
-  emit "perf" t;
-  List.iter (fun (n, v) -> Printf.printf "perfctr %s %d\n" n v) (Simrt.Perfctr.to_list total)
-
 let artefacts opts =
   [
     ("table1", fun () -> emit "table1" (Experiments.table1 ()));
@@ -335,7 +222,6 @@ let artefacts opts =
         Table.add_separator t;
         Table.add_row t [ "total"; "988.5 B"; Printf.sprintf "%.1f B" b.Clear.Storage.total_bytes ];
         emit "storage" t);
-    ("micro", fun () -> run_bechamel ());
   ]
 
 let () =
@@ -350,7 +236,11 @@ let () =
   let rec strip_flags acc = function
     | "--csv" :: dir :: rest ->
         csv_dir := Some dir;
-        (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+        (try Unix.mkdir dir 0o755 with
+        | Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+        | Unix.Unix_error (e, _, _) ->
+            Printf.eprintf "--csv: cannot create directory %s: %s\n" dir (Unix.error_message e);
+            exit 2);
         strip_flags acc rest
     | "--jobs" :: n :: rest ->
         (match int_of_string_opt n with
@@ -358,9 +248,6 @@ let () =
         | None ->
             Printf.eprintf "--jobs expects a positive integer, got %s\n" n;
             exit 2);
-        strip_flags acc rest
-    | "--perf" :: rest ->
-        perf := true;
         strip_flags acc rest
     | "--no-cache" :: rest ->
         use_disk_cache := false;
@@ -400,10 +287,9 @@ let () =
       (Printf.sprintf "schedule scenario: %s (%s)" !sched_profile.Sched.Profile.name
          !sched_profile.Sched.Profile.description);
   let wanted = List.filter (fun a -> a <> "--paper" && a <> "--smoke") args in
+  if wanted = [ "gate" ] then exit (Gate.run ~smoke:smoke_suite_options);
   let wanted =
-    if wanted = [] && !perf then [] (* --perf alone: just the counter dump *)
-    else if wanted = [] || List.mem "all" wanted then List.map fst (artefacts opts)
-    else wanted
+    if wanted = [] || List.mem "all" wanted then List.map fst (artefacts opts) else wanted
   in
   let available = artefacts opts in
   List.iter
@@ -416,5 +302,4 @@ let () =
           Printf.eprintf "unknown artefact %s; available: %s\n" name
             (String.concat " " (List.map fst available));
           exit 2)
-    wanted;
-  if !perf then run_perf opts
+    wanted

@@ -97,15 +97,14 @@ let find_workload name =
       exit 2
 
 let config_of ?(frontend = Machine.Config.Htm) letter ~cores ~ops ~seed ~retries =
-  let base =
-    match letter with
-    | "B" -> Machine.Config.baseline
-    | "P" -> Machine.Config.power_tm
-    | "C" -> Machine.Config.clear_rw
-    | "W" -> Machine.Config.clear_power
-    | _ -> assert false
-  in
-  { base with Machine.Config.cores; ops_per_thread = ops; seed; max_retries = retries; frontend }
+  {
+    (Clear_repro.Experiments.preset letter) with
+    Machine.Config.cores;
+    ops_per_thread = ops;
+    seed;
+    max_retries = retries;
+    frontend;
+  }
 
 let run_cmd =
   let run workload letter cores ops seed retries frontend trace_n trace_out =
@@ -289,164 +288,32 @@ let suite_cmd =
 (* ------------------------------------------------------------------ *)
 (* sched: scenario sweep against the symmetric baseline                *)
 
-(* One scenario materially shifts the retry economics when its one-retry or
-   fallback share moves by at least this much (absolute) versus the symmetric
-   baseline under the same configuration. *)
-let material_delta = 0.05
-
 let sched_cmd =
   let module S = Machine.Stats in
-  let module J = Report.Json in
-  let mean = Simrt.Summary.mean in
+  let module Sweep = Clear_repro.Sched_sweep in
+  let d = Sweep.default_options in
   let run json check fingerprint jobs workload cores ops retries =
-    let w = find_workload workload in
-    let seeds = [ 3; 5; 7 ] in
-    let tasks =
-      List.concat_map
-        (fun (sname, prof) ->
-          List.concat_map
-            (fun letter ->
-              let cfg = config_of letter ~cores ~ops ~seed:0 ~retries in
-              let cfg = Machine.Config.with_sched cfg prof in
-              List.map
-                (fun seed -> ((sname, letter, seed), { Clear_repro.Run.cfg; workload = w; seed }))
-                seeds)
-            Clear_repro.Experiments.letters)
-        Sched.Scenarios.all
+    let r =
+      match Sweep.run ~jobs ~check { Sweep.workload; cores; ops; retries } with
+      | r -> r
+      | exception Not_found ->
+          Printf.eprintf "unknown workload %s; try `clear_sim list`\n" workload;
+          exit 2
+      | exception Clear_repro.Run.Check_failed msg ->
+          Printf.eprintf "[sched] oracle violation:\n%s\n%!" msg;
+          exit 1
     in
-    let stats_list =
-      try Simrt.Pool.parallel_map ~jobs (Clear_repro.Run.runner ~check) (List.map snd tasks)
-      with Clear_repro.Run.Check_failed msg ->
-        Printf.eprintf "[sched] oracle violation:\n%s\n%!" msg;
-        exit 1
-    in
-    let results = List.map2 (fun (key, _) st -> (key, st)) tasks stats_list in
     if fingerprint then
       (* OCaml-syntax golden rows for test/test_sched.ml regeneration. *)
       List.iter
         (fun ((sname, letter, seed), st) ->
           Printf.printf "    (%S, %S, %d, (%d, %d, %d, %d, %d));\n" sname letter seed
             (S.total_cycles st) (S.commits st) (S.aborts st) (S.instrs st) (S.wasted_instrs st))
-        results
+        r.Sweep.runs
+    else if json then print_endline (Report.Json.to_string_pretty (Sweep.to_json r))
     else begin
-      (* Aggregate seeds per (scenario, config). *)
-      let agg (sname, letter) =
-        let runs =
-          List.filter_map
-            (fun ((s, l, _), st) -> if s = sname && l = letter then Some st else None)
-            results
-        in
-        let over f = mean (List.map f runs) in
-        let one = over (fun st -> let a, _, _ = S.retry_breakdown st in a) in
-        let many = over (fun st -> let _, b, _ = S.retry_breakdown st in b) in
-        let fb = over (fun st -> let _, _, c = S.retry_breakdown st in c) in
-        ( over (fun st -> float_of_int (S.total_cycles st)),
-          over S.aborts_per_commit,
-          (one, many, fb),
-          over (fun st -> float_of_int (Simrt.Counter.get (S.counters st) "numa_adder_cycles")) )
-      in
-      let letters = Clear_repro.Experiments.letters in
-      let baseline = List.map (fun l -> (l, agg ("symmetric", l))) letters in
-      let scenario_rows =
-        List.map
-          (fun (sname, _) ->
-            let per_letter =
-              List.map
-                (fun l ->
-                  let ((_, _, (one, _, fb), _) as a) = agg (sname, l) in
-                  let _, _, (bone, _, bfb), _ = List.assoc l baseline in
-                  let material =
-                    sname <> "symmetric"
-                    && (Float.abs (one -. bone) >= material_delta
-                        || Float.abs (fb -. bfb) >= material_delta)
-                  in
-                  (l, a, material))
-                letters
-            in
-            (sname, per_letter))
-          Sched.Scenarios.all
-      in
-      let materially_different =
-        List.length
-          (List.filter
-             (fun (sname, per) -> sname <> "symmetric" && List.exists (fun (_, _, m) -> m) per)
-             scenario_rows)
-      in
-      if json then
-        print_endline
-          (J.to_string_pretty
-             (J.Obj
-                [
-                  ("workload", J.Str w.Machine.Workload.name);
-                  ("cores", J.Int cores);
-                  ("ops_per_thread", J.Int ops);
-                  ("seeds", J.List (List.map (fun s -> J.Int s) seeds));
-                  ("checked", J.Bool check);
-                  ("material_delta", J.Float material_delta);
-                  ("materially_different", J.Int materially_different);
-                  ( "scenarios",
-                    J.List
-                      (List.map
-                         (fun (sname, per) ->
-                           J.Obj
-                             [
-                               ("name", J.Str sname);
-                               ( "configs",
-                                 J.List
-                                   (List.map
-                                      (fun (l, (cycles, apc, (one, many, fb), numa), material) ->
-                                        J.Obj
-                                          [
-                                            ("config", J.Str l);
-                                            ("cycles", J.Float cycles);
-                                            ("aborts_per_commit", J.Float apc);
-                                            ("one_retry", J.Float one);
-                                            ("n_retry", J.Float many);
-                                            ("fallback", J.Float fb);
-                                            ("numa_adder_cycles", J.Float numa);
-                                            ("materially_different", J.Bool material);
-                                          ])
-                                      per) );
-                             ])
-                         scenario_rows) );
-                ]))
-      else begin
-        let t =
-          Report.Table.create
-            ~title:
-              (Printf.sprintf "Scheduler scenarios: %s, %d cores, %d ops/thread (mean of %d seeds)"
-                 w.Machine.Workload.name cores ops (List.length seeds))
-            ~columns:
-              [ "Scenario"; "Cfg"; "cycles"; "ab/commit"; "1-retry"; "n-retry"; "fallback";
-                "numa-cyc"; "shift" ]
-        in
-        List.iter
-          (fun (sname, per) ->
-            List.iter
-              (fun (l, (cycles, apc, (one, many, fb), numa), material) ->
-                Report.Table.add_row t
-                  [
-                    sname;
-                    l;
-                    Printf.sprintf "%.0f" cycles;
-                    Report.Table.f2 apc;
-                    Report.Table.pct one;
-                    Report.Table.pct many;
-                    Report.Table.pct fb;
-                    Printf.sprintf "%.0f" numa;
-                    (if material then "*" else "");
-                  ])
-              per;
-            Report.Table.add_separator t)
-          scenario_rows;
-        Report.Table.print t;
-        Printf.printf
-          "%d of %d scenarios materially shift the retry mix vs symmetric (|delta| >= %.0f%% on \
-           1-retry or fallback share)\n"
-          materially_different
-          (List.length Sched.Scenarios.all - 1)
-          (100. *. material_delta)
-      end
+      Report.Table.print (Sweep.table r);
+      print_endline (Sweep.summary r)
     end
   in
   let json_arg = Arg.(value & flag & info [ "json" ] ~doc:"Machine-readable JSON output.") in
@@ -462,11 +329,17 @@ let sched_cmd =
   in
   let sched_workload_arg =
     let doc = "Benchmark driving the scenario sweep (see `clear_sim list`)." in
-    Arg.(value & opt string "stack" & info [ "w"; "workload" ] ~doc)
+    Arg.(value & opt string d.Sweep.workload & info [ "w"; "workload" ] ~doc)
   in
-  let sched_cores_arg = Arg.(value & opt cores_conv 8 & info [ "cores" ] ~doc:"Simulated cores.") in
+  let sched_cores_arg =
+    Arg.(value & opt cores_conv d.Sweep.cores & info [ "cores" ] ~doc:"Simulated cores.")
+  in
   let sched_ops_arg =
-    Arg.(value & opt (int_at_least 1) 80 & info [ "ops" ] ~doc:"Operations per thread.")
+    Arg.(value & opt (int_at_least 1) d.Sweep.ops & info [ "ops" ] ~doc:"Operations per thread.")
+  in
+  let sched_retries_arg =
+    Arg.(value & opt (int_at_least 0) d.Sweep.retries
+         & info [ "retries" ] ~doc:"Retry limit before fallback.")
   in
   Cmd.v
     (Cmd.info "sched"
@@ -474,7 +347,7 @@ let sched_cmd =
              against the symmetric baseline across all four configurations and report how the \
              retry/fallback mix shifts. Deterministic per (workload, cores, ops, seed).")
     Term.(const run $ json_arg $ check_arg $ fingerprint_arg $ jobs_arg "sched" $ sched_workload_arg
-          $ sched_cores_arg $ sched_ops_arg $ retries_arg)
+          $ sched_cores_arg $ sched_ops_arg $ sched_retries_arg)
 
 let check_cmd =
   let check workload all letter cores ops seed retries frontend fault_blind_line =

@@ -37,13 +37,16 @@ let apply_options (opts : options) (cfg : Machine.Config.t) =
     { cfg with Machine.Config.cores = opts.cores; ops_per_thread = opts.ops_per_thread }
     opts.sched
 
-let presets opts =
-  [
-    ("B", apply_options opts Machine.Config.baseline);
-    ("P", apply_options opts Machine.Config.power_tm);
-    ("C", apply_options opts Machine.Config.clear_rw);
-    ("W", apply_options opts Machine.Config.clear_power);
-  ]
+let letters = [ "B"; "P"; "C"; "W" ]
+
+let preset = function
+  | "B" -> Machine.Config.baseline
+  | "P" -> Machine.Config.power_tm
+  | "C" -> Machine.Config.clear_rw
+  | "W" -> Machine.Config.clear_power
+  | letter -> invalid_arg ("Experiments.preset: unknown preset " ^ letter)
+
+let presets opts = List.map (fun letter -> (letter, apply_options opts (preset letter))) letters
 
 let config_of_letter opts letter =
   match List.assoc_opt letter (presets opts) with
@@ -141,8 +144,6 @@ let get suite workload letter =
       match List.assoc_opt letter per with
       | Some r -> r
       | None -> invalid_arg ("suite: unknown preset " ^ letter))
-
-let letters = [ "B"; "P"; "C"; "W" ]
 
 let workload_names suite = List.map fst suite.rows
 

@@ -56,6 +56,10 @@ val run_suite :
     bit-identically. Callers that validate with the oracle should not also
     pass [~cache:true] — a shard hit would skip validation. *)
 
+val preset : string -> Machine.Config.t
+(** The bare preset for a letter (B, P, C or W), before any sweep options
+    are applied. Raises [Invalid_argument] on any other letter. *)
+
 val config_of_letter : options -> string -> Machine.Config.t
 
 val letters : string list

@@ -5,8 +5,8 @@
     ints the engine bumps directly on its per-event datapath — cheap enough
     to stay on even in production runs, and deliberately {e outside} the
     simulated statistics so enabling or extending it can never perturb
-    simulation output. Dumped by [bench/main.exe --perf] and recorded in
-    BENCH_suite.json to keep the datapath costs measured across PRs. *)
+    simulation output. [bench/e2e] reports it per workload ([perfctr.*],
+    [engine.events]) to keep the datapath costs measured across changes. *)
 
 type t = {
   mutable sims : int;  (** simulations aggregated into this record *)

@@ -2,13 +2,16 @@
 # Out-of-range numeric flags must be command-line errors: exit 124
 # (cmdliner's CLI-error code) with a message naming the flag, never an
 # uncaught exception (exit 125) or a silently accepted run (exit 0). The
-# boundary values themselves must still be accepted.
+# boundary values themselves must still be accepted. An uncreatable
+# bench/main.exe --csv directory must exit 2 with a line naming the
+# directory (an uncaught exception also exits 2, so its text is rejected).
 #
-# Usage: sh test/cli_errors.sh path/to/clear_sim.exe
+# Usage: sh test/cli_errors.sh path/to/clear_sim.exe path/to/bench/main.exe
 
 set -u
 
 bin=$1
+bench=$2
 fail=0
 
 reject() {
@@ -63,6 +66,17 @@ if [ "$code" -eq 0 ] || [ "$code" -eq 125 ]; then
   fail=1
 elif ! printf '%s\n' "$err" | grep -q -- "$trace_out"; then
   echo "FAIL: clear_sim run --trace-out $trace_out: error message does not name the file"
+  fail=1
+fi
+
+csv_dir=/nonexistent/x
+err=$("$bench" --csv "$csv_dir" table1 2>&1 >/dev/null)
+code=$?
+if [ "$code" -ne 2 ] || printf '%s\n' "$err" | grep -q "exception"; then
+  echo "FAIL: bench/main.exe --csv $csv_dir table1: exit $code, expected 2 without an exception"
+  fail=1
+elif ! printf '%s\n' "$err" | grep -q -- "$csv_dir"; then
+  echo "FAIL: bench/main.exe --csv $csv_dir table1: error message does not name the directory"
   fail=1
 fi
 
