@@ -190,6 +190,103 @@ let test_golden_event_counts () =
       end)
     golden_event_counts
 
+(* Sibling pins of the rows above, from the same runs: the perf counters the
+   memory-access path bumps (conflict checks, conflict hits, footprint
+   inserts, store-forward scans) and the commits in each mode of
+   [Stats.all_commit_modes]. A restructured access path or attempt
+   lifecycle must leave every one of them unchanged. *)
+let golden_access_counts =
+  [
+    ("queue/B closed", (9173, 929, 10349, 3863), [ 35; 0; 0; 605 ]);
+    ("queue/C closed", (3209, 184, 14157, 2522), [ 39; 458; 0; 143 ]);
+    ("arrayswap/B open@20", (15152, 520, 16388, 10748), [ 1382; 0; 0; 618 ]);
+    ("arrayswap/C open@50", (5743, 74, 11589, 4000), [ 1326; 0; 674; 0 ]);
+  ]
+
+let test_golden_access_counts () =
+  List.iter2
+    (fun (name, cfg, workload, _, _) (name', gpc, gmodes) ->
+      assert (name = name');
+      let engine = Engine.create cfg (workload ()) in
+      let stats = Engine.run engine in
+      let p = Engine.perfctr engine in
+      let pc =
+        Simrt.Perfctr.(p.conflict_checks, p.conflict_hits, p.footprint_inserts, p.store_forward_scans)
+      in
+      let modes = List.map (Stats.commits_in_mode stats) Stats.all_commit_modes in
+      if (pc, modes) <> (gpc, gmodes) then begin
+        let str (a, b, c, d) = Printf.sprintf "(%d, %d, %d, %d)" a b c d in
+        let lst l = "[ " ^ String.concat "; " (List.map string_of_int l) ^ " ]" in
+        Alcotest.failf "%s: got %s %s, golden %s %s" name (str pc) (lst modes) (str gpc) (lst gmodes)
+      end)
+    golden_event_counts golden_access_counts
+
+(* What a checked run emits to its collector, counted by kind: commits,
+   Attempt_begin, Attempt_end, Lock, Unlock, decisions, conflicts and
+   driver-write batches. The counting sink forwards to the streaming
+   oracle, whose verdict must stay clean. *)
+let golden_emission_counts =
+  [
+    ( "labyrinth/C checked",
+      Config.with_seed { Config.clear_rw with Config.cores = 8; ops_per_thread = 30 } 42,
+      "labyrinth",
+      [ 240; 369; 369; 400; 400; 59; 77; 115 ] );
+    ( "hashmap/W sle checked",
+      Config.with_frontend
+        (Config.with_seed { Config.clear_power with Config.cores = 4; ops_per_thread = 40 } 42)
+        Config.Sle,
+      "hashmap",
+      [ 160; 175; 175; 27; 27; 13; 12; 0 ] );
+  ]
+
+let test_golden_emission_counts () =
+  List.iter
+    (fun (name, cfg, wname, golden) ->
+      let n = Array.make 8 0 in
+      let bump i = n.(i) <- n.(i) + 1 in
+      let str =
+        Check.Stream.create ~static_gate:(Clear_repro.Run.static_gate_of_config cfg)
+          ~cores:cfg.Config.cores ()
+      in
+      let s = Check.Stream.sink str in
+      let counting =
+        {
+          s with
+          Check.Collector.sink_commit =
+            (fun w ->
+              bump 0;
+              s.Check.Collector.sink_commit w);
+          sink_lock_event =
+            (fun ev ->
+              bump
+                (match ev with
+                | Check.Lock_safety.Attempt_begin _ -> 1
+                | Attempt_end _ -> 2
+                | Lock _ -> 3
+                | Unlock _ -> 4);
+              s.sink_lock_event ev);
+          sink_decision =
+            (fun d ->
+              bump 5;
+              s.sink_decision d);
+          sink_conflict =
+            (fun c ->
+              bump 6;
+              s.sink_conflict c);
+          sink_driver_writes =
+            (fun ~time ~core ~stores ->
+              bump 7;
+              s.sink_driver_writes ~time ~core ~stores);
+        }
+      in
+      let col = Check.Collector.create_streaming ~cores:cfg.Config.cores counting in
+      let engine = Engine.create ~check:col cfg (Workloads.Registry.find wname) in
+      ignore (Engine.run engine : Stats.t);
+      let verdict = Check.Verdict.of_stream str ~final:(Store.snapshot (Engine.store engine)) in
+      Alcotest.(check bool) (name ^ ": verdict clean") true (Check.Verdict.ok verdict);
+      Alcotest.(check (list int)) (name ^ ": emission counts") golden (Array.to_list n))
+    golden_emission_counts
+
 (* ------------------------------------------------------------------ *)
 (* Atomicity invariants on real workloads, under every configuration. *)
 
@@ -607,6 +704,8 @@ let () =
           case "seed sensitivity" test_seed_changes_outcome;
           case "golden fingerprints (pre-rewrite engine)" test_golden_fingerprints;
           case "golden event counts" test_golden_event_counts;
+          case "golden access counts" test_golden_access_counts;
+          case "golden emission counts" test_golden_emission_counts;
         ] );
       ( "atomicity",
         per_preset "bitcoin conservation" test_bitcoin_conservation
