@@ -139,7 +139,7 @@ let ablation opts =
               Printf.sprintf "%.0f" m.Run.cycles;
               Table.f2 m.Run.aborts_per_commit;
               Table.pct (mode Stats.Scl +. mode Stats.Nscl);
-              Table.pct (mode Stats.Fallback_mode);
+              Table.pct (mode Stats.Fallback);
             ])
         variants;
       Table.add_separator t)

@@ -100,7 +100,7 @@ let () =
         (Stats.total_cycles stats) (Stats.aborts_per_commit stats)
         (Stats.commits_in_mode stats Stats.Nscl)
         (Stats.commits_in_mode stats Stats.Scl)
-        (Stats.commits_in_mode stats Stats.Fallback_mode);
+        (Stats.commits_in_mode stats Stats.Fallback);
       (* 3. The audit invariant: deposits are atomic, so the final total
             counter equals the sum of balance growth. *)
       let store = Machine.Engine.store engine in

@@ -34,7 +34,7 @@ let () =
       in
       Printf.printf "%-4s %12d %10d %14.2f %9.1f%% %9.1f%% %9.1f%%\n" letter
         (Stats.total_cycles stats) (Stats.commits stats) (Stats.aborts_per_commit stats)
-        (100.0 *. one) (share Stats.Scl) (share Stats.Fallback_mode))
+        (100.0 *. one) (share Stats.Scl) (share Stats.Fallback))
     configs;
   print_newline ();
   print_endline

@@ -18,7 +18,7 @@ let describe label cfg workload =
     label (Stats.total_cycles stats) (Stats.aborts_per_commit stats)
     (Stats.aborts_with_cause stats Machine.Abort.Explicit_fallback)
     (Stats.aborts_with_cause stats Machine.Abort.Other_fallback)
-    (Stats.commits_in_mode stats Stats.Fallback_mode)
+    (Stats.commits_in_mode stats Stats.Fallback)
 
 let () =
   let workload = Workloads.Registry.find "hashmap" in

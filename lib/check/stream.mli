@@ -52,8 +52,7 @@ type results = {
   locks : (unit, Lock_safety.violation) result;
   static_ : (unit, Staticcheck.Gate.violation) result option;
 }
-(** Field-for-field the payload of a {!Verdict.t}; {!Verdict.of_stream}
-    packages it. *)
+(** The combined verdict; {!Verdict.t} is this type. *)
 
 type t
 

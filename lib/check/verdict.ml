@@ -1,4 +1,4 @@
-type t = {
+type t = Stream.results = {
   commits : int;
   serial : (unit, Serial.violation) result;
   replay : (unit, Replay.divergence) result;
@@ -10,15 +10,7 @@ let ok t =
   Result.is_ok t.serial && Result.is_ok t.replay && Result.is_ok t.locks
   && match t.static_ with None -> true | Some r -> Result.is_ok r
 
-let of_stream stream ~final =
-  let r = Stream.finish stream ~final in
-  {
-    commits = r.Stream.commits;
-    serial = r.Stream.serial;
-    replay = r.Stream.replay;
-    locks = r.Stream.locks;
-    static_ = r.Stream.static_;
-  }
+let of_stream = Stream.finish
 
 let pp_oracle fmt name pp_err = function
   | Ok () -> Format.fprintf fmt "@ %-16s PASS" name

@@ -1,6 +1,6 @@
 (** Combined result of the oracles over one run. *)
 
-type t = {
+type t = Stream.results = {
   commits : int;  (** witnesses checked *)
   serial : (unit, Serial.violation) result;
   replay : (unit, Replay.divergence) result;
@@ -13,8 +13,8 @@ type t = {
 val ok : t -> bool
 
 val of_stream : Stream.t -> final:Mem.Store.image -> t
-(** Close a streaming checker ({!Stream.finish}) and package its results.
-    The tests hold this verdict, field for field and including which
+(** Close a streaming checker: {!Stream.finish}, whose results are a
+    verdict. The tests hold this verdict, field for field and including which
     violation is reported first, equal to a post hoc reference that retains
     every witness and runs {!Serial.check}, a {!Replay.start} replay,
     {!Lock_safety.check} and the static gate over the whole history

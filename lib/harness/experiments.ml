@@ -307,7 +307,7 @@ let fig12 suite =
               Table.pct (m Machine.Stats.Speculative);
               Table.pct (m Machine.Stats.Scl);
               Table.pct (m Machine.Stats.Nscl);
-              Table.pct (m Machine.Stats.Fallback_mode);
+              Table.pct (m Machine.Stats.Fallback);
             ])
         letters;
       Table.add_separator t)
@@ -322,7 +322,7 @@ let fig12 suite =
           Table.pct (avg Machine.Stats.Speculative);
           Table.pct (avg Machine.Stats.Scl);
           Table.pct (avg Machine.Stats.Nscl);
-          Table.pct (avg Machine.Stats.Fallback_mode);
+          Table.pct (avg Machine.Stats.Fallback);
         ])
     letters;
   t

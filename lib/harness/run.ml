@@ -38,15 +38,18 @@ let static_gate_of_config (cfg : Machine.Config.t) =
 
 (* The collector forwards every emission into the online oracles and
    retains nothing (DESIGN.md §14). *)
-let run_sim_checked { cfg; workload; seed } =
-  let cfg = Machine.Config.with_seed cfg seed in
+let checked_engine cfg workload =
   let cores = cfg.Machine.Config.cores in
   let str = Check.Stream.create ~static_gate:(static_gate_of_config cfg) ~cores () in
   let collector = Check.Collector.create_streaming ~cores (Check.Stream.sink str) in
   let engine = Machine.Engine.create ~check:collector cfg workload in
+  let verdict () = Check.Verdict.of_stream str ~final:(Mem.Store.snapshot (Machine.Engine.store engine)) in
+  (engine, verdict)
+
+let run_sim_checked { cfg; workload; seed } =
+  let engine, verdict = checked_engine (Machine.Config.with_seed cfg seed) workload in
   let stats = Machine.Engine.run engine in
-  let final = Mem.Store.snapshot (Machine.Engine.store engine) in
-  (stats, Check.Verdict.of_stream str ~final)
+  (stats, verdict ())
 
 (* Pool-friendly variant: same signature as [run_sim], turns a failed verdict
    into an exception (which [Simrt.Pool.parallel_map] propagates to the

@@ -51,6 +51,13 @@ val static_gate_of_config : Machine.Config.t -> Staticcheck.Gate.t
 (** A static soundness gate matching the configuration's table geometry
     (ALT/SQ/ROB/CRT sizes and cache parameters). *)
 
+val checked_engine :
+  Machine.Config.t -> Machine.Workload.t -> Machine.Engine.t * (unit -> Check.Verdict.t)
+(** The one checked-run setup: an engine whose collector feeds every
+    emission to a {!Check.Stream} checker with the configuration's static
+    gate, and the function that closes that checker on the engine's final
+    store once {!Machine.Engine.run} has returned. *)
+
 val run_sim_checked : sim -> Machine.Stats.t * Check.Verdict.t
 (** Run one simulation with witness capture and check it with all four
     oracles (serializability, sequential replay, lock safety, static

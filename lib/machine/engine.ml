@@ -2,13 +2,6 @@ module Rng = Simrt.Rng
 module Event_queue = Simrt.Event_queue
 module I = Isa.Instr
 
-(* Execution mode of the current attempt. *)
-type mode =
-  | M_spec (* plain speculative (possibly discovery) *)
-  | M_scl
-  | M_nscl
-  | M_fallback
-
 type phase =
   | P_next_op (* pick the next operation or finish *)
   | P_start (* begin an attempt *)
@@ -28,7 +21,7 @@ type core = {
   mutable ops_done : int;
   mutable op : Workload.op option;
   mutable phase : phase;
-  mutable mode : mode;
+  mutable mode : Stats.commit_mode; (* of the current attempt *)
   mutable pc : int;
   mutable attempt : int; (* 0-based attempt index for the current op *)
   mutable retries_counted : int; (* aborts that count toward the limit *)
@@ -42,7 +35,6 @@ type core = {
   mutable indirection_seen : bool;
   mutable planned : Clear.Decision.mode option; (* retry mode decided *)
   mutable lock_queue : Clear.Alt.entry list; (* entries left to lock *)
-  mutable read_lock_held : bool;
   mutable explicit_fb_counted : bool; (* one explicit-fallback abort per spin session *)
   mutable footprint0 : Mem.Addr.line array option; (* fig. 1; sorted *)
   attempt_lines : Simrt.Lineset.t; (* footprint incl. CL modes *)
@@ -112,7 +104,7 @@ let create ?trace ?check (cfg : Config.t) (workload : Workload.t) =
           ops_done = 0;
           op = None;
           phase = P_next_op;
-          mode = M_spec;
+          mode = Speculative;
           pc = 0;
           attempt = 0;
           retries_counted = 0;
@@ -126,7 +118,6 @@ let create ?trace ?check (cfg : Config.t) (workload : Workload.t) =
           indirection_seen = false;
           planned = None;
           lock_queue = [];
-          read_lock_held = false;
           explicit_fb_counted = false;
           footprint0 = None;
           attempt_lines = Simrt.Lineset.create ~hint:64 ();
@@ -219,7 +210,12 @@ let op_lock t c =
   | Config.Sle -> lock_table t (current_op c).Workload.lock_id
   | Config.Htm -> t.lock0
 
-let is_speculating c = c.phase = P_exec && (c.mode = M_spec || c.mode = M_scl) && not c.failed_mode
+(* Buffered modes (plain speculation, S-CL) are the speculative ones: their
+   writes stay in the transaction until commit and a conflict can abort
+   them. NS-CL and fallback write memory directly. *)
+let buffered c = Check.Witness.mode_buffered c.mode
+
+let is_speculating c = c.phase = P_exec && buffered c && not c.failed_mode
 
 let release_power t c = if t.power_owner = c.id then t.power_owner <- -1
 
@@ -232,20 +228,14 @@ let try_acquire_power t c =
     Txn.set_power c.txn true
   end
 
-(* Is core [v]'s transaction protected against requester-wins? *)
-let victim_protected t (requester : core) (v : core) =
-  let power = t.power_owner = v.id in
-  let scl_shield =
-    (* Paper §5.2: with CLEAR over PowerTM, S-CL and power transactions nack
-       conflicting requests instead of aborting. *)
-    v.mode = M_scl && t.cfg.clear_enabled && t.cfg.policy = Config.Power_tm
-  in
-  ignore requester;
-  power || scl_shield
+(* Is core [v]'s transaction protected against requester-wins? Paper §5.2:
+   the power transaction, and with CLEAR over PowerTM every S-CL, nack
+   conflicting requests instead of aborting. *)
+let victim_protected t (v : core) =
+  t.power_owner = v.id || (v.mode = Scl && t.cfg.clear_enabled && t.cfg.policy = Config.Power_tm)
 
-let doom t (v : core) cause line =
-  if is_speculating t.cores.(v.id) && Option.is_none v.pending_abort then
-    v.pending_abort <- Some (cause, line)
+let doom (v : core) cause line =
+  if is_speculating v && Option.is_none v.pending_abort then v.pending_abort <- Some (cause, line)
 
 (* Report a line-bearing conflict (doom or NACK) between two mid-AR cores to
    the checker, deduplicated per (aggressor AR, victim AR, line). Pure
@@ -285,11 +275,15 @@ let trace_ev t c kind =
       let ar = match c.op with Some op -> op.Workload.ar.Isa.Program.name | None -> "-" in
       Trace.record tr ~time:t.now ~core:c.id ~ar kind
 
-let mode_string = function
-  | M_spec -> "speculative"
-  | M_scl -> "S-CL"
-  | M_nscl -> "NS-CL"
-  | M_fallback -> "fallback"
+(* Clear the current region's ERT bits: [~convertible:false] rules out
+   cacheline locking, [~immutable:false] marks the footprint data-dependent
+   (so a locked retry must be S-CL). The one ERT lookup of the engine. *)
+let ert_mark c ~convertible ~immutable =
+  match Clear.Ert.lookup c.ert ~pc:(current_op c).Workload.ar.Isa.Program.id with
+  | Some e ->
+      if not convertible then Clear.Ert.mark_not_convertible e;
+      if not immutable then Clear.Ert.mark_not_immutable e
+  | None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Witness capture (execution oracle)                                  *)
@@ -302,18 +296,9 @@ let cap_write t c line = if capturing t then Check.Capbuf.note_write c.cap ~line
 
 let cap_store t c addr value = if capturing t then Check.Capbuf.note_store c.cap ~addr ~value
 
-let cap_reset c = Check.Capbuf.reset c.cap
-
 (* Callers guard with [capturing], like [trace_ev]'s with [tracing]. *)
 let lock_ev t ev =
   match t.check with None -> () | Some col -> Check.Collector.add_lock_event col ev
-
-let witness_mode_of = function
-  | M_spec -> Check.Witness.Speculative
-  | M_scl -> Check.Witness.Scl
-  | M_nscl -> Check.Witness.Nscl
-  | M_fallback -> Check.Witness.Fallback
-
 
 (* Fault injection: accesses the conflict-detection hardware is blind to
    (testing knobs — see Config.fault_blind_line / fault_numa_blind). The
@@ -324,9 +309,69 @@ let blind t (c : core) line =
   (match t.cfg.fault_blind_line with Some l -> l = line | None -> false)
   || (t.cfg.fault_numa_blind && Mem.Hierarchy.numa_adder t.hierarchy ~core:c.id line > 0)
 
+(* ------------------------------------------------------------------ *)
+(* Conflict detection                                                  *)
+
+exception Abort_now of Abort.cause
+
+(* The access reached a remotely locked line and the requester is not itself
+   holding cacheline locks: the directory retries the request (paper Figure
+   6), so the instruction stalls and re-issues. *)
+exception Stall_now
+
+(* Other cores holding [line] in their speculative sets in a way an access
+   conflicts with: writers for a read, readers and writers for a write. *)
+let holders t c line ~write =
+  let w = Conflict_map.writers_excl t.conflicts ~core:c.id line in
+  if write then w lor Conflict_map.readers_excl t.conflicts ~core:c.id line else w
+
+(* Every conflict ends here: report it to the checker, then doom the holder
+   with [cause] — unless [nack] and the holder is protected, in which case
+   the request is refused and the requester aborts instead. *)
+let resolve t c line mask cause ~nack =
+  Conflict_map.iter_cores mask (fun w ->
+      let v = t.cores.(w) in
+      note_conflict t c v line;
+      if nack && victim_protected t v then raise (Abort_now Abort.Nacked) else doom v cause (Some line))
+
+(* An access's conflict probe, counted in the perf record. *)
+let probe t c line ~write cause ~nack =
+  let mask = holders t c line ~write in
+  t.perf.conflict_checks <- t.perf.conflict_checks + 1;
+  if mask <> 0 then begin
+    t.perf.conflict_hits <- t.perf.conflict_hits + 1;
+    resolve t c line mask cause ~nack
+  end
+
+(* In S-CL mode the core holds cacheline locks, so a request that reaches a
+   remotely locked line must be nacked (abort) to break lock cycles (paper
+   Figure 5). A plain speculative core holds no locks and simply retries the
+   request until the holder's AR completes. *)
+let blocked_by_remote_lock t c line =
+  let holder = Mem.Hierarchy.locked_by t.hierarchy line in
+  if holder >= 0 && holder <> c.id then
+    if c.mode = Scl then begin
+      note_conflict t c t.cores.(holder) line;
+      raise (Abort_now Abort.Nacked)
+    end
+    else raise Stall_now
+
+(* Is this access tracked by conflict detection? Plain speculation always;
+   S-CL off the lines it holds locked; fallback never. NS-CL never either:
+   every access must hit a line it holds locked, and one that does not means
+   the immutability assessment was wrong, so the attempt aborts and the
+   region retries speculatively. *)
+let tracked t c line =
+  match c.mode with
+  | Speculative -> true
+  | Scl -> Mem.Hierarchy.locked_by t.hierarchy line <> c.id
+  | Nscl ->
+      if Mem.Hierarchy.locked_by t.hierarchy line <> c.id then raise (Abort_now Abort.Scl_deviation);
+      false
+  | Fallback -> false
 
 (* ------------------------------------------------------------------ *)
-(* Commit/abort bookkeeping                                            *)
+(* Attempt lifecycle                                                   *)
 
 let fig1_close t c =
   (* End of attempt 1: compare footprints for the Figure 1 metric. *)
@@ -338,28 +383,46 @@ let fig1_close t c =
       c.footprint0 <- None
   | Some _ | None -> ()
 
-let cleanup_cl_locks t c =
-  if c.mode = M_scl || c.mode = M_nscl || not (List.is_empty c.lock_queue) then begin
-    if tracing t || capturing t then
-      List.iter
-        (fun line ->
-          trace_ev t c (Trace.Unlocked line);
-          lock_ev t (Check.Lock_safety.Unlock { time = t.now; core = c.id; line }))
-        (Mem.Hierarchy.locked_lines t.hierarchy ~core:c.id);
-    ignore (Mem.Hierarchy.unlock_all t.hierarchy ~core:c.id : int)
-  end;
-  c.lock_queue <- [];
-  (* Drop whichever hold we have on the fallback lock: the shared hold of a
-     CL-mode execution or the exclusive hold of a fallback execution. *)
-  Fallback_lock.release (op_lock t c) ~core:c.id;
-  c.read_lock_held <- false
+(* Every attempt begins here. Buffered modes start a transaction; the
+   cacheline-locked modes acquire their lines before running the body. *)
+let open_attempt t c mode =
+  c.mode <- mode;
+  if tracing t then
+    trace_ev t c (Trace.Begin_attempt { attempt = c.attempt; mode = Stats.commit_mode_name mode });
+  if capturing t then lock_ev t (Check.Lock_safety.Attempt_begin { time = t.now; core = c.id });
+  if buffered c then Txn.start c.txn;
+  Regfile.load_initial c.regs (current_op c).Workload.init_regs;
+  c.pc <- 0;
+  c.attempt_instrs <- 0;
+  c.indirection_seen <- false;
+  c.alt_overflow <- false;
+  c.sq_overflow <- false;
+  c.failed_mode <- false;
+  Simrt.Lineset.clear c.attempt_lines;
+  Check.Capbuf.reset c.cap;
+  c.phase <- (match mode with Scl | Nscl -> P_lock | Speculative | Fallback -> P_exec)
 
-let stats_mode_of c =
-  match c.mode with
-  | M_spec -> Stats.Speculative
-  | M_scl -> Stats.Scl
-  | M_nscl -> Stats.Nscl
-  | M_fallback -> Stats.Fallback_mode
+(* Every attempt ends here, committed or aborted: withdraw from conflict
+   detection, release the cacheline locks and the fallback-lock hold (the
+   shared hold of a CL-mode execution or the exclusive hold of a fallback
+   execution), tell the checker, drop the power token and the transaction. *)
+let end_attempt t c =
+  Txn.iter_lines c.txn (fun line -> Conflict_map.remove_line t.conflicts ~core:c.id line);
+  (match c.mode with
+  | Scl | Nscl ->
+      if tracing t || capturing t then
+        List.iter
+          (fun line ->
+            trace_ev t c (Trace.Unlocked line);
+            lock_ev t (Check.Lock_safety.Unlock { time = t.now; core = c.id; line }))
+          (Mem.Hierarchy.locked_lines t.hierarchy ~core:c.id);
+      ignore (Mem.Hierarchy.unlock_all t.hierarchy ~core:c.id : int)
+  | Speculative | Fallback -> ());
+  c.lock_queue <- [];
+  Fallback_lock.release (op_lock t c) ~core:c.id;
+  if capturing t then lock_ev t (Check.Lock_safety.Attempt_end { time = t.now; core = c.id });
+  release_power t c;
+  Txn.reset c.txn
 
 let finish_op c =
   c.ops_done <- c.ops_done + 1;
@@ -375,28 +438,23 @@ let do_commit t c =
   (* A committed S-CL resolved the conflicts its CRT-locked reads guarded
      against: decay those entries so hot shared lines do not convoy every
      subsequent S-CL of this core. *)
-  if c.mode = M_scl && t.cfg.crt_decay then
+  if c.mode = Scl && t.cfg.crt_decay then
     List.iter
       (fun (e : Clear.Alt.entry) ->
         if e.needs_locking && not e.written then Clear.Crt.remove c.crt e.line)
       (Clear.Alt.entries c.alt);
-  let drained = if c.mode = M_spec || c.mode = M_scl then Txn.drain c.txn t.store else 0 in
+  let drained = if buffered c then Txn.drain c.txn t.store else 0 in
   (match t.check with
   | None -> ()
   | Some col ->
       Check.Collector.add_commit col c.cap ~time:t.now ~core:c.id ~ar:op.Workload.ar
-        ~init_regs:op.Workload.init_regs ~mode:(witness_mode_of c.mode)
-        ~retries:c.retries_counted);
-  Txn.iter_lines c.txn (fun line -> Conflict_map.remove_line t.conflicts ~core:c.id line);
-  cleanup_cl_locks t c;
-  if capturing t then lock_ev t (Check.Lock_safety.Attempt_end { time = t.now; core = c.id });
-  release_power t c;
-  Txn.reset c.txn;
+        ~init_regs:op.Workload.init_regs ~mode:c.mode ~retries:c.retries_counted);
+  end_attempt t c;
   fig1_close t c;
   Clear.Ert.note_commit c.ert ~pc:op.Workload.ar.Isa.Program.id;
-  if tracing t then trace_ev t c (Trace.Commit { mode = mode_string c.mode; retries = c.retries_counted });
-  Stats.note_commit ~ar:op.Workload.ar.Isa.Program.name t.stats ~mode:(stats_mode_of c)
-    ~retries:c.retries_counted;
+  if tracing t then
+    trace_ev t c (Trace.Commit { mode = Stats.commit_mode_name c.mode; retries = c.retries_counted });
+  Stats.note_commit ~ar:op.Workload.ar.Isa.Program.name t.stats ~mode:c.mode ~retries:c.retries_counted;
   t.perf.commits <- t.perf.commits + 1;
   (match t.openq with
   | Some oq when c.req >= 0 ->
@@ -411,22 +469,18 @@ let do_abort t c cause =
   Stats.note_abort t.stats cause;
   t.perf.aborts <- t.perf.aborts + 1;
   Stats.note_wasted_instrs t.stats c.attempt_instrs;
-  Txn.iter_lines c.txn (fun line -> Conflict_map.remove_line t.conflicts ~core:c.id line);
-  cleanup_cl_locks t c;
-  if capturing t then lock_ev t (Check.Lock_safety.Attempt_end { time = t.now; core = c.id });
-  release_power t c;
   (* A conflicting read feeds the CRT so the next S-CL locks it too. *)
   (match c.pending_abort with
   | Some (_, Some line) when t.cfg.use_crt && Txn.in_read_set c.txn line && not (Txn.in_write_set c.txn line) ->
       Clear.Crt.insert c.crt line
   | Some _ | None -> ());
   c.pending_abort <- None;
+  end_attempt t c;
   if c.attempt = 0 then begin
     let fp = attempt_footprint c in
     c.footprint0 <- (if Array.length fp = 0 then None else Some fp)
   end
   else fig1_close t c;
-  Txn.reset c.txn;
   if Abort.counts_toward_retry_limit cause then c.retries_counted <- c.retries_counted + 1;
   c.attempt <- c.attempt + 1;
   (* PowerTM: a transaction aborted by a conflict reserves the power token
@@ -459,44 +513,35 @@ let doom_all_speculators t ~except ~lock_id =
               | Some op -> op.Workload.lock_id = lock_id
               | None -> false)
         in
-        if subscribed then doom t v Abort.Other_fallback None
+        if subscribed then doom v Abort.Other_fallback None
       end)
     t.cores
 
 (* ------------------------------------------------------------------ *)
 (* Discovery bookkeeping                                               *)
 
-let record_in_alt _t c line ~written =
+let record_in_alt c line ~written =
   if c.discovery && not c.alt_overflow then
     match Clear.Alt.record c.alt line ~written with
     | `Ok -> ()
     | `Overflow ->
         c.alt_overflow <- true;
-        let op = current_op c in
-        (match Clear.Ert.lookup c.ert ~pc:op.Workload.ar.Isa.Program.id with
-        | Some e -> Clear.Ert.mark_not_convertible e
-        | None -> ())
+        ert_mark c ~convertible:false ~immutable:true
 
 let end_of_discovery_decision t c =
   (* Failed-mode discovery reached the end of the AR: hierarchical
      assessment (paper Figure 2), then the abort proceeds. *)
-  let op = current_op c in
-  let pc = op.Workload.ar.Isa.Program.id in
   let fits = (not c.alt_overflow) && not c.sq_overflow in
   let lockable =
     fits && Mem.Cache.would_fit (Mem.Hierarchy.l1 t.hierarchy ~core:c.id) (Clear.Alt.lines c.alt)
   in
   let immutable = not c.indirection_seen in
-  (match Clear.Ert.lookup c.ert ~pc with
-  | Some e ->
-      if not lockable then Clear.Ert.mark_not_convertible e;
-      if not immutable then Clear.Ert.mark_not_immutable e
-  | None -> ());
+  ert_mark c ~convertible:lockable ~immutable;
   let assessment = { Clear.Decision.fits_window = fits; lockable; immutable } in
   let decision = Clear.Decision.decide assessment in
   (match t.check with
   | Some col ->
-      Check.Collector.add_decision col ~time:t.now ~core:c.id ~ar:op.Workload.ar ~decision
+      Check.Collector.add_decision col ~time:t.now ~core:c.id ~ar:(current_op c).Workload.ar ~decision
   | None -> ());
   c.planned <-
     (match decision with
@@ -509,185 +554,83 @@ let end_of_discovery_decision t c =
 (* ------------------------------------------------------------------ *)
 (* Memory-instruction semantics                                        *)
 
-exception Abort_now of Abort.cause
-
-(* The access reached a remotely locked line and the requester is not itself
-   holding cacheline locks: the directory retries the request (paper Figure
-   6), so the instruction stalls and re-issues. *)
-exception Stall_now
-
 (* Charge latency and check capacity: evicting a line of our own speculative
    set aborts the transaction. *)
 let check_evictions c outcome =
   let victim = outcome.Mem.Hierarchy.l1_victim in
   if victim >= 0 && Txn.in_either_set c.txn victim then raise (Abort_now Abort.Capacity)
 
-(* In S-CL mode the core holds cacheline locks, so a request that reaches a
-   remotely locked line must be nacked (abort) to break lock cycles (paper
-   Figure 5). A plain speculative core holds no locks and simply retries the
-   request until the holder's AR completes. *)
-let blocked_by_remote_lock t c line =
-  let holder = Mem.Hierarchy.locked_by t.hierarchy line in
-  if holder >= 0 && holder <> c.id then
-    if c.mode = M_scl then begin
-      note_conflict t c t.cores.(holder) line;
-      raise (Abort_now Abort.Nacked)
-    end
-    else raise Stall_now
-
-(* Loads write their destination register and return the latency to
-   charge. *)
-let spec_load t c ~dst addr =
+(* The two accesses of every mode, which differ in two ways: whether the
+   access is [tracked] by conflict detection, and whether the mode is
+   [buffered]. A tracked access is probed for conflicts unless the attempt
+   is in failed-mode discovery or the line is blind, joins the transaction's
+   sets and the discovery footprint; a buffered one goes through the
+   transaction's store buffer. Both return the latency to charge; a load
+   also writes its destination register. *)
+let read t c ~dst addr =
   let line = Mem.Addr.line_of addr in
   touch_line t c line;
-  blocked_by_remote_lock t c line;
-  if (not c.failed_mode) && not (blind t c line) then begin
-    let wmask = Conflict_map.writers_excl t.conflicts ~core:c.id line in
-    t.perf.conflict_checks <- t.perf.conflict_checks + 1;
-    if wmask <> 0 then begin
-      t.perf.conflict_hits <- t.perf.conflict_hits + 1;
-      Conflict_map.iter_cores wmask (fun w ->
-          let v = t.cores.(w) in
-          note_conflict t c v line;
-          if victim_protected t c v then raise (Abort_now Abort.Nacked)
-          else doom t v Abort.Memory_conflict (Some line))
-    end
-  end;
+  let tracked = tracked t c line in
+  if tracked then blocked_by_remote_lock t c line;
+  let armed = tracked && (not c.failed_mode) && not (blind t c line) in
+  if armed then probe t c line ~write:false Abort.Memory_conflict ~nack:true;
   let outcome = Mem.Hierarchy.read_line t.hierarchy ~core:c.id line in
-  check_evictions c outcome;
-  Txn.read_line c.txn line;
-  if (not c.failed_mode) && not (blind t c line) then Conflict_map.add_reader t.conflicts ~core:c.id line;
-  record_in_alt t c line ~written:false;
-  cap_read t c line;
-  t.perf.store_forward_scans <- t.perf.store_forward_scans + 1;
-  Regfile.define_load c.regs ~dst (Txn.load c.txn t.store addr);
-  outcome.Mem.Hierarchy.latency
-
-let spec_store t c addr value =
-  let line = Mem.Addr.line_of addr in
-  touch_line t c line;
-  record_in_alt t c line ~written:true;
-  if c.failed_mode then begin
-    (* Failed mode: stores stay in the SQ, no coherence traffic. *)
-    if Txn.store_count c.txn >= t.cfg.sq_entries then begin
-      c.sq_overflow <- true;
-      let op = current_op c in
-      Clear.Ert.note_sq_full c.ert ~pc:op.Workload.ar.Isa.Program.id;
-      raise (Abort_now c.failed_cause)
-    end;
-    Txn.buffer_store c.txn addr value;
-    Txn.write_line c.txn line;
-    cap_write t c line;
-    cap_store t c addr value;
-    (* SQ insertion only. *)
-    1
-  end
-  else begin
-    blocked_by_remote_lock t c line;
-    if not (blind t c line) then begin
-      let mask =
-        Conflict_map.writers_excl t.conflicts ~core:c.id line
-        lor Conflict_map.readers_excl t.conflicts ~core:c.id line
-      in
-      t.perf.conflict_checks <- t.perf.conflict_checks + 1;
-      if mask <> 0 then begin
-        t.perf.conflict_hits <- t.perf.conflict_hits + 1;
-        Conflict_map.iter_cores mask (fun w ->
-            let v = t.cores.(w) in
-            note_conflict t c v line;
-            if victim_protected t c v then raise (Abort_now Abort.Nacked)
-            else doom t v Abort.Memory_conflict (Some line))
-      end
-    end;
-    let outcome = Mem.Hierarchy.write_line t.hierarchy ~core:c.id line in
+  if tracked then begin
     check_evictions c outcome;
-    Txn.buffer_store c.txn addr value;
-    Txn.write_line c.txn line;
-    if not (blind t c line) then Conflict_map.add_writer t.conflicts ~core:c.id line;
-    cap_write t c line;
-    cap_store t c addr value;
-    outcome.Mem.Hierarchy.latency
-  end
-
-(* NS-CL: all accesses hit lines we hold locked; reads/writes go straight to
-   memory. Deviation from the learned footprint means the immutability
-   assessment was wrong — defensively fall back to a speculative retry. *)
-let nscl_load t c ~dst addr =
-  let line = Mem.Addr.line_of addr in
-  touch_line t c line;
-  if Mem.Hierarchy.locked_by t.hierarchy line <> c.id then raise (Abort_now Abort.Scl_deviation);
-  let outcome = Mem.Hierarchy.read_line t.hierarchy ~core:c.id line in
-  cap_read t c line;
-  Regfile.define_load c.regs ~dst (Mem.Store.read t.store addr);
-  outcome.Mem.Hierarchy.latency
-
-let nscl_store t c addr value =
-  let line = Mem.Addr.line_of addr in
-  touch_line t c line;
-  if Mem.Hierarchy.locked_by t.hierarchy line <> c.id then raise (Abort_now Abort.Scl_deviation);
-  let outcome = Mem.Hierarchy.write_line t.hierarchy ~core:c.id line in
-  Mem.Store.write t.store addr value;
-  cap_write t c line;
-  cap_store t c addr value;
-  outcome.Mem.Hierarchy.latency
-
-(* S-CL: locked lines are safe; other accesses stay speculative with conflict
-   detection armed. *)
-let scl_load t c ~dst addr =
-  let line = Mem.Addr.line_of addr in
-  if Mem.Hierarchy.locked_by t.hierarchy line = c.id then begin
-    touch_line t c line;
-    let outcome = Mem.Hierarchy.read_line t.hierarchy ~core:c.id line in
-    cap_read t c line;
-    t.perf.store_forward_scans <- t.perf.store_forward_scans + 1;
-    Regfile.define_load c.regs ~dst (Txn.load c.txn t.store addr);
-    outcome.Mem.Hierarchy.latency
-  end
-  else spec_load t c ~dst addr
-
-let scl_store t c addr value =
-  let line = Mem.Addr.line_of addr in
-  if Mem.Hierarchy.locked_by t.hierarchy line = c.id then begin
-    touch_line t c line;
-    let outcome = Mem.Hierarchy.write_line t.hierarchy ~core:c.id line in
-    Txn.buffer_store c.txn addr value;
-    Txn.write_line c.txn line;
-    cap_write t c line;
-    cap_store t c addr value;
-    outcome.Mem.Hierarchy.latency
-  end
-  else spec_store t c addr value
-
-let fallback_load t c ~dst addr =
-  let line = Mem.Addr.line_of addr in
-  touch_line t c line;
-  let outcome = Mem.Hierarchy.read_line t.hierarchy ~core:c.id line in
-  cap_read t c line;
-  Regfile.define_load c.regs ~dst (Mem.Store.read t.store addr);
-  outcome.Mem.Hierarchy.latency
-
-let fallback_store t c addr value =
-  let line = Mem.Addr.line_of addr in
-  touch_line t c line;
-  (* Unprotected fallback stores clash with any straggling speculative
-     reader/writer (they subscribed to the lock but may not have processed
-     the abort yet). *)
-  let mask =
-    Conflict_map.writers_excl t.conflicts ~core:c.id line
-    lor Conflict_map.readers_excl t.conflicts ~core:c.id line
-  in
-  t.perf.conflict_checks <- t.perf.conflict_checks + 1;
-  if mask <> 0 then begin
-    t.perf.conflict_hits <- t.perf.conflict_hits + 1;
-    Conflict_map.iter_cores mask (fun w ->
-        note_conflict t c t.cores.(w) line;
-        doom t t.cores.(w) Abort.Other_fallback (Some line))
+    Txn.read_line c.txn line;
+    if armed then Conflict_map.add_reader t.conflicts ~core:c.id line;
+    record_in_alt c line ~written:false
   end;
-  let outcome = Mem.Hierarchy.write_line t.hierarchy ~core:c.id line in
-  Mem.Store.write t.store addr value;
+  cap_read t c line;
+  let value =
+    if buffered c then begin
+      t.perf.store_forward_scans <- t.perf.store_forward_scans + 1;
+      Txn.load c.txn t.store addr
+    end
+    else Mem.Store.read t.store addr
+  in
+  Regfile.define_load c.regs ~dst value;
+  outcome.Mem.Hierarchy.latency
+
+let write t c addr value =
+  let line = Mem.Addr.line_of addr in
+  touch_line t c line;
+  let tracked = tracked t c line in
+  if tracked then record_in_alt c line ~written:true;
+  let armed = tracked && (not c.failed_mode) && not (blind t c line) in
+  let latency =
+    if c.failed_mode then begin
+      (* Failed mode: stores stay in the SQ, no coherence traffic. *)
+      if Txn.store_count c.txn >= t.cfg.sq_entries then begin
+        c.sq_overflow <- true;
+        Clear.Ert.note_sq_full c.ert ~pc:(current_op c).Workload.ar.Isa.Program.id;
+        raise (Abort_now c.failed_cause)
+      end;
+      (* SQ insertion only. *)
+      1
+    end
+    else begin
+      if tracked then blocked_by_remote_lock t c line;
+      if armed then probe t c line ~write:true Abort.Memory_conflict ~nack:true
+      else if c.mode = Fallback then
+        (* Unprotected fallback stores clash with any straggling speculative
+           reader/writer (they subscribed to the lock but may not have
+           processed the abort yet). *)
+        probe t c line ~write:true Abort.Other_fallback ~nack:false;
+      let outcome = Mem.Hierarchy.write_line t.hierarchy ~core:c.id line in
+      if tracked then check_evictions c outcome;
+      outcome.Mem.Hierarchy.latency
+    end
+  in
+  if buffered c then begin
+    Txn.buffer_store c.txn addr value;
+    Txn.write_line c.txn line
+  end
+  else Mem.Store.write t.store addr value;
+  if armed then Conflict_map.add_writer t.conflicts ~core:c.id line;
   cap_write t c line;
   cap_store t c addr value;
-  outcome.Mem.Hierarchy.latency
+  latency
 
 (* ------------------------------------------------------------------ *)
 (* One instruction                                                     *)
@@ -735,74 +678,37 @@ let exec_instr t c =
       base
   | I.Ld { dst; base = baseop; off; region = _ } ->
       note_indirection c baseop;
-      let addr = Regfile.operand c.regs baseop + off in
-      let latency =
-        match c.mode with
-        | M_spec -> spec_load t c ~dst addr
-        | M_scl -> scl_load t c ~dst addr
-        | M_nscl -> nscl_load t c ~dst addr
-        | M_fallback -> fallback_load t c ~dst addr
-      in
+      let latency = read t c ~dst (Regfile.operand c.regs baseop + off) in
       c.pc <- c.pc + 1;
       base + latency
   | I.St { base = baseop; off; src; region = _ } ->
       note_indirection c baseop;
-      let addr = Regfile.operand c.regs baseop + off in
-      let value = Regfile.operand c.regs src in
-      let latency =
-        match c.mode with
-        | M_spec -> spec_store t c addr value
-        | M_scl -> scl_store t c addr value
-        | M_nscl -> nscl_store t c addr value
-        | M_fallback -> fallback_store t c addr value
-      in
+      let latency = write t c (Regfile.operand c.regs baseop + off) (Regfile.operand c.regs src) in
       c.pc <- c.pc + 1;
       base + latency
 
 (* ------------------------------------------------------------------ *)
 (* Phase steps: each returns the latency until this core's next event.  *)
 
-let begin_attempt_common c =
-  let op = current_op c in
-  Regfile.load_initial c.regs op.Workload.init_regs;
-  c.pc <- 0;
-  c.attempt_instrs <- 0;
-  c.indirection_seen <- false;
-  c.alt_overflow <- false;
-  c.sq_overflow <- false;
-  c.failed_mode <- false;
-  Simrt.Lineset.clear c.attempt_lines;
-  cap_reset c;
-  c.phase <- P_exec
-
 let start_speculative t c =
-  let op = current_op c in
-  c.mode <- M_spec;
-  if tracing t then trace_ev t c (Trace.Begin_attempt { attempt = c.attempt; mode = "speculative" });
-  if capturing t then lock_ev t (Check.Lock_safety.Attempt_begin { time = t.now; core = c.id });
-  Txn.start c.txn;
+  open_attempt t c Speculative;
   try_acquire_power t c;
   c.discovery <-
     t.cfg.clear_enabled
     &&
-    (let e = Clear.Ert.lookup_or_insert c.ert ~pc:op.Workload.ar.Isa.Program.id in
+    (let e = Clear.Ert.lookup_or_insert c.ert ~pc:(current_op c).Workload.ar.Isa.Program.id in
      Clear.Ert.discovery_enabled e);
   if c.discovery then Clear.Alt.reset c.alt;
-  begin_attempt_common c;
   c.explicit_fb_counted <- false;
   t.cfg.xbegin_cost
 
 let start_cl t c (mode : Clear.Decision.mode) =
   (* Read-lock the fallback lock, then queue the cacheline locks. *)
   if Fallback_lock.try_read_lock (op_lock t c) ~core:c.id then begin
-    c.read_lock_held <- true;
-    if capturing t then lock_ev t (Check.Lock_safety.Attempt_begin { time = t.now; core = c.id });
     let lock_all = mode = Clear.Decision.Ns_cl in
     Clear.Alt.prepare_locking c.alt ~lock_all ~extra:(fun line -> t.cfg.use_crt && Clear.Crt.mem c.crt line);
     c.lock_queue <- Clear.Alt.to_lock c.alt;
-    c.mode <- (if mode = Clear.Decision.Ns_cl then M_nscl else M_scl);
-    if c.mode = M_scl then Txn.start c.txn;
-    c.phase <- P_lock;
+    open_attempt t c (if lock_all then Nscl else Scl);
     t.cfg.xbegin_cost
   end
   else (* fallback execution in flight: spin on the read lock *)
@@ -815,11 +721,8 @@ let step_start t c =
     Fallback_lock.announce_writer lock ~core:c.id;
     if Fallback_lock.try_write_lock lock ~core:c.id then begin
       doom_all_speculators t ~except:c.id ~lock_id:(current_op c).Workload.lock_id;
-      c.mode <- M_fallback;
-      if tracing t then trace_ev t c (Trace.Begin_attempt { attempt = c.attempt; mode = "fallback" });
-      if capturing t then lock_ev t (Check.Lock_safety.Attempt_begin { time = t.now; core = c.id });
       c.planned <- None;
-      begin_attempt_common c;
+      open_attempt t c Fallback;
       t.cfg.xbegin_cost
     end
     else t.cfg.spin_cycles
@@ -842,7 +745,7 @@ let step_lock t c =
   match c.lock_queue with
   | [] ->
       (* All locks held: run the body. *)
-      begin_attempt_common c;
+      c.phase <- P_exec;
       1
   | entry :: rest -> (
       match Mem.Hierarchy.lock_line t.hierarchy ~core:c.id entry.Clear.Alt.line with
@@ -851,13 +754,7 @@ let step_lock t c =
              the line in its sets loses it (the lock's invalidation is a
              conflicting request it cannot win). *)
           let line = entry.Clear.Alt.line in
-          let mask =
-            Conflict_map.writers_excl t.conflicts ~core:c.id line
-            lor Conflict_map.readers_excl t.conflicts ~core:c.id line
-          in
-          Conflict_map.iter_cores mask (fun w ->
-              note_conflict t c t.cores.(w) line;
-              doom t t.cores.(w) Abort.Memory_conflict (Some line));
+          resolve t c line (holders t c line ~write:true) Abort.Memory_conflict ~nack:false;
           if tracing t then trace_ev t c (Trace.Locked line);
           if capturing t then
             lock_ev t
@@ -876,24 +773,38 @@ let step_lock t c =
           Simrt.Counter.bump t.lock_phase_cycles (t.cfg.spin_cycles / 2);
           t.cfg.spin_cycles / 2)
 
-let enter_failed_mode t c cause =
-  trace_ev t c Trace.Enter_failed_mode;
-  c.failed_mode <- true;
-  c.failed_cause <- cause;
-  (* Our accesses are non-aborting from now on: withdraw from conflict
-     detection so we damage no other transaction. *)
-  Txn.iter_lines c.txn (fun line -> Conflict_map.remove_line t.conflicts ~core:c.id line);
-  c.pending_abort <- None
+(* A doomed or aborting attempt: a memory conflict during CLEAR discovery
+   continues in failed mode to the region's end (when enabled and the
+   footprint still fits the ALT); anything else aborts now. Our accesses are
+   non-aborting in failed mode: withdraw from conflict detection so we
+   damage no other transaction. *)
+let abort_or_discover t c cause =
+  if
+    c.mode = Speculative && c.discovery && (not c.failed_mode) && cause = Abort.Memory_conflict
+    && t.cfg.failed_mode_discovery && not c.alt_overflow
+  then begin
+    trace_ev t c Trace.Enter_failed_mode;
+    c.failed_mode <- true;
+    c.failed_cause <- cause;
+    Txn.iter_lines c.txn (fun line -> Conflict_map.remove_line t.conflicts ~core:c.id line);
+    c.pending_abort <- None;
+    1
+  end
+  else begin
+    (* Non-memory aborts mark the region non-discoverable. *)
+    (match cause with
+    | Abort.Capacity | Abort.Other -> ert_mark c ~convertible:false ~immutable:true
+    | Abort.Scl_deviation ->
+        ert_mark c ~convertible:false ~immutable:false;
+        c.planned <- None
+    | Abort.Memory_conflict | Abort.Nacked | Abort.Explicit_fallback | Abort.Other_fallback -> ());
+    do_abort t c cause
+  end
 
 let step_exec t c =
   (* Doom processing first. *)
   match c.pending_abort with
-  | Some (cause, _line) when
-      c.mode = M_spec && c.discovery && (not c.failed_mode) && cause = Abort.Memory_conflict
-      && t.cfg.failed_mode_discovery && not c.alt_overflow ->
-      enter_failed_mode t c cause;
-      1
-  | Some (cause, _) -> do_abort t c cause
+  | Some (cause, _) -> abort_or_discover t c cause
   | None -> (
       match exec_instr t c with
       | latency when latency <> halted ->
@@ -902,16 +813,9 @@ let step_exec t c =
              §4.1, assessment 1). NS-CL and fallback run non-speculatively
              and retire freely. *)
           if
-            t.cfg.frontend = Config.Sle
-            && (c.mode = M_spec || c.mode = M_scl)
+            t.cfg.frontend = Config.Sle && buffered c
             && (c.attempt_instrs > t.cfg.rob_entries || Txn.store_count c.txn > t.cfg.sq_entries)
-          then begin
-            let op = current_op c in
-            (match Clear.Ert.lookup c.ert ~pc:op.Workload.ar.Isa.Program.id with
-            | Some e -> Clear.Ert.mark_not_convertible e
-            | None -> ());
-            do_abort t c Abort.Capacity
-          end
+          then abort_or_discover t c Abort.Capacity
           else begin
             if c.failed_mode then Stats.note_failed_discovery_cycles t.stats latency;
             latency
@@ -930,32 +834,7 @@ let step_exec t c =
           Simrt.Counter.bump t.stall_cycles latency;
           if c.failed_mode then Stats.note_failed_discovery_cycles t.stats latency;
           latency
-      | exception Abort_now cause ->
-          if c.mode = M_spec && c.discovery && (not c.failed_mode) && cause = Abort.Memory_conflict
-             && t.cfg.failed_mode_discovery && not c.alt_overflow
-          then begin
-            enter_failed_mode t c cause;
-            1
-          end
-          else begin
-            (* Non-memory aborts mark the region non-discoverable. *)
-            (match cause with
-            | Abort.Capacity | Abort.Other ->
-                let op = current_op c in
-                (match Clear.Ert.lookup c.ert ~pc:op.Workload.ar.Isa.Program.id with
-                | Some e -> Clear.Ert.mark_not_convertible e
-                | None -> ())
-            | Abort.Scl_deviation ->
-                let op = current_op c in
-                (match Clear.Ert.lookup c.ert ~pc:op.Workload.ar.Isa.Program.id with
-                | Some e ->
-                    Clear.Ert.mark_not_immutable e;
-                    Clear.Ert.mark_not_convertible e
-                | None -> ());
-                c.planned <- None
-            | Abort.Memory_conflict | Abort.Nacked | Abort.Explicit_fallback | Abort.Other_fallback -> ());
-            do_abort t c cause
-          end)
+      | exception Abort_now cause -> abort_or_discover t c cause)
 
 (* Pull the next operation from the driver and charge its think time. The
    driver call is shared by both frontends; only the decision of *whether*
@@ -1071,11 +950,7 @@ let livelock_fail t =
              | P_lock -> "lock"
              | P_exec -> "exec"
              | P_done -> "done")
-             (match c.mode with
-             | M_spec -> "spec"
-             | M_scl -> "scl"
-             | M_nscl -> "nscl"
-             | M_fallback -> "fallback")
+             (Stats.commit_mode_name c.mode)
              c.attempt c.retries_counted
              (match c.planned with
              | None -> "-"

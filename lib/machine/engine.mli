@@ -20,6 +20,16 @@
       fallback lock exclusively (the single global lock under HTM, the
       region's own mutex under SLE).
 
+    The four modes are {!Stats.commit_mode}, the same type as
+    {!Check.Witness.mode}. They share one load and one store path, which
+    differ per mode in only two ways: whether the access is tracked by
+    conflict detection (plain speculation always, S-CL off its locked
+    lines, NS-CL and fallback never), and whether writes are buffered until
+    commit ({!Check.Witness.mode_buffered}). Every attempt, in every mode,
+    opens at one site and ends at one site shared by commit and abort; the
+    trace's [Begin_attempt] and the checker's [Attempt_begin]/[Attempt_end]
+    are emitted there, so each attempt has a begin and an end record.
+
     When the configuration carries an {!Config.open_queue}, the fixed
     per-core op count is replaced by the open-system frontend: an idle core
     pulls the next queued request ({!Openq}), parks until the next arrival

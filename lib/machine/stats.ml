@@ -1,16 +1,16 @@
 module Counter = Simrt.Counter
 
-type commit_mode = Speculative | Scl | Nscl | Fallback_mode
+type commit_mode = Check.Witness.mode = Speculative | Scl | Nscl | Fallback
 
 let commit_mode_name = function
   | Speculative -> "speculative"
   | Scl -> "S-CL"
   | Nscl -> "NS-CL"
-  | Fallback_mode -> "fallback"
+  | Fallback -> "fallback"
 
-let all_commit_modes = [ Speculative; Scl; Nscl; Fallback_mode ]
+let all_commit_modes = [ Speculative; Scl; Nscl; Fallback ]
 
-let mode_index = function Speculative -> 0 | Scl -> 1 | Nscl -> 2 | Fallback_mode -> 3
+let mode_index = function Speculative -> 0 | Scl -> 1 | Nscl -> 2 | Fallback -> 3
 
 type t = {
   counters : Counter.set;
@@ -67,7 +67,7 @@ let note_commit ?ar t ~mode ~retries =
   t.commits_by_mode.(mode_index mode) <- t.commits_by_mode.(mode_index mode) + 1;
   (match ar with Some name -> bump t.ar_commits name 1 | None -> ());
   match mode with
-  | Fallback_mode -> t.fallback_commits <- t.fallback_commits + 1
+  | Fallback -> t.fallback_commits <- t.fallback_commits + 1
   | Speculative | Scl | Nscl -> bump t.retry_hist retries 1
 
 let commits_for_ar t name = match Hashtbl.find_opt t.ar_commits name with Some n -> n | None -> 0

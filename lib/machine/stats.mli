@@ -1,6 +1,6 @@
 (** Run statistics backing every figure of the evaluation. *)
 
-type commit_mode = Speculative | Scl | Nscl | Fallback_mode
+type commit_mode = Check.Witness.mode = Speculative | Scl | Nscl | Fallback
 
 val commit_mode_name : commit_mode -> string
 

@@ -6,7 +6,6 @@ type kind =
   | Unlocked of Mem.Addr.line
   | Commit of { mode : string; retries : int }
   | Aborted of Abort.cause
-  | Stalled of Mem.Addr.line
 
 type event = { time : int; core : int; ar : string; kind : kind }
 
@@ -43,7 +42,6 @@ let kind_to_string = function
   | Unlocked line -> Printf.sprintf "unlocked line %d" line
   | Commit { mode; retries } -> Printf.sprintf "commit (%s, %d retries)" mode retries
   | Aborted cause -> "abort: " ^ Abort.cause_name cause
-  | Stalled line -> Printf.sprintf "stalled on locked line %d" line
 
 let pp_event ppf e =
   Format.fprintf ppf "@[%8d core%-3d %-18s %s@]" e.time e.core e.ar (kind_to_string e.kind)
@@ -108,7 +106,7 @@ let to_chrome_json t =
            (match e.kind with
            | Begin_attempt _ -> "attempt"
            | Enter_failed_mode | Converted _ -> "discovery"
-           | Locked _ | Unlocked _ | Stalled _ -> "lock"
+           | Locked _ | Unlocked _ -> "lock"
            | Commit _ -> "commit"
            | Aborted _ -> "abort")
            e.time e.core (json_escape e.ar)))

@@ -14,7 +14,6 @@ type kind =
   | Unlocked of Mem.Addr.line  (** released at the holder's commit/abort *)
   | Commit of { mode : string; retries : int }
   | Aborted of Abort.cause
-  | Stalled of Mem.Addr.line
 
 type event = { time : int; core : int; ar : string; kind : kind }
 

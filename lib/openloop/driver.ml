@@ -34,28 +34,14 @@ let run_point ?(check = false) ?stream:_ (cfg : Config.t) (workload : Machine.Wo
   (* The collector forwards emissions to the online checker and retains
      nothing, which is what keeps always-on checking affordable at
      open-system history lengths. *)
-  let streamer =
+  let engine, verdict =
     if check then
-      Some
-        (Check.Stream.create
-           ~static_gate:(Clear_repro.Run.static_gate_of_config cfg)
-           ~cores:cfg.Config.cores ())
-    else None
+      let engine, verdict = Clear_repro.Run.checked_engine cfg workload in
+      (engine, Some verdict)
+    else (Machine.Engine.create cfg workload, None)
   in
-  let collector =
-    Option.map
-      (fun str -> Check.Collector.create_streaming ~cores:cfg.Config.cores (Check.Stream.sink str))
-      streamer
-  in
-  let engine = Machine.Engine.create ?check:collector cfg workload in
   let stats = Machine.Engine.run engine in
-  let oracle_ok =
-    match streamer with
-    | None -> true
-    | Some str ->
-        let final = Mem.Store.snapshot (Machine.Engine.store engine) in
-        Check.Verdict.ok (Check.Verdict.of_stream str ~final)
-  in
+  let oracle_ok = match verdict with None -> true | Some v -> Check.Verdict.ok (v ()) in
   let perf = Machine.Engine.perfctr engine in
   let oq =
     match Machine.Engine.openq engine with

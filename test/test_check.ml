@@ -652,6 +652,30 @@ let test_trace_unlock_balance () =
   in
   Alcotest.(check int) "locks balance unlocks" locked unlocked
 
+(* Every attempt opens with a Begin_attempt and closes with a Commit or an
+   Aborted, in every mode — the cacheline-locked ones included — so a trace
+   reader can pair them into spans. *)
+let test_trace_attempts_balance () =
+  List.iter
+    (fun (letter, preset) ->
+      let cfg =
+        Config.with_seed { preset with Config.cores = 8; ops_per_thread = 60; max_retries = 2 } 7
+      in
+      let trace = Trace.create ~capacity:(1 lsl 18) () in
+      ignore (Engine.run (Engine.create ~trace cfg Workloads.Arrayswap.workload) : Machine.Stats.t);
+      Alcotest.(check int) (letter ^ ": trace untruncated") (Trace.recorded trace) (Trace.retained trace);
+      let begins, ends =
+        List.fold_left
+          (fun (b, e) (ev : Trace.event) ->
+            match ev.Trace.kind with
+            | Trace.Begin_attempt _ -> (b + 1, e)
+            | Trace.Commit _ | Trace.Aborted _ -> (b, e + 1)
+            | _ -> (b, e))
+          (0, 0) (Trace.events trace)
+      in
+      Alcotest.(check int) (letter ^ ": begins = commits + aborts") ends begins)
+    [ ("B", Config.baseline); ("P", Config.power_tm); ("C", Config.clear_rw); ("W", Config.clear_power) ]
+
 let test_trace_dump_clamps_limit () =
   let trace = traced_run Config.baseline Workloads.Stack.workload in
   let n = Trace.retained trace in
@@ -733,6 +757,7 @@ let () =
       ( "trace",
         [
           Alcotest.test_case "unlock balance" `Quick test_trace_unlock_balance;
+          Alcotest.test_case "attempts balance" `Quick test_trace_attempts_balance;
           Alcotest.test_case "dump clamps limit" `Quick test_trace_dump_clamps_limit;
           Alcotest.test_case "chrome json" `Quick test_trace_chrome_json;
         ] );

@@ -440,7 +440,7 @@ let test_fallback_under_zero_retries () =
   let expected = cfg.Config.cores * cfg.Config.ops_per_thread in
   Alcotest.(check int) "all committed" expected (Stats.commits stats);
   Alcotest.(check int) "atomic under fallback" expected (Store.read (Engine.store engine) addr);
-  Alcotest.(check bool) "fallback exercised" true (Stats.commits_in_mode stats Stats.Fallback_mode > 0)
+  Alcotest.(check bool) "fallback exercised" true (Stats.commits_in_mode stats Stats.Fallback > 0)
 
 let test_failed_mode_discovery_ablation () =
   (* Without failed-mode discovery the region's footprint is never fully
@@ -574,7 +574,7 @@ let test_sle_window_bound () =
   let engine = Engine.create cfg w in
   let stats = Engine.run engine in
   Alcotest.(check int) "all committed" 80 (Stats.commits stats);
-  Alcotest.(check int) "all via fallback" 80 (Stats.commits_in_mode stats Stats.Fallback_mode);
+  Alcotest.(check int) "all via fallback" 80 (Stats.commits_in_mode stats Stats.Fallback);
   Alcotest.(check int) "counter still atomic" 80 (Store.read (Engine.store engine) 64)
 
 let test_sle_per_lock_independence () =

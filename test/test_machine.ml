@@ -244,7 +244,7 @@ let test_stats_commits_and_retries () =
   Stats.note_commit s ~ar:"x" ~mode:Stats.Speculative ~retries:0;
   Stats.note_commit s ~ar:"x" ~mode:Stats.Speculative ~retries:1;
   Stats.note_commit s ~ar:"y" ~mode:Stats.Scl ~retries:1;
-  Stats.note_commit s ~mode:Stats.Fallback_mode ~retries:6;
+  Stats.note_commit s ~mode:Stats.Fallback ~retries:6;
   Alcotest.(check int) "commits" 4 (Stats.commits s);
   Alcotest.(check int) "per AR" 2 (Stats.commits_for_ar s "x");
   Alcotest.(check int) "scl commits" 1 (Stats.commits_in_mode s Stats.Scl);
