@@ -566,7 +566,10 @@ let check_evictions c outcome =
    is in failed-mode discovery or the line is blind, joins the transaction's
    sets and the discovery footprint; a buffered one goes through the
    transaction's store buffer. Both return the latency to charge; a load
-   also writes its destination register. *)
+   also writes its destination register. The order of the steps is part of
+   the simulated result, which the engine goldens pin: a store records into
+   the ALT before it can stall or be nacked, a load only after its hierarchy
+   access, and a failed-mode store never reaches the hierarchy. *)
 let read t c ~dst addr =
   let line = Mem.Addr.line_of addr in
   touch_line t c line;
