@@ -5,7 +5,8 @@
 
    Gates (each failure prints "[gate] FAIL <gate>: ..." and the run exits 1):
      smoke     the smoke suite's figures are identical at jobs 1, jobs N and
-               with every simulation oracle-checked
+               with every simulation oracle-checked (major GC cycles at
+               jobs 1 and N are recorded, unbounded)
      sched     the scheduler scenario sweep is oracle-clean, identical at
                jobs 1 and N, and >= 2 scenarios shift the retry mix by
                >= Sched_sweep.material_delta
@@ -62,16 +63,27 @@ let figures s =
   |> List.map Report.Table.to_string
   |> String.concat "\n"
 
+(* Major GC cycles completed while [f] ran, on every domain. *)
+let major_collections f =
+  let before = (Gc.quick_stat ()).Gc.major_collections in
+  let r = f () in
+  (r, (Gc.quick_stat ()).Gc.major_collections - before)
+
 let smoke opts () =
-  let run ~jobs ~check = timed (fun () -> figures (Experiments.run_suite ~jobs ~check opts)) in
-  let seq, ms1 = run ~jobs:1 ~check:false in
-  let par, msn = run ~jobs ~check:false in
-  let checked, msc = run ~jobs ~check:true in
+  let run ~jobs ~check =
+    major_collections (fun () ->
+        timed (fun () -> figures (Experiments.run_suite ~jobs ~check opts)))
+  in
+  let (seq, ms1), major1 = run ~jobs:1 ~check:false in
+  let (par, msn), majorn = run ~jobs ~check:false in
+  let (checked, msc), _ = run ~jobs ~check:true in
   if par <> seq then fail "figures differ between jobs 1 and jobs %d" jobs;
   if checked <> seq then fail "checking changed the figures";
   [
     row "wall_ms" "smoke-fig8@jobs1" "ms" ms1;
     row "wall_ms" "smoke-fig8@jobsN" "ms" msn;
+    row "gc.major_collections" "smoke-fig8@jobs1" "count" (float_of_int major1);
+    row "gc.major_collections" "smoke-fig8@jobsN" "count" (float_of_int majorn);
     row "wall_ms" "smoke-fig8@check" "ms" msc;
     row "check.overhead_x" "smoke-fig8" "x" (msc /. msn);
   ]

@@ -138,7 +138,7 @@ let run_cmd =
     Printf.printf "commits         %d\n" (S.commits stats);
     List.iter
       (fun mode ->
-        Printf.printf "  %-12s  %d\n" (S.commit_mode_name mode) (S.commits_in_mode stats mode))
+        Printf.printf "  %-12s  %d\n" (Check.Witness.mode_name mode) (S.commits_in_mode stats mode))
       S.all_commit_modes;
     Printf.printf "aborts          %d (%.2f per commit)\n" (S.aborts stats) (S.aborts_per_commit stats);
     List.iter

@@ -3,9 +3,9 @@ type mode = Speculative | Scl | Nscl | Fallback
 let mode_buffered = function Speculative | Scl -> true | Nscl | Fallback -> false
 
 let mode_name = function
-  | Speculative -> "spec"
-  | Scl -> "s-cl"
-  | Nscl -> "ns-cl"
+  | Speculative -> "speculative"
+  | Scl -> "S-CL"
+  | Nscl -> "NS-CL"
   | Fallback -> "fallback"
 
 type header = {

@@ -20,6 +20,8 @@ val mode_buffered : mode -> bool
     execute, so their writes become visible at first-write time. *)
 
 val mode_name : mode -> string
+(** The one spelling of a mode, shared by violation reports, the engine
+    trace and the CLI: ["speculative"], ["S-CL"], ["NS-CL"], ["fallback"]. *)
 
 type header = {
   seq : int;  (** commit order index, assigned by the collector *)

@@ -49,7 +49,9 @@ let checked_engine cfg workload =
 let run_sim_checked { cfg; workload; seed } =
   let engine, verdict = checked_engine (Machine.Config.with_seed cfg seed) workload in
   let stats = Machine.Engine.run engine in
-  (stats, verdict ())
+  let verdict = verdict () in
+  Machine.Engine.release engine;
+  (stats, verdict)
 
 (* Pool-friendly variant: same signature as [run_sim], turns a failed verdict
    into an exception (which [Simrt.Pool.parallel_map] propagates to the

@@ -3,22 +3,46 @@
    line-indexed arrays instead of a hashtable: adds, removals and conflict
    queries are single array accesses with no hashing and no allocation. The
    arrays are sized from the workload's declared memory and grown on demand
-   should a line land beyond the hint. *)
+   should a line land beyond the hint. Both arrays come from
+   {!Simrt.Pagepool}. Capacities are whole multiples of [granule] lines,
+   so workloads of nearly equal size (most of the registry's large ones
+   are within a few dozen lines of each other) ask for one length and
+   reuse each other's arrays; a power-of-two size class would do the same
+   but nearly doubles a map sized just past a power of two. *)
 
 type t = { cores : int; mutable readers : int array; mutable writers : int array }
 
+(* What a released map points at: every line reads as held by no core. *)
+let released = [||]
+
+let granule = 4096
+
+let take cap = Simrt.Pagepool.take ~len:cap ~fill:0
+
 let create ?(lines = 1024) ~cores () =
-  let n = max 16 lines in
-  { cores; readers = Array.make n 0; writers = Array.make n 0 }
+  let n = (max 1 lines + granule - 1) / granule * granule in
+  { cores; readers = take n; writers = take n }
+
+let release t =
+  if t.readers != released then begin
+    Simrt.Pagepool.give t.readers;
+    Simrt.Pagepool.give t.writers;
+    t.readers <- released;
+    t.writers <- released
+  end
 
 let grow t line =
-  let cap = ref (2 * Array.length t.readers) in
+  let old = Array.length t.readers in
+  let cap = ref (max granule (2 * old)) in
   while line >= !cap do
     cap := 2 * !cap
   done;
-  let nr = Array.make !cap 0 and nw = Array.make !cap 0 in
-  Array.blit t.readers 0 nr 0 (Array.length t.readers);
-  Array.blit t.writers 0 nw 0 (Array.length t.writers);
+  let nr = take !cap and nw = take !cap in
+  for i = 0 to old - 1 do
+    Array.unsafe_set nr i (Array.unsafe_get t.readers i);
+    Array.unsafe_set nw i (Array.unsafe_get t.writers i)
+  done;
+  release t;
   t.readers <- nr;
   t.writers <- nw
 

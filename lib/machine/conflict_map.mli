@@ -15,7 +15,8 @@ type t
 
 val create : ?lines:int -> cores:int -> unit -> t
 (** [lines] pre-sizes the arrays (one slot per line of the simulated
-    memory); they grow automatically if a larger line id appears. *)
+    memory), rounded up to a whole number of 4096-line granules; they grow
+    automatically if a larger line id appears. *)
 
 val add_reader : t -> core:int -> Mem.Addr.line -> unit
 
@@ -50,3 +51,7 @@ val conflicting_readers : t -> core:int -> Mem.Addr.line -> int list
 val conflicting_writers : t -> core:int -> Mem.Addr.line -> int list
 
 val clear : t -> unit
+
+val release : t -> unit
+(** End of life: give both arrays back to {!Simrt.Pagepool}. Afterwards
+    every line reads as held by no core. *)

@@ -388,7 +388,7 @@ let fig1_close t c =
 let open_attempt t c mode =
   c.mode <- mode;
   if tracing t then
-    trace_ev t c (Trace.Begin_attempt { attempt = c.attempt; mode = Stats.commit_mode_name mode });
+    trace_ev t c (Trace.Begin_attempt { attempt = c.attempt; mode = Check.Witness.mode_name mode });
   if capturing t then lock_ev t (Check.Lock_safety.Attempt_begin { time = t.now; core = c.id });
   if buffered c then Txn.start c.txn;
   Regfile.load_initial c.regs (current_op c).Workload.init_regs;
@@ -453,7 +453,8 @@ let do_commit t c =
   fig1_close t c;
   Clear.Ert.note_commit c.ert ~pc:op.Workload.ar.Isa.Program.id;
   if tracing t then
-    trace_ev t c (Trace.Commit { mode = Stats.commit_mode_name c.mode; retries = c.retries_counted });
+    trace_ev t c
+      (Trace.Commit { mode = Check.Witness.mode_name c.mode; retries = c.retries_counted });
   Stats.note_commit ~ar:op.Workload.ar.Isa.Program.name t.stats ~mode:c.mode ~retries:c.retries_counted;
   t.perf.commits <- t.perf.commits + 1;
   (match t.openq with
@@ -953,7 +954,7 @@ let livelock_fail t =
              | P_lock -> "lock"
              | P_exec -> "exec"
              | P_done -> "done")
-             (Stats.commit_mode_name c.mode)
+             (Check.Witness.mode_name c.mode)
              c.attempt c.retries_counted
              (match c.planned with
              | None -> "-"
@@ -1014,4 +1015,13 @@ let run ?(max_cycles = 4_000_000_000) t =
   sync_check_perf t;
   t.stats
 
-let run_workload cfg workload = run (create cfg workload)
+let release t =
+  Mem.Hierarchy.release t.hierarchy;
+  Mem.Store.release t.store;
+  Conflict_map.release t.conflicts
+
+let run_workload cfg workload =
+  let t = create cfg workload in
+  let stats = run t in
+  release t;
+  stats

@@ -68,5 +68,14 @@ val openq : t -> Openq.t option
     [openloop]. After {!run} it holds the full per-request lifecycle
     (arrival/dispatch/commit stamps) the latency reporter reads. *)
 
+val release : t -> unit
+(** End of life: give the engine's cache, directory, store and
+    conflict-map pages back to this domain's {!Simrt.Pagepool}, so the next
+    engine built on the domain reuses them instead of allocating. Read
+    what you need first: afterwards the caches are empty, the directory
+    untouched and the store reads zeros, except through a
+    {!Mem.Store.snapshot} taken before, which stays intact. The returned
+    {!Stats.t}, {!perfctr} and {!openq} are unaffected. *)
+
 val run_workload : Config.t -> Workload.t -> Stats.t
-(** [create] + [run]. *)
+(** [create] + [run] + [release]. *)

@@ -2,12 +2,6 @@ module Counter = Simrt.Counter
 
 type commit_mode = Check.Witness.mode = Speculative | Scl | Nscl | Fallback
 
-let commit_mode_name = function
-  | Speculative -> "speculative"
-  | Scl -> "S-CL"
-  | Nscl -> "NS-CL"
-  | Fallback -> "fallback"
-
 let all_commit_modes = [ Speculative; Scl; Nscl; Fallback ]
 
 let mode_index = function Speculative -> 0 | Scl -> 1 | Nscl -> 2 | Fallback -> 3

@@ -2,8 +2,6 @@
 
 type commit_mode = Check.Witness.mode = Speculative | Scl | Nscl | Fallback
 
-val commit_mode_name : commit_mode -> string
-
 val all_commit_modes : commit_mode list
 
 type t

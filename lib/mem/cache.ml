@@ -7,6 +7,10 @@
    ways' tags followed by their ages, so an access touches one contiguous
    span of host memory.
 
+   Owned pages come from {!Simrt.Pagepool}, and [clear] gives them back:
+   nothing outside this module holds a page, so a cleared cache is the
+   pages' last reader.
+
    Way lookups return the tag's offset in its page, or -1, so the hit path
    allocates nothing, and [insert] finds the line, the first empty way and
    the LRU way in one pass over the set. *)
@@ -89,7 +93,7 @@ let own_page t line =
   let p = t.pages.(pi) in
   if p != t.empty then p
   else begin
-    let np = Array.make ((t.page_set_mask + 1) * 2 * t.ways) 0 in
+    let np = Simrt.Pagepool.take ~len:((t.page_set_mask + 1) * 2 * t.ways) ~fill:0 in
     for s = 0 to t.page_set_mask do
       Array.fill np (s * 2 * t.ways) t.ways (-1)
     done;
@@ -176,5 +180,5 @@ let iter t f =
     t.pages
 
 let clear t =
-  Array.fill t.pages 0 (Array.length t.pages) t.empty;
+  Simrt.Pagepool.give_table t.pages ~empty:t.empty;
   t.tick <- 0

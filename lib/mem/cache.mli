@@ -44,3 +44,4 @@ val iter : t -> (Addr.line -> unit) -> unit
 (** Every resident line, in (set, way) order. *)
 
 val clear : t -> unit
+(** Empty the cache and give its pages back to {!Simrt.Pagepool}. *)

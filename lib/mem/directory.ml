@@ -6,7 +6,8 @@
    (it is a table of pointers, so doubling it is cheap) should a line land
    beyond it. One flat line-indexed array grown by doubling would be simpler
    but holds up to twice the touched span resident; pages keep the footprint
-   at the pages actually touched.
+   at the pages actually touched. Owned pages come from {!Simrt.Pagepool}
+   and go back to it at [release].
 
    Nothing on the request path allocates: a request returns its coherence
    cost as an immediate int and leaves the cores it invalidated in
@@ -26,14 +27,13 @@ let sharers_at = 1
 let locker_at = 2
 
 (* A page of untouched entries: no owner, no sharers, unlocked. *)
-let fresh_page () =
-  let p = Array.make (3 * page_lines) (-1) in
+let untouched p =
   for l = 0 to page_lines - 1 do
     p.((3 * l) + sharers_at) <- 0
   done;
   p
 
-let empty_page = fresh_page ()
+let empty_page = untouched (Array.make (3 * page_lines) (-1))
 
 type t = {
   cores : int;
@@ -92,7 +92,7 @@ let own_page t line =
   let p = Array.unsafe_get t.pages pi in
   if p != empty_page then p
   else begin
-    let p = fresh_page () in
+    let p = untouched (Simrt.Pagepool.take ~len:(3 * page_lines) ~fill:(-1)) in
     t.pages.(pi) <- p;
     p
   end
@@ -190,3 +190,5 @@ let unlock_all t ~core =
   Simrt.Lineset.iter held (fun line ->
       if locked_by t line = core then (own_page t line).(slot line + locker_at) <- -1);
   Simrt.Lineset.clear held
+
+let release t = Simrt.Pagepool.give_table t.pages ~empty:empty_page

@@ -75,3 +75,8 @@ val locked_count : t -> core:int -> int
 
 val locked_lines : t -> core:int -> Addr.line list
 (** Sorted. *)
+
+val release : t -> unit
+(** End of life: give every owned page back to {!Simrt.Pagepool} and point
+    its slot at the shared untouched page, so a stale query reads an
+    untouched line, never a recycled page. *)

@@ -209,3 +209,9 @@ let flush_core t ~core =
   Cache.iter t.l2s.(core) (fun line -> Directory.drop_core t.directory ~core line);
   Cache.clear t.l1s.(core);
   Cache.clear t.l2s.(core)
+
+let release t =
+  Array.iter Cache.clear t.l1s;
+  Array.iter Cache.clear t.l2s;
+  Cache.clear t.l3;
+  Directory.release t.directory

@@ -60,3 +60,8 @@ val locked_lines : t -> core:int -> Addr.line list
 
 val flush_core : t -> core:int -> unit
 (** Drop all of [core]'s private-cache contents (used by tests). *)
+
+val release : t -> unit
+(** End of life: give every cache and directory page back to
+    {!Simrt.Pagepool} (the store is its owner's to release). Afterwards
+    every cache is empty and every line untouched. *)

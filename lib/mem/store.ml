@@ -9,7 +9,10 @@
    immutable [image] and marks every chunk shared, so both sides clone a
    chunk only when they next write it. Snapshots, replay stores and final
    images of the same run therefore share all untouched chunks physically,
-   which [image_diff] exploits to compare runs in O(touched). *)
+   which [image_diff] exploits to compare runs in O(touched).
+
+   Written chunks come from {!Simrt.Pagepool}; [release] gives back the
+   owned ones, the only ones no image can read. *)
 
 let chunk_shift = 12
 
@@ -45,18 +48,27 @@ let read t a =
     invalid_arg (Printf.sprintf "Store.read: address %d out of bounds" a);
   (Array.unsafe_get t.chunks (a lsr chunk_shift)).(a land chunk_mask)
 
+(* The first write to chunk [ci] since the store was created or last
+   snapshotted gives it a private copy. Kept out of [write], whose common
+   case is a chunk already owned. *)
+let[@inline never] own_chunk t ci =
+  let c = t.chunks.(ci) in
+  let n = Simrt.Pagepool.take ~len:chunk_words ~fill:0 in
+  (* A typed loop copies with plain stores; [Array.blit] into a major-heap
+     block goes through the write barrier per word. *)
+  if c != zero_chunk then
+    for i = 0 to chunk_words - 1 do
+      Array.unsafe_set n i (Array.unsafe_get c i)
+    done;
+  t.chunks.(ci) <- n;
+  Bytes.unsafe_set t.owned ci '\001'
+
 let write t a v =
   if a < 0 || a >= t.words then
     invalid_arg (Printf.sprintf "Store.write: address %d out of bounds" a);
   (match t.observer with None -> () | Some f -> f a v);
   let ci = a lsr chunk_shift in
-  if Bytes.unsafe_get t.owned ci = '\000' then begin
-    (* [Array.make] fills a major-heap block with plain stores; copying
-       the zero chunk would initialise it word by word. *)
-    let c = t.chunks.(ci) in
-    t.chunks.(ci) <- (if c == zero_chunk then Array.make chunk_words 0 else Array.copy c);
-    Bytes.unsafe_set t.owned ci '\001'
-  end;
+  if Bytes.unsafe_get t.owned ci = '\000' then own_chunk t ci;
   (Array.unsafe_get t.chunks ci).(a land chunk_mask) <- v
 
 let fill t a ~len v =
@@ -67,6 +79,16 @@ let fill t a ~len v =
 let snapshot t =
   Bytes.fill t.owned 0 (Bytes.length t.owned) '\000';
   { i_words = t.words; i_chunks = Array.copy t.chunks }
+
+(* Only owned chunks go back: every other chunk is the zero chunk or
+   shared with an image, which must keep reading it. *)
+let release t =
+  Array.iteri
+    (fun ci c ->
+      if Bytes.unsafe_get t.owned ci = '\001' then Simrt.Pagepool.give c;
+      t.chunks.(ci) <- zero_chunk)
+    t.chunks;
+  Bytes.fill t.owned 0 (Bytes.length t.owned) '\000'
 
 let of_snapshot img =
   {

@@ -32,6 +32,13 @@ val snapshot : t -> image
 (** Freeze the current contents (execution-oracle capture). The store stays
     usable; later writes clone the affected chunk, never the image. *)
 
+val release : t -> unit
+(** End of life: give every privately owned chunk back to
+    {!Simrt.Pagepool} and point every slot at the zero chunk, so a stale
+    read sees zeros, never a recycled chunk. Chunks shared with an
+    {!image} are never given back: images taken before [release] keep
+    reading what they froze. *)
+
 val of_snapshot : image -> t
 (** Fresh store initialised from an image (chunks shared until written). *)
 

@@ -48,6 +48,7 @@ let run_point ?(check = false) ?stream:_ (cfg : Config.t) (workload : Machine.Wo
     | Some oq -> oq
     | None -> assert false (* cfg.openloop is Some, so the engine built one *)
   in
+  Machine.Engine.release engine;
   {
     workload = workload.Machine.Workload.name;
     preset = Config.preset_letter cfg;

@@ -685,6 +685,68 @@ let test_alloc_closed_sim () =
   check_budget "closed-loop bitcoin" ~budget:16.8
     (words_per_event (Engine.create cfg (Workloads.Registry.find "bitcoin")))
 
+(* Major-heap budget: a finished engine's cache, directory, store and
+   conflict-map pages go back to the domain's page pool, and the next
+   engine takes them from there instead of allocating them in the major
+   heap. So the second of two back-to-back 16-core sims allocates little
+   directly in the major heap (major words not promoted from the minor
+   heap): only its store's chunk table. The budget is the words measured
+   when it was set (1 025) plus 25%; without the pool the second sim
+   allocates 114 378 words there. *)
+let direct_major_words f =
+  let _, promoted0, major0 = Gc.counters () in
+  f ();
+  let _, promoted1, major1 = Gc.counters () in
+  int_of_float (major1 -. major0 -. (promoted1 -. promoted0))
+
+let test_major_heap_budget () =
+  let cfg = Config.with_seed { Config.clear_rw with Config.cores = 16; ops_per_thread = 40 } 42 in
+  let sim () = ignore (Engine.run_workload cfg (Workloads.Registry.find "labyrinth") : Stats.t) in
+  sim ();
+  let words = direct_major_words sim in
+  let budget = 1_280 in
+  if words > budget then
+    Alcotest.failf "second labyrinth sim allocates %d words directly in the major heap, budget %d"
+      words budget
+
+(* Page pool reuse cannot be seen in the results: a sim run right after
+   another one on the same domain, whose pages it then reuses, reports
+   what it reports when it runs first. Each sequence runs on a fresh
+   domain, so its pool starts empty. The pairs differ in cache geometry
+   (so only directory, store and conflict-map pages carry over) or share
+   it (so cache pages full of the first sim's tags carry over too). *)
+let fingerprint stats =
+  ( (Stats.total_cycles stats, Stats.commits stats, Stats.aborts stats, Stats.instrs stats),
+    Stats.wasted_instrs stats,
+    List.map (Stats.commits_in_mode stats) Stats.all_commit_modes,
+    List.sort compare (Simrt.Counter.to_list (Stats.counters stats)) )
+
+let on_fresh_domain f = Domain.join (Domain.spawn f)
+
+let test_pool_reuse_invisible () =
+  let closed preset = Config.with_seed { preset with Config.cores = 16; ops_per_thread = 40 } 7 in
+  let pairs =
+    [
+      ( "tiny caches, then icelake",
+        ({ (closed Config.clear_rw) with Config.mem_params = Mem.Params.tiny }, "bitcoin"),
+        (closed Config.clear_rw, "bitcoin") );
+      ( "labyrinth/C, then hashmap/W-SLE",
+        (closed Config.clear_rw, "labyrinth"),
+        (sle (closed Config.clear_power), "hashmap") );
+    ]
+  in
+  List.iter
+    (fun (name, (cfg1, w1), (cfg2, w2)) ->
+      let run cfg w = fingerprint (Engine.run_workload cfg (Workloads.Registry.find w)) in
+      let first = on_fresh_domain (fun () -> run cfg2 w2) in
+      let second =
+        on_fresh_domain (fun () ->
+            ignore (run cfg1 w1);
+            run cfg2 w2)
+      in
+      Alcotest.(check bool) (name ^ ": stats equal the sim's run first") true (first = second))
+    pairs
+
 let () =
   Alcotest.run "engine"
     [
@@ -746,5 +808,7 @@ let () =
           case "open-loop point within budget" test_alloc_open_point;
           case "streamed-checked open-loop point within budget" test_alloc_streamed_point;
           case "closed-loop sim within budget" test_alloc_closed_sim;
+          case "second sim within major-heap budget" test_major_heap_budget;
         ] );
+      ("page pool", [ case "reuse leaves results unchanged" test_pool_reuse_invisible ]);
     ]

@@ -101,18 +101,37 @@ let test_conflict_map () =
 
 let test_conflict_map_excl_masks () =
   let m = Conflict_map.create ~lines:4 ~cores:8 () in
-  (* line 300 is far beyond the 4-line hint: growth must be transparent. *)
-  Conflict_map.add_reader m ~core:0 300;
-  Conflict_map.add_reader m ~core:5 300;
-  Conflict_map.add_writer m ~core:3 300;
+  (* line 5000 is beyond the first 4096-line granule the 4-line hint
+     rounds up to: growth must be transparent. *)
+  Conflict_map.add_reader m ~core:0 5000;
+  Conflict_map.add_reader m ~core:5 5000;
+  Conflict_map.add_writer m ~core:3 5000;
   Alcotest.(check int) "readers_excl drops own bit" 0b100000
-    (Conflict_map.readers_excl m ~core:0 300);
-  Alcotest.(check int) "writers_excl keeps others" 0b1000 (Conflict_map.writers_excl m ~core:0 300);
-  Alcotest.(check int) "writers_excl drops own bit" 0 (Conflict_map.writers_excl m ~core:3 300);
+    (Conflict_map.readers_excl m ~core:0 5000);
+  Alcotest.(check int) "writers_excl keeps others" 0b1000
+    (Conflict_map.writers_excl m ~core:0 5000);
+  Alcotest.(check int) "writers_excl drops own bit" 0 (Conflict_map.writers_excl m ~core:3 5000);
   Alcotest.(check int) "query beyond capacity is empty" 0 (Conflict_map.readers m 1_000_000);
   let seen = ref [] in
   Conflict_map.iter_cores 0b101001 (fun c -> seen := c :: !seen);
   Alcotest.(check (list int)) "iter_cores ascending" [ 0; 3; 5 ] (List.rev !seen)
+
+(* After [release] every line reads as held by no core, in the released map
+   and in the next one, which reuses its arrays; a released map that is
+   written again grows afresh. *)
+let test_conflict_map_release () =
+  let m = Conflict_map.create ~lines:64 ~cores:4 () in
+  Conflict_map.add_reader m ~core:1 7;
+  Conflict_map.add_writer m ~core:2 9;
+  Conflict_map.release m;
+  let n = Conflict_map.create ~lines:64 ~cores:4 () in
+  List.iter
+    (fun (name, map) ->
+      Alcotest.(check int) (name ^ ": no reader") 0 (Conflict_map.readers map 7);
+      Alcotest.(check int) (name ^ ": no writer") 0 (Conflict_map.writers map 9))
+    [ ("released", m); ("reused", n) ];
+  Conflict_map.add_writer m ~core:3 40;
+  Alcotest.(check int) "written after release" 0b1000 (Conflict_map.writers m 40)
 
 (* Property: the flat line-indexed array behaves exactly like a reference
    Hashtbl model under random add/remove/query scripts, including removals
@@ -339,6 +358,7 @@ let () =
         [
           Alcotest.test_case "basics" `Quick test_conflict_map;
           Alcotest.test_case "excl masks + growth" `Quick test_conflict_map_excl_masks;
+          Alcotest.test_case "release" `Quick test_conflict_map_release;
           QCheck_alcotest.to_alcotest prop_conflict_map_model;
         ] );
       ( "fallback_lock",

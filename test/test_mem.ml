@@ -46,6 +46,30 @@ let test_store_bounds () =
   Alcotest.check_raises "write negative"
     (Invalid_argument "Store.write: address -1 out of bounds") (fun () -> Store.write s (-1) 0)
 
+(* [release] gives back only owned chunks: a snapshot taken before it reads
+   what it froze even after the page pool has handed the store's chunks to
+   another store, which overwrote them. *)
+let test_store_release_keeps_snapshots () =
+  let words = 4 * 4096 in
+  let s = Store.create ~words in
+  for a = 0 to words - 1 do
+    Store.write s a (a + 1)
+  done;
+  let img = Store.snapshot s in
+  let frozen = Store.image_to_array img in
+  (* Copy-on-write: chunk 0 is owned again, the other three stay shared. *)
+  for a = 0 to 4095 do
+    Store.write s a (-a)
+  done;
+  Store.release s;
+  Alcotest.(check int) "a released store reads zeros" 0 (Store.read s 5);
+  let t = Store.create ~words in
+  for a = 0 to words - 1 do
+    Store.write t a 7
+  done;
+  Alcotest.(check bool) "snapshot reads what it froze" true (Store.image_to_array img = frozen);
+  Alcotest.(check int) "the recycled chunk reads its new store's words" 7 (Store.read t 5)
+
 (* ------------------------------------------------------------------ *)
 (* Cache *)
 
@@ -177,6 +201,18 @@ let resident iter c =
   iter c (fun l -> acc := l :: !acc);
   List.rev !acc
 
+(* [clear] gives the cache's pages back: the cleared cache reads empty, and
+   a cache built next reuses the page holding none of the old tags. *)
+let test_cache_clear_recycles () =
+  let a = Cache.create ~sets:4 ~ways:2 in
+  List.iter (fun l -> ignore (Cache.insert a l : Addr.line)) [ 1; 2; 5 ];
+  Cache.clear a;
+  let b = Cache.create ~sets:4 ~ways:2 in
+  ignore (Cache.insert b 3 : Addr.line);
+  Alcotest.(check (list int)) "cleared cache is empty" [] (resident Cache.iter a);
+  Alcotest.(check (list int)) "new cache holds only its line" [ 3 ] (resident Cache.iter b);
+  Alcotest.(check bool) "old line misses" false (Cache.touch b 5)
+
 (* Random op sequences over a handful of sets spread across the cache, each
    hit by up to twice its ways in distinct lines: hits, fills, LRU
    evictions and invalidations on sets in several pages. *)
@@ -284,6 +320,23 @@ let test_directory_line_range () =
   Alcotest.check_raises "negative line rejected"
     (Invalid_argument "Directory: line -1 outside the addressable range") (fun () ->
       ignore (Directory.lock d ~core:0 (-1)))
+
+(* After [release] every line reads untouched, in the released directory
+   and in the next one, which reuses its pages. *)
+let test_directory_release () =
+  let d = Directory.create ~cores:2 ~lines:16 in
+  ignore (Directory.write d ~core:1 5 : Directory.coherence);
+  ignore (Directory.lock d ~core:1 6 : int);
+  Directory.release d;
+  let e = Directory.create ~cores:2 ~lines:16 in
+  ignore (Directory.read e ~core:0 9 : Directory.coherence);
+  List.iter
+    (fun (name, dir) ->
+      Alcotest.(check int) (name ^ ": no owner") (-1) (Directory.owner dir 5);
+      Alcotest.(check int) (name ^ ": unlocked") (-1) (Directory.locked_by dir 6);
+      Alcotest.(check bool) (name ^ ": no sharer") false (Directory.is_sharer dir ~core:1 5))
+    [ ("released", d); ("reused", e) ];
+  Alcotest.(check bool) "new entry kept" true (Directory.is_sharer e ~core:0 9)
 
 let test_directory_unlock_wrong_core () =
   let d = Directory.create ~cores:2 ~lines:16 in
@@ -544,6 +597,7 @@ let () =
         [
           Alcotest.test_case "read/write/fill" `Quick test_store_rw;
           Alcotest.test_case "bounds" `Quick test_store_bounds;
+          Alcotest.test_case "release keeps snapshots" `Quick test_store_release_keeps_snapshots;
         ] );
       ( "cache",
         [
@@ -553,6 +607,7 @@ let () =
           Alcotest.test_case "would_fit" `Quick test_cache_would_fit;
           Alcotest.test_case "reinsert" `Quick test_cache_reinsert_no_evict;
           Alcotest.test_case "geometry validation" `Quick test_cache_geometry_validation;
+          Alcotest.test_case "clear recycles pages" `Quick test_cache_clear_recycles;
         ]
         @ qsuite [ prop_cache_within_ways_no_eviction; prop_cache_matches_flat ] );
       ( "params",
@@ -569,6 +624,7 @@ let () =
           Alcotest.test_case "unlock_all" `Quick test_directory_unlock_all;
           Alcotest.test_case "unlock wrong core" `Quick test_directory_unlock_wrong_core;
           Alcotest.test_case "line range" `Quick test_directory_line_range;
+          Alcotest.test_case "release" `Quick test_directory_release;
         ]
         @ qsuite [ prop_directory_matches_reference ] );
       ( "hierarchy",

@@ -557,6 +557,36 @@ let test_counter_reset () =
   Counter.reset set;
   Alcotest.(check int) "reset" 0 (Counter.get set "a")
 
+(* ------------------------------------------------------------------ *)
+(* Pagepool *)
+
+(* Each case runs on a fresh domain, whose pool starts empty. *)
+let on_fresh_domain f = Domain.join (Domain.spawn f)
+
+let test_pagepool_recycles () =
+  on_fresh_domain (fun () ->
+      let p = Simrt.Pagepool.take ~len:300 ~fill:5 in
+      Alcotest.(check bool) "fresh page filled" true (Array.for_all (( = ) 5) p);
+      p.(0) <- 9;
+      Simrt.Pagepool.give p;
+      let q = Simrt.Pagepool.take ~len:301 ~fill:0 in
+      Alcotest.(check bool) "another length gets another page" true (q != p);
+      let r = Simrt.Pagepool.take ~len:300 ~fill:(-1) in
+      Alcotest.(check bool) "same length gets the given page" true (r == p);
+      Alcotest.(check bool) "refilled" true (Array.for_all (( = ) (-1)) r);
+      let s = Simrt.Pagepool.take ~len:300 ~fill:0 in
+      Alcotest.(check bool) "taken once only" true (s != r))
+
+let test_pagepool_per_domain () =
+  let p =
+    on_fresh_domain (fun () ->
+        let p = Simrt.Pagepool.take ~len:300 ~fill:0 in
+        Simrt.Pagepool.give p;
+        p)
+  in
+  let q = on_fresh_domain (fun () -> Simrt.Pagepool.take ~len:300 ~fill:0) in
+  Alcotest.(check bool) "another domain's page is not handed out" true (p != q)
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -615,6 +645,11 @@ let () =
           Alcotest.test_case "min_max" `Quick test_min_max;
         ]
         @ qsuite [ prop_geomean_le_mean; prop_trimmed_mean_bracketed; prop_median_bracketed ] );
+      ( "pagepool",
+        [
+          Alcotest.test_case "recycles by length" `Quick test_pagepool_recycles;
+          Alcotest.test_case "one pool per domain" `Quick test_pagepool_per_domain;
+        ] );
       ( "counter",
         [
           Alcotest.test_case "basic" `Quick test_counter_basic;
