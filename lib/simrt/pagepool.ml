@@ -8,7 +8,7 @@ let take ~len ~fill =
   | Some (p :: rest) ->
       Hashtbl.replace pool len rest;
       (* A typed loop compiles to plain stores; [Array.fill] on a
-         major-heap block goes through the write barrier per word. *)
+         major-heap block runs the GC's barrier checks on every word. *)
       for i = 0 to len - 1 do
         Array.unsafe_set p i fill
       done;
