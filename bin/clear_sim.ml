@@ -2,7 +2,8 @@
 
    `clear_sim list`                         enumerate benchmarks
    `clear_sim run -w bst -c W ...`          run one benchmark/config
-   `clear_sim suite --jobs 8`               full 4-config sweep on 8 domains
+   `clear_sim suite fig8 headline`          paper artefacts from the 4-config sweep
+   `clear_sim suite --size smoke all`       every artefact from a seconds-sized sweep
    `clear_sim suite --sched numa2x`         same sweep under a schedule scenario
    `clear_sim sched [--json] [--check]`     scheduler-scenario sweep vs the symmetric baseline
    `clear_sim check -w bst -c W`            validate runs with the execution oracle
@@ -225,45 +226,136 @@ let sched_arg =
   in
   Arg.(value & opt sched_profile_conv Sched.Profile.symmetric & info [ "sched" ] ~doc)
 
+(* The artefacts `clear_sim suite` renders, by command-line name. *)
+let artefacts =
+  [
+    ("table1", `Table1);
+    ("table2", `Table2);
+    ("fig1", `Fig1);
+    ("fig8", `Fig8);
+    ("fig9", `Fig9);
+    ("fig10", `Fig10);
+    ("fig11", `Fig11);
+    ("fig12", `Fig12);
+    ("fig13", `Fig13);
+    ("headline", `Headline);
+    ("ablation", `Ablation);
+    ("sle", `Sle);
+    ("storage", `Storage);
+  ]
+
+let workload_conv =
+  let parse name =
+    match Workloads.Registry.find name with
+    | w -> Ok w
+    | exception Not_found ->
+        Error (`Msg (Printf.sprintf "unknown workload %s; try `clear_sim list`" name))
+  in
+  let print ppf (w : Machine.Workload.t) = Format.pp_print_string ppf w.name in
+  Arg.conv (parse, print)
+
 let suite_cmd =
-  let module Experiments = Clear_repro.Experiments in
+  let module E = Clear_repro.Experiments in
   let module Suite_cache = Clear_repro.Suite_cache in
-  let suite jobs paper workload check no_cache cache_clear sched =
+  let suite wanted size workloads csv jobs check no_cache cache_clear sched =
+    (* Create the --csv directory before anything runs, so a bad path fails fast. *)
+    Option.iter
+      (fun dir ->
+        try Unix.mkdir dir 0o755 with
+        | Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+        | Unix.Unix_error (e, _, _) ->
+            Printf.eprintf "clear_sim suite: --csv: cannot create directory %s: %s\n" dir
+              (Unix.error_message e);
+            exit 2)
+      csv;
     if cache_clear then begin
       let n = Suite_cache.clear () in
       Printf.eprintf "[suite] cleared %d cache shard(s) from %s\n%!" n Suite_cache.dir
     end;
-    let opts = if paper then Experiments.default_options else Experiments.quick_options in
-    let opts = { opts with Experiments.sched } in
+    let opts = { size with E.sched } in
     if not (Sched.Profile.is_symmetric sched) then
       Printf.eprintf "[suite] schedule scenario: %s (%s)\n%!" sched.Sched.Profile.name
         sched.Sched.Profile.description;
-    let workloads =
-      match workload with
-      | None -> Workloads.Registry.all
-      | Some name -> [ find_workload name ]
-    in
     let progress label = Printf.eprintf "[suite] %s\n%!" label in
-    (* A checked sweep must actually simulate — a cache hit would skip the
-       oracle entirely — so --check bypasses the cache in both directions. *)
-    let use_cache = (not no_cache) && not check in
-    let t0 = Unix.gettimeofday () in
-    let s =
-      Experiments.run_suite ~jobs ~check ~cache:use_cache ~workloads ~progress opts
+    (* The sweep runs at most once, and only for an artefact derived from it. *)
+    let sweep =
+      lazy
+        (progress
+           (Printf.sprintf
+              "running full suite (4 configs x %d benchmarks x retry sweep) on %d domain(s)%s..."
+              (List.length (Option.value workloads ~default:Workloads.Registry.all))
+              jobs
+              (if check then " with the execution oracle" else ""));
+         let t0 = Unix.gettimeofday () in
+         let s = E.run_suite ~jobs ~check ~cache:(not no_cache) ?workloads ~progress opts in
+         progress (Printf.sprintf "suite done in %.1f s" (Unix.gettimeofday () -. t0));
+         s)
     in
-    Printf.eprintf "[suite] done in %.1f s on %d domain(s)%s\n%!"
-      (Unix.gettimeofday () -. t0) jobs
-      (if check then " (all runs validated by the execution oracle)" else "");
-    Report.Table.print (Experiments.fig8 s);
-    print_newline ();
-    Report.Table.print (Experiments.headline s)
+    let s () = Lazy.force sweep in
+    let tables = function
+      | `Table1 -> [ ("table1", E.table1 ()) ]
+      | `Table2 -> [ ("table2", E.table2 opts) ]
+      | `Fig1 -> [ ("fig1", E.fig1 (s ())) ]
+      | `Fig8 -> [ ("fig8", E.fig8 (s ())); ("fig8_discovery", E.fig8_discovery (s ())) ]
+      | `Fig9 -> [ ("fig9", E.fig9 (s ())) ]
+      | `Fig10 -> [ ("fig10", E.fig10 (s ())) ]
+      | `Fig11 -> [ ("fig11", E.fig11 (s ())) ]
+      | `Fig12 -> [ ("fig12", E.fig12 (s ())) ]
+      | `Fig13 -> [ ("fig13", E.fig13 (s ())) ]
+      | `Headline -> [ ("headline", E.headline (s ())) ]
+      | `Ablation -> [ ("ablation", E.ablation ~jobs ~check opts) ]
+      | `Sle -> [ ("sle", E.sle ~jobs ~check opts) ]
+      | `Storage -> [ ("storage", E.storage ()) ]
+    in
+    let emit (name, t) =
+      Report.Table.print t;
+      Option.iter
+        (fun dir ->
+          let path = Filename.concat dir (name ^ ".csv") in
+          Report.Csv.save ~path t;
+          Printf.eprintf "[suite] wrote %s\n%!" path)
+        csv
+    in
+    (* "all" anywhere renders every artefact once, in the canonical order. *)
+    let wanted =
+      if List.mem None wanted then List.map snd artefacts else List.filter_map Fun.id wanted
+    in
+    try
+      List.iter
+        (fun a ->
+          List.iter emit (tables a);
+          print_newline ())
+        wanted
+    with Clear_repro.Run.Check_failed msg ->
+      Printf.eprintf "[suite] oracle violation:\n%s\n%!" msg;
+      exit 1
   in
-  let paper_arg =
-    Arg.(value & flag & info [ "paper" ] ~doc:"Paper-sized sweep (10 seeds, retries 1..10); slow.")
+  let artefact_arg =
+    let names = ("all", None) :: List.map (fun (n, a) -> (n, Some a)) artefacts in
+    Arg.(value & pos_all (enum names) [ Some `Fig8; Some `Headline ]
+         & info [] ~docv:"ARTEFACT"
+             ~doc:
+               (Printf.sprintf "Artefacts to render, in order: %s, or all. Default: fig8 headline."
+                  (String.concat ", " (List.map fst artefacts))))
   in
-  let workload_filter =
+  let size_arg =
+    let sizes =
+      [ ("smoke", E.smoke_options); ("quick", E.quick_options); ("paper", E.default_options) ]
+    in
+    Arg.(value & opt (enum sizes) E.quick_options
+         & info [ "size" ]
+             ~doc:"Sweep size: smoke (seconds), quick (minutes) or paper (10 seeds, retries \
+                   1..10; slow).")
+  in
+  let workloads_arg =
+    Arg.(value & opt (some (list workload_conv)) None
+         & info [ "w"; "workload" ] ~docv:"W1,W2"
+             ~doc:"Restrict the sweep to the named benchmarks; derived figures only contain \
+                   their rows.")
+  in
+  let csv_arg =
     Arg.(value & opt (some string) None
-         & info [ "w"; "workload" ] ~doc:"Restrict the sweep to one benchmark.")
+         & info [ "csv" ] ~docv:"DIR" ~doc:"Also write each table to $(docv)/NAME.csv.")
   in
   let check_arg =
     Arg.(value & flag
@@ -281,9 +373,11 @@ let suite_cmd =
   in
   Cmd.v
     (Cmd.info "suite"
-       ~doc:"Run the 4-configuration sweep on a pool of domains; print Figure 8 and the headline.")
-    Term.(const suite $ jobs_arg "suite" $ paper_arg $ workload_filter $ check_arg
-          $ no_cache_arg $ cache_clear_arg $ sched_arg)
+       ~doc:"Render the paper's tables and figures (and the ablation, SLE and storage tables) \
+             from one 4-configuration sweep on a pool of domains, memoised on disk per \
+             simulation.")
+    Term.(const suite $ artefact_arg $ size_arg $ workloads_arg $ csv_arg $ jobs_arg "suite"
+          $ check_arg $ no_cache_arg $ cache_clear_arg $ sched_arg)
 
 (* ------------------------------------------------------------------ *)
 (* sched: scenario sweep against the symmetric baseline                *)

@@ -22,11 +22,21 @@ let default_options =
 
 let quick_options =
   {
-    cores = 16;
-    ops_per_thread = 120;
+    cores = 32;
+    ops_per_thread = 150;
     seeds = [ 11; 23; 37 ];
     trim = 0;
-    retry_choices = [ 2; 5; 8 ];
+    retry_choices = [ 1; 2; 4; 8 ];
+    sched = Sched.Profile.symmetric;
+  }
+
+let smoke_options =
+  {
+    cores = 4;
+    ops_per_thread = 40;
+    seeds = [ 3; 5 ];
+    trim = 0;
+    retry_choices = [ 2; 5 ];
     sched = Sched.Profile.symmetric;
   }
 
@@ -62,9 +72,12 @@ let config_of_letter opts letter =
 
    With [~cache:true] each simulation is memoised on disk as one
    [Suite_cache] shard; hits are spliced back in task order, so a partially
-   cached sweep still aggregates identically to an uncached one. *)
+   cached sweep still aggregates identically to an uncached one. A checked
+   sweep bypasses the cache in both directions: a hit would skip the oracle,
+   and a checked result is no more reusable than an unchecked one. *)
 let run_suite ?(jobs = 1) ?(check = false) ?(cache = false)
     ?(workloads = Workloads.Registry.all) ?(progress = fun _ -> ()) opts =
+  let cache = cache && not check in
   let tasks =
     List.concat_map
       (fun (w : Machine.Workload.t) ->
@@ -429,4 +442,84 @@ let headline suite =
       "-30.6%";
       Printf.sprintf "%+.1f%%" (100.0 *. (norm_geo "W" (fun r -> r.Run.energy) -. 1.0));
     ];
+  t
+
+(* ------------------------------------------------------------------ *)
+(* Ablations (DESIGN.md section 5) *)
+
+let ablation ?(jobs = 1) ?(check = false) opts =
+  let base = config_of_letter opts "C" in
+  let variants =
+    [
+      ("CLEAR", base);
+      ("no failed-mode discovery", { base with Machine.Config.failed_mode_discovery = false });
+      ("no CRT read locking", { base with Machine.Config.use_crt = false });
+      ("no CRT decay", { base with Machine.Config.crt_decay = false });
+      ("baseline (no CLEAR)", { base with Machine.Config.clear_enabled = false });
+    ]
+  in
+  let t =
+    Table.create ~title:"Ablation: CLEAR design choices (cycles, conversions)"
+      ~columns:[ "Benchmark"; "Variant"; "Cycles"; "Aborts/commit"; "NS-CL+S-CL share"; "Fallback share" ]
+  in
+  List.iter
+    (fun (w : Machine.Workload.t) ->
+      List.iter
+        (fun (label, cfg) ->
+          let m = Run.measure ~jobs ~check cfg w ~seeds:opts.seeds ~trim:opts.trim in
+          let mode m' = List.assoc m' m.Run.commit_mode_fractions in
+          Table.add_row t
+            [
+              w.name;
+              label;
+              Printf.sprintf "%.0f" m.Run.cycles;
+              Table.f2 m.Run.aborts_per_commit;
+              Table.pct (mode Machine.Stats.Scl +. mode Machine.Stats.Nscl);
+              Table.pct (mode Machine.Stats.Fallback);
+            ])
+        variants;
+      Table.add_separator t)
+    [ Workloads.Mwobject.workload; Workloads.Bitcoin.workload; Workloads.Bst.workload ];
+  t
+
+(* Extension: HTM vs SLE front-ends (paper S4.1/S4.3 describe CLEAR for
+   both; the paper evaluates HTM only). *)
+let sle ?(jobs = 1) ?(check = false) opts =
+  let t =
+    Table.create
+      ~title:"Extension: speculation front-ends (cycles; SLE fallback takes the region's own lock)"
+      ~columns:[ "Benchmark"; "B/HTM"; "B/SLE"; "W/HTM"; "W/SLE" ]
+  in
+  List.iter
+    (fun name ->
+      let w = Workloads.Registry.find name in
+      let cell letter frontend =
+        let cfg = Machine.Config.with_frontend (config_of_letter opts letter) frontend in
+        let m = Run.measure ~jobs ~check cfg w ~seeds:opts.seeds ~trim:opts.trim in
+        Printf.sprintf "%.0f" m.Run.cycles
+      in
+      Table.add_row t
+        [
+          name;
+          cell "B" Machine.Config.Htm;
+          cell "B" Machine.Config.Sle;
+          cell "W" Machine.Config.Htm;
+          cell "W" Machine.Config.Sle;
+        ])
+    [ "hashmap"; "kmeans-h"; "vacation-h"; "ssca2"; "bitcoin"; "stack" ];
+  t
+
+let storage () =
+  let t =
+    Table.create ~title:"Storage overhead per core (paper S5: 988.5 bytes)"
+      ~columns:[ "Structure"; "Paper"; "Computed" ]
+  in
+  let b = Clear.Storage.paper in
+  let bytes v = Printf.sprintf "%.1f B" v in
+  Table.add_row t [ "indirection bits (180 pregs)"; "22.5 B"; bytes b.Clear.Storage.indirection_bytes ];
+  Table.add_row t [ "ERT (16 entries)"; "146 B"; bytes b.Clear.Storage.ert_bytes ];
+  Table.add_row t [ "ALT (32 entries)"; "276 B"; bytes b.Clear.Storage.alt_bytes ];
+  Table.add_row t [ "CRT (64 entries)"; "544 B"; bytes b.Clear.Storage.crt_bytes ];
+  Table.add_separator t;
+  Table.add_row t [ "total"; "988.5 B"; bytes b.Clear.Storage.total_bytes ];
   t

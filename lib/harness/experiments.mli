@@ -15,7 +15,7 @@ type options = {
       (** the paper sweeps 1..10 and keeps the best per application *)
   sched : Sched.Profile.t;
       (** schedule shape applied to every configuration of the sweep;
-          {!Sched.Profile.symmetric} (the default in both option presets)
+          {!Sched.Profile.symmetric} (the default in every option preset)
           reproduces the paper's machine. The profile is part of each
           simulation's {!Suite_cache} shard key, so sweeps under different
           profiles never share cached results. *)
@@ -26,7 +26,12 @@ val default_options : options
     Expensive. *)
 
 val quick_options : options
-(** CI-sized: fewer cores/ops/seeds, a short retry sweep. *)
+(** Minutes-sized: 32 cores, 150 ops, 3 seeds, retries 1/2/4/8. The size
+    EXPERIMENTS.md reports. *)
+
+val smoke_options : options
+(** Seconds-sized: 4 cores, 40 ops, 2 seeds, retries 2/5; still the full
+    4-config x 19-benchmark cross product. The gate's smoke suite. *)
 
 type suite = {
   options : options;
@@ -53,8 +58,8 @@ val run_suite :
     disk as one {!Suite_cache} shard keyed by (config, workload, seed) and
     the executable digest; only missing shards are simulated, and hits are
     spliced back in task order so partially cached sweeps aggregate
-    bit-identically. Callers that validate with the oracle should not also
-    pass [~cache:true] — a shard hit would skip validation. *)
+    bit-identically. [~check:true] ignores [~cache]: a shard hit would skip
+    validation. *)
 
 val preset : string -> Machine.Config.t
 (** The bare preset for a letter (B, P, C or W), before any sweep options
@@ -65,13 +70,24 @@ val config_of_letter : options -> string -> Machine.Config.t
 val letters : string list
 (** The four preset letters in presentation order: B, P, C, W. *)
 
-(** {1 Static artefacts} *)
+(** {1 Artefacts that need no suite} *)
 
 val table1 : unit -> Report.Table.t
 (** AR characterisation via the static mutability analysis. *)
 
 val table2 : options -> Report.Table.t
 (** System configuration. *)
+
+val storage : unit -> Report.Table.t
+(** Per-core storage of the CLEAR structures against the paper's §5 total. *)
+
+val ablation : ?jobs:int -> ?check:bool -> options -> Report.Table.t
+(** CLEAR/rw with one design choice switched off at a time, on mwobject,
+    bitcoin and bst. Runs its own simulations on [jobs] domains. *)
+
+val sle : ?jobs:int -> ?check:bool -> options -> Report.Table.t
+(** HTM against SLE front-ends under B and W on six benchmarks. Runs its own
+    simulations on [jobs] domains. *)
 
 (** {1 Figures derived from a suite} *)
 

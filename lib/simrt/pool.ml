@@ -1,24 +1,6 @@
-type job = unit -> unit
-
-type t = {
-  size : int;
-  mutex : Mutex.t;
-  work_available : Condition.t;
-  work_done : Condition.t;
-  queue : job Queue.t;
-  busy : bool Atomic.t; (* a [map] is in flight: single-submitter guard *)
-  mutable pending : int;
-  mutable stopping : bool;
-  mutable workers : unit Domain.t list;
-}
-
 let default_jobs () = max 1 (Domain.recommended_domain_count () - 1)
 
 let clamp_jobs ?(context = "pool") n =
-  if n < 1 then begin
-    Printf.eprintf "[%s] --jobs expects a positive integer, got %d\n%!" context n;
-    exit 2
-  end;
   let cap = Domain.recommended_domain_count () in
   if n > cap then begin
     Printf.eprintf
@@ -28,93 +10,26 @@ let clamp_jobs ?(context = "pool") n =
   end
   else n
 
-let rec worker_loop t =
-  Mutex.lock t.mutex;
-  while Queue.is_empty t.queue && not t.stopping do
-    Condition.wait t.work_available t.mutex
-  done;
-  if Queue.is_empty t.queue then Mutex.unlock t.mutex (* stopping *)
-  else begin
-    let job = Queue.pop t.queue in
-    Mutex.unlock t.mutex;
-    (* Jobs never raise: [map] wraps the user function so failures are
-       recorded and re-raised on the submitting domain. *)
-    job ();
-    Mutex.lock t.mutex;
-    t.pending <- t.pending - 1;
-    if t.pending = 0 then Condition.broadcast t.work_done;
-    Mutex.unlock t.mutex;
-    worker_loop t
-  end
-
-let create ~jobs =
-  let size = max 1 jobs in
-  let t =
-    {
-      size;
-      mutex = Mutex.create ();
-      work_available = Condition.create ();
-      work_done = Condition.create ();
-      queue = Queue.create ();
-      busy = Atomic.make false;
-      pending = 0;
-      stopping = false;
-      workers = [];
-    }
-  in
-  t.workers <- List.init size (fun _ -> Domain.spawn (fun () -> worker_loop t));
-  t
-
-let size t = t.size
-
-let shutdown t =
-  Mutex.lock t.mutex;
-  t.stopping <- true;
-  Condition.broadcast t.work_available;
-  Mutex.unlock t.mutex;
-  List.iter Domain.join t.workers;
-  t.workers <- []
-
-let map t f xs =
-  (* The completion protocol (a shared [pending] counter drained to zero)
-     cannot tell two submitters' batches apart, so interleaved [map] calls
-     would wait on each other's jobs. Enforce the documented single-submitter
-     contract instead of corrupting the wait. *)
-  if not (Atomic.compare_and_set t.busy false true) then
-    invalid_arg "Pool.map: concurrent submitters on a single-submitter pool";
-  Fun.protect ~finally:(fun () -> Atomic.set t.busy false) @@ fun () ->
-  let arr = Array.of_list xs in
-  let n = Array.length arr in
-  if n = 0 then []
-  else begin
-    let out = Array.make n None in
-    let error = Atomic.make None in
-    let job i () =
-      match f arr.(i) with
-      | v -> out.(i) <- Some v
-      | exception e ->
-          ignore (Atomic.compare_and_set error None (Some (e, Printexc.get_raw_backtrace ())))
-    in
-    Mutex.lock t.mutex;
-    t.pending <- t.pending + n;
-    for i = 0 to n - 1 do
-      Queue.push (job i) t.queue
-    done;
-    Condition.broadcast t.work_available;
-    while t.pending > 0 do
-      Condition.wait t.work_done t.mutex
-    done;
-    Mutex.unlock t.mutex;
-    (match Atomic.get error with
-    | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-    | None -> ());
-    Array.to_list
-      (Array.map (function Some v -> v | None -> invalid_arg "Pool.map: missing result") out)
-  end
-
 let parallel_map ~jobs f xs =
   if jobs <= 1 || List.compare_length_with xs 2 < 0 then List.map f xs
   else begin
-    let t = create ~jobs:(min jobs (List.length xs)) in
-    Fun.protect ~finally:(fun () -> shutdown t) (fun () -> map t f xs)
+    let arr = Array.of_list xs in
+    let n = Array.length arr in
+    let out = Array.make n None in
+    let next = Atomic.make 0 in
+    let error = Atomic.make None in
+    let rec work () =
+      let i = Atomic.fetch_and_add next 1 in
+      if i < n then begin
+        (match f arr.(i) with
+        | v -> out.(i) <- Some v
+        | exception e ->
+            let bt = Printexc.get_raw_backtrace () in
+            ignore (Atomic.compare_and_set error None (Some (e, bt))));
+        work ()
+      end
+    in
+    List.iter Domain.join (List.init (min jobs n) (fun _ -> Domain.spawn work));
+    Option.iter (fun (e, bt) -> Printexc.raise_with_backtrace e bt) (Atomic.get error);
+    List.map Option.get (Array.to_list out)
   end

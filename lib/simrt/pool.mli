@@ -1,45 +1,25 @@
-(** Fixed pool of OCaml 5 domains with a mutex/condition work queue.
+(** Parallel map over OCaml 5 domains.
 
-    The simulator itself is single-threaded and deterministic; the pool
+    The simulator itself is single-threaded and deterministic; [parallel_map]
     parallelises *independent* simulations (one per (config, workload, seed))
     across host cores. Each job builds its own state, so running the same
     task list at any job count yields bit-identical results in the same
     order. *)
-
-type t
-(** A pool of worker domains. One submitter at a time: [map] must not be
-    called concurrently from several domains on the same pool — a second
-    concurrent call raises [Invalid_argument] (the completion protocol
-    cannot tell two batches apart). *)
 
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count () - 1] (the submitting domain keeps a
     core), never below 1. *)
 
 val clamp_jobs : ?context:string -> int -> int
-(** Validate a user-supplied [--jobs] value: exits with status 2 (after an
-    error line tagged [context]) when it is not positive, clamps it to the
-    host's recommended domain count with a warning when it exceeds it (extra
-    domains only add scheduling overhead), and returns it unchanged
-    otherwise. Shared by the bench harness and the CLI so the two front ends
-    cannot drift. *)
-
-val create : jobs:int -> t
-(** Spawn [max 1 jobs] worker domains, idle until work arrives. *)
-
-val size : t -> int
-(** Number of worker domains. *)
-
-val map : t -> ('a -> 'b) -> 'a list -> 'b list
-(** [map t f xs] runs [f] on every element of [xs] on the pool's workers and
-    returns the results in input order. If any application raises, one such
-    exception is re-raised on the calling domain after all jobs finished. *)
-
-val shutdown : t -> unit
-(** Finish queued work, stop and join every worker. The pool must not be
-    used afterwards. *)
+(** Clamp a user-supplied positive [--jobs] value to the host's recommended
+    domain count, with a warning tagged [context] when it exceeds it (extra
+    domains only add scheduling overhead); otherwise return it unchanged. *)
 
 val parallel_map : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
-(** One-shot convenience: create a pool of [jobs] domains, [map], shut down.
+(** [parallel_map ~jobs f xs] applies [f] to every element of [xs] on
+    [min jobs (length xs)] freshly spawned domains, which pull indices from
+    one shared counter, and returns the results in input order. If any
+    application raises, the first recorded exception is re-raised with its
+    backtrace on the calling domain once every domain has been joined.
     [jobs <= 1] (or fewer than two elements) runs inline on the calling
     domain, spawning nothing. *)

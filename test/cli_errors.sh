@@ -2,9 +2,11 @@
 # Out-of-range numeric flags must be command-line errors: exit 124
 # (cmdliner's CLI-error code) with a message naming the flag, never an
 # uncaught exception (exit 125) or a silently accepted run (exit 0). The
-# boundary values themselves must still be accepted. An uncreatable
-# bench/main.exe --csv directory must exit 2 with a line naming the
-# directory (an uncaught exception also exits 2, so its text is rejected).
+# boundary values themselves must still be accepted. An unknown suite
+# artefact or size is a command-line error too; an uncreatable suite --csv
+# directory is an error naming it, reported before anything is simulated;
+# and bench/main.exe, which only runs the gate, points anything else at
+# `clear_sim suite`.
 #
 # Usage: sh test/cli_errors.sh path/to/clear_sim.exe path/to/bench/main.exe
 
@@ -70,13 +72,45 @@ elif ! printf '%s\n' "$err" | grep -q -- "$trace_out"; then
 fi
 
 csv_dir=/nonexistent/x
-err=$("$bench" --csv "$csv_dir" table1 2>&1 >/dev/null)
+err=$("$bin" suite --csv "$csv_dir" table1 2>&1 >/dev/null)
 code=$?
-if [ "$code" -ne 2 ] || printf '%s\n' "$err" | grep -q "exception"; then
-  echo "FAIL: bench/main.exe --csv $csv_dir table1: exit $code, expected 2 without an exception"
+if [ "$code" -eq 0 ] || [ "$code" -eq 125 ]; then
+  echo "FAIL: clear_sim suite --csv $csv_dir table1: exit $code"
   fail=1
 elif ! printf '%s\n' "$err" | grep -q -- "$csv_dir"; then
-  echo "FAIL: bench/main.exe --csv $csv_dir table1: error message does not name the directory"
+  echo "FAIL: clear_sim suite --csv $csv_dir table1: error message does not name the directory"
+  fail=1
+elif printf '%s\n' "$err" | grep -q "running full suite"; then
+  echo "FAIL: clear_sim suite --csv $csv_dir table1: simulated before failing"
+  fail=1
+fi
+
+# Artefacts that are not derived from the sweep never start it.
+err=$("$bin" suite --size smoke table1 table2 storage 2>&1 >/dev/null)
+code=$?
+if [ "$code" -ne 0 ] || printf '%s\n' "$err" | grep -q "running full suite"; then
+  echo "FAIL: clear_sim suite table1 table2 storage: exit $code or ran the sweep"
+  fail=1
+fi
+
+err=$("$bin" suite --size smoke nosuchfig 2>&1 >/dev/null)
+code=$?
+if [ "$code" -ne 124 ] || ! printf '%s\n' "$err" | grep -q nosuchfig; then
+  echo "FAIL: clear_sim suite nosuchfig: exit $code, expected 124 naming the artefact"
+  fail=1
+fi
+
+"$bin" suite --size huge table1 >/dev/null 2>&1
+code=$?
+if [ "$code" -ne 124 ]; then
+  echo "FAIL: clear_sim suite --size huge: exit $code, expected 124"
+  fail=1
+fi
+
+err=$("$bench" fig8 2>&1 >/dev/null)
+code=$?
+if [ "$code" -ne 2 ] || ! printf '%s\n' "$err" | grep -q "clear_sim suite"; then
+  echo "FAIL: bench/main.exe fig8: exit $code, expected 2 naming clear_sim suite"
   fail=1
 fi
 

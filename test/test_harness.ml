@@ -272,6 +272,20 @@ let test_suite_cached_identical () =
     (Table.to_string (Experiments.fig8 s3));
   ignore (Suite_cache.clear ())
 
+(* A checked sweep must run the oracle on every simulation, so it reads no
+   shard even when the caller asks for the cache. *)
+let test_checked_suite_skips_cache () =
+  ignore (Suite_cache.clear ());
+  ignore (Experiments.run_suite ~cache:true ~workloads:micro_workloads micro_options);
+  let messages = ref [] in
+  let progress m = messages := m :: !messages in
+  ignore
+    (Experiments.run_suite ~check:true ~cache:true ~workloads:micro_workloads ~progress
+       micro_options);
+  Alcotest.(check bool) "checked sweep read no shard" false
+    (List.exists (fun m -> contains m "shard(s) hit") !messages);
+  ignore (Suite_cache.clear ())
+
 let () =
   Alcotest.run "harness"
     [
@@ -305,5 +319,7 @@ let () =
           Alcotest.test_case "prune legacy + clear scope" `Quick
             test_prune_legacy_and_clear_scope;
           Alcotest.test_case "cached suite identical" `Slow test_suite_cached_identical;
+          Alcotest.test_case "checked suite never reads the cache" `Slow
+            test_checked_suite_skips_cache;
         ] );
     ]

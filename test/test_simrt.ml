@@ -442,44 +442,6 @@ let prop_pool_hammer =
       | results -> (not expect_raise) && results = List.init n (fun i -> (i * 2) + 1)
       | exception Failure msg -> expect_raise && msg = "hammer")
 
-(* The completion protocol is single-submitter by contract; a second
-   concurrent [map] must be rejected, not silently interleaved. *)
-let test_pool_single_submitter_guard () =
-  let p = Pool.create ~jobs:2 in
-  Fun.protect ~finally:(fun () -> Pool.shutdown p) @@ fun () ->
-  let started = Atomic.make false and release = Atomic.make false in
-  let submitter =
-    Domain.spawn (fun () ->
-        Pool.map p
-          (fun () ->
-            Atomic.set started true;
-            while not (Atomic.get release) do
-              Domain.cpu_relax ()
-            done)
-          [ () ])
-  in
-  while not (Atomic.get started) do
-    Domain.cpu_relax ()
-  done;
-  let rejected =
-    match Pool.map p (fun x -> x) [ 1 ] with
-    | _ -> false
-    | exception Invalid_argument _ -> true
-  in
-  Atomic.set release true;
-  ignore (Domain.join submitter : unit list);
-  Alcotest.(check bool) "second submitter rejected" true rejected
-
-let test_pool_reusable () =
-  let p = Pool.create ~jobs:3 in
-  Fun.protect
-    ~finally:(fun () -> Pool.shutdown p)
-    (fun () ->
-      Alcotest.(check int) "size" 3 (Pool.size p);
-      Alcotest.(check (list int)) "first batch" [ 1; 2; 3 ] (Pool.map p (fun x -> x + 1) [ 0; 1; 2 ]);
-      Alcotest.(check (list string)) "second batch, other type" [ "a!"; "b!" ]
-        (Pool.map p (fun s -> s ^ "!") [ "a"; "b" ]))
-
 (* ------------------------------------------------------------------ *)
 (* Lineset *)
 
@@ -625,8 +587,6 @@ let () =
           Alcotest.test_case "empty and singleton" `Quick test_pool_empty_and_singleton;
           Alcotest.test_case "more jobs than work" `Quick test_pool_more_jobs_than_work;
           Alcotest.test_case "exception propagation" `Quick test_pool_exception_propagates;
-          Alcotest.test_case "pool reuse across batches" `Quick test_pool_reusable;
-          Alcotest.test_case "single-submitter guard" `Quick test_pool_single_submitter_guard;
         ]
         @ qsuite [ prop_pool_hammer ] );
       ( "lineset",
