@@ -22,9 +22,19 @@ let letter_conv =
   in
   Arg.conv (parse, Format.pp_print_string)
 
+let workload_conv =
+  let parse name =
+    match Workloads.Registry.find name with
+    | w -> Ok w
+    | exception Not_found ->
+        Error (`Msg (Printf.sprintf "unknown workload %s; try `clear_sim list`" name))
+  in
+  let print ppf (w : Machine.Workload.t) = Format.pp_print_string ppf w.name in
+  Arg.conv (parse, print)
+
 let workload_arg =
   let doc = "Benchmark name (see `clear_sim list`)." in
-  Arg.(value & opt string "arrayswap" & info [ "w"; "workload" ] ~doc)
+  Arg.(value & opt workload_conv Workloads.Arrayswap.workload & info [ "w"; "workload" ] ~doc)
 
 let preset_arg =
   let doc = "Configuration: B (requester-wins), P (PowerTM), C (CLEAR/rw), W (CLEAR/PowerTM)." in
@@ -90,13 +100,6 @@ let frontend_arg =
   Arg.(value & opt frontend_conv Machine.Config.Htm
        & info [ "frontend" ] ~doc:"Speculation front-end: htm (transactions) or sle (lock elision).")
 
-let find_workload name =
-  match Workloads.Registry.find name with
-  | w -> w
-  | exception Not_found ->
-      Printf.eprintf "unknown workload %s; try `clear_sim list`\n" name;
-      exit 2
-
 let config_of ?(frontend = Machine.Config.Htm) letter ~cores ~ops ~seed ~retries =
   {
     (Clear_repro.Experiments.preset letter) with
@@ -108,8 +111,7 @@ let config_of ?(frontend = Machine.Config.Htm) letter ~cores ~ops ~seed ~retries
   }
 
 let run_cmd =
-  let run workload letter cores ops seed retries frontend trace_n trace_out =
-    let w = find_workload workload in
+  let run (w : Machine.Workload.t) letter cores ops seed retries frontend trace_n trace_out =
     let cfg = config_of ~frontend letter ~cores ~ops ~seed ~retries in
     let trace =
       if trace_out <> None then
@@ -244,16 +246,6 @@ let artefacts =
     ("storage", `Storage);
   ]
 
-let workload_conv =
-  let parse name =
-    match Workloads.Registry.find name with
-    | w -> Ok w
-    | exception Not_found ->
-        Error (`Msg (Printf.sprintf "unknown workload %s; try `clear_sim list`" name))
-  in
-  let print ppf (w : Machine.Workload.t) = Format.pp_print_string ppf w.name in
-  Arg.conv (parse, print)
-
 let suite_cmd =
   let module E = Clear_repro.Experiments in
   let module Suite_cache = Clear_repro.Suite_cache in
@@ -273,6 +265,7 @@ let suite_cmd =
       Printf.eprintf "[suite] cleared %d cache shard(s) from %s\n%!" n Suite_cache.dir
     end;
     let opts = { size with E.sched } in
+    let cache = not no_cache in
     if not (Sched.Profile.is_symmetric sched) then
       Printf.eprintf "[suite] schedule scenario: %s (%s)\n%!" sched.Sched.Profile.name
         sched.Sched.Profile.description;
@@ -287,7 +280,7 @@ let suite_cmd =
               jobs
               (if check then " with the execution oracle" else ""));
          let t0 = Unix.gettimeofday () in
-         let s = E.run_suite ~jobs ~check ~cache:(not no_cache) ?workloads ~progress opts in
+         let s = E.run_suite ~jobs ~check ~cache ?workloads ~progress opts in
          progress (Printf.sprintf "suite done in %.1f s" (Unix.gettimeofday () -. t0));
          s)
     in
@@ -303,8 +296,8 @@ let suite_cmd =
       | `Fig12 -> [ ("fig12", E.fig12 (s ())) ]
       | `Fig13 -> [ ("fig13", E.fig13 (s ())) ]
       | `Headline -> [ ("headline", E.headline (s ())) ]
-      | `Ablation -> [ ("ablation", E.ablation ~jobs ~check opts) ]
-      | `Sle -> [ ("sle", E.sle ~jobs ~check opts) ]
+      | `Ablation -> [ ("ablation", E.ablation ~jobs ~check ~cache ~progress opts) ]
+      | `Sle -> [ ("sle", E.sle ~jobs ~check ~cache ~progress opts) ]
       | `Storage -> [ ("storage", E.storage ()) ]
     in
     let emit (name, t) =
@@ -390,9 +383,6 @@ let sched_cmd =
     let r =
       match Sweep.run ~jobs ~check { Sweep.workload; cores; ops; retries } with
       | r -> r
-      | exception Not_found ->
-          Printf.eprintf "unknown workload %s; try `clear_sim list`\n" workload;
-          exit 2
       | exception Clear_repro.Run.Check_failed msg ->
           Printf.eprintf "[sched] oracle violation:\n%s\n%!" msg;
           exit 1
@@ -423,7 +413,7 @@ let sched_cmd =
   in
   let sched_workload_arg =
     let doc = "Benchmark driving the scenario sweep (see `clear_sim list`)." in
-    Arg.(value & opt string d.Sweep.workload & info [ "w"; "workload" ] ~doc)
+    Arg.(value & opt workload_conv d.Sweep.workload & info [ "w"; "workload" ] ~doc)
   in
   let sched_cores_arg =
     Arg.(value & opt cores_conv d.Sweep.cores & info [ "cores" ] ~doc:"Simulated cores.")
@@ -445,7 +435,7 @@ let sched_cmd =
 
 let check_cmd =
   let check workload all letter cores ops seed retries frontend fault_blind_line =
-    let ws = if all then Workloads.Registry.all else [ find_workload workload ] in
+    let ws = if all then Workloads.Registry.all else [ workload ] in
     let cfg = config_of ~frontend letter ~cores ~ops ~seed ~retries in
     let cfg = { cfg with Machine.Config.fault_blind_line } in
     let failures = ref 0 in
@@ -655,11 +645,7 @@ let analyze_cmd =
       ]
   in
   let analyze workload json conflicts =
-    let ws =
-      match workload with
-      | None -> Workloads.Registry.all
-      | Some name -> [ find_workload name ]
-    in
+    let ws = match workload with None -> Workloads.Registry.all | Some w -> [ w ] in
     if conflicts then analyze_conflicts ws json
     else begin
     let mismatches = ref 0 in
@@ -738,7 +724,7 @@ let analyze_cmd =
     end
   in
   let workload_filter =
-    Arg.(value & opt (some string) None
+    Arg.(value & opt (some workload_conv) None
          & info [ "w"; "workload" ] ~doc:"Restrict the analysis to one benchmark.")
   in
   let json_arg = Arg.(value & flag & info [ "json" ] ~doc:"Machine-readable JSON output.") in
@@ -800,15 +786,12 @@ let lint_cmd =
 let openloop_cmd =
   let module Sweep = Openloop.Sweep in
   let d = Sweep.default_options in
-  let run json jobs workload keys theta loads requests process_name heat cap configs retries
-      cores seed check =
+  let run json jobs (w : Machine.Workload.t) keys theta loads requests process heat cap configs
+      retries cores seed check =
     let process =
-      match String.lowercase_ascii process_name with
-      | "poisson" -> Machine.Config.Open_poisson
-      | "burst" -> Machine.Config.Open_burst { heat }
-      | other ->
-          Printf.eprintf "unknown arrival process %s (expected poisson or burst)\n" other;
-          exit 2
+      match process with
+      | `Poisson -> Machine.Config.Open_poisson
+      | `Burst -> Machine.Config.Open_burst { heat }
     in
     let configs =
       (* ops_per_thread is dead in open mode (the queue, not an op count,
@@ -821,7 +804,7 @@ let openloop_cmd =
     in
     let o =
       {
-        Sweep.workload;
+        Sweep.workload = w.name;
         keys;
         theta;
         loads;
@@ -834,13 +817,7 @@ let openloop_cmd =
         check;
       }
     in
-    let results =
-      match Sweep.run o with
-      | results -> results
-      | exception Not_found ->
-          Printf.eprintf "unknown workload %s; try `clear_sim list`\n" workload;
-          exit 2
-    in
+    let results = Sweep.run o in
     if json then print_endline (Report.Json.to_string_pretty (Sweep.to_json o results))
     else Report.Table.print (Sweep.table results);
     if List.exists (fun (r : Openloop.Driver.t) -> r.Openloop.Driver.checked && not r.oracle_ok) results
@@ -870,7 +847,7 @@ let openloop_cmd =
          & info [ "requests" ] ~doc:"Requests generated per load point.")
   in
   let process_arg =
-    Arg.(value & opt string "poisson"
+    Arg.(value & opt (enum [ ("poisson", `Poisson); ("burst", `Burst) ]) `Poisson
          & info [ "process" ] ~doc:"Arrival process: poisson or burst.")
   in
   let heat_arg =

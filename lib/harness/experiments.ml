@@ -63,92 +63,21 @@ let config_of_letter opts letter =
   | Some cfg -> cfg
   | None -> invalid_arg ("config_of_letter: unknown preset " ^ letter)
 
-(* The whole suite is flattened into one task list whose unit of work is a
-   single (config, workload, seed) simulation, submitted to a domain pool.
-   [Simrt.Pool.parallel_map] preserves input order and every simulation is
-   self-contained (own store/hierarchy/stats, explicit seeding), so the
-   aggregation below walks the same nested cross-product in the same order
-   regardless of [jobs] — results are bit-identical to the sequential run.
-
-   With [~cache:true] each simulation is memoised on disk as one
-   [Suite_cache] shard; hits are spliced back in task order, so a partially
-   cached sweep still aggregates identically to an uncached one. A checked
-   sweep bypasses the cache in both directions: a hit would skip the oracle,
-   and a checked result is no more reusable than an unchecked one. *)
-let run_suite ?(jobs = 1) ?(check = false) ?(cache = false)
-    ?(workloads = Workloads.Registry.all) ?(progress = fun _ -> ()) opts =
-  let cache = cache && not check in
-  let tasks =
-    List.concat_map
-      (fun (w : Machine.Workload.t) ->
-        List.concat_map
-          (fun (_letter, cfg) ->
-            List.concat_map
-              (fun n -> Run.sims (Machine.Config.with_retries cfg n) w ~seeds:opts.seeds)
-              opts.retry_choices)
-          (presets opts))
-      workloads
+(* The whole suite is one [Run.best_of_retries] batch over workload x preset
+   pairs, so its task order is workload -> preset -> retry -> seed. *)
+let run_suite ?jobs ?check ?cache ?(workloads = Workloads.Registry.all) ?progress opts =
+  let measured =
+    Run.best_of_retries ?jobs ?check ?cache ?progress ~retry_choices:opts.retry_choices
+      ~seeds:opts.seeds ~trim:opts.trim
+      (List.concat_map (fun w -> List.map (fun (_, cfg) -> (cfg, w)) (presets opts)) workloads)
   in
-  let run_all tasks = Simrt.Pool.parallel_map ~jobs (Run.runner ~check) tasks in
-  let results =
-    if not cache then Array.of_list (run_all tasks)
-    else begin
-      Suite_cache.prune_stale ();
-      let load (s : Run.sim) =
-        Suite_cache.load_shard s.Run.cfg ~workload:s.Run.workload.Machine.Workload.name
-          ~seed:s.Run.seed
-      in
-      let tagged = List.map (fun t -> (t, load t)) tasks in
-      let misses = List.filter_map (fun (t, c) -> if Option.is_none c then Some t else None) tagged in
-      let hits = List.length tasks - List.length misses in
-      if hits > 0 then
-        progress (Printf.sprintf "cache: %d/%d shard(s) hit" hits (List.length tasks));
-      let fresh = run_all misses in
-      List.iter2
-        (fun (s : Run.sim) stats ->
-          Suite_cache.save_shard s.Run.cfg ~workload:s.Run.workload.Machine.Workload.name
-            ~seed:s.Run.seed stats)
-        misses fresh;
-      let remaining = ref fresh in
-      Array.of_list
-        (List.map
-           (fun (_, c) ->
-             match (c, !remaining) with
-             | Some s, _ -> s
-             | None, s :: tl ->
-                 remaining := tl;
-                 s
-             | None, [] -> assert false)
-           tagged)
-    end
+  let row (w : Machine.Workload.t) =
+    ( w.name,
+      List.filter_map
+        (fun (m : Run.t) -> if m.workload = w.name then Some (m.preset, m) else None)
+        measured )
   in
-  let per_seed = List.length opts.seeds in
-  let next = ref 0 in
-  let take () =
-    let runs = List.init per_seed (fun j -> results.(!next + j)) in
-    next := !next + per_seed;
-    runs
-  in
-  let rows =
-    List.map
-      (fun (w : Machine.Workload.t) ->
-        let per_preset =
-          List.map
-            (fun (letter, cfg) ->
-              progress (Printf.sprintf "%s/%s" w.name letter);
-              let candidates =
-                List.map
-                  (fun n ->
-                    Run.of_stats (Machine.Config.with_retries cfg n) w ~trim:opts.trim (take ()))
-                  opts.retry_choices
-              in
-              (letter, Run.best candidates))
-            (presets opts)
-        in
-        (w.name, per_preset))
-      workloads
-  in
-  { options = opts; rows }
+  { options = opts; rows = List.map row workloads }
 
 let get suite workload letter =
   match List.assoc_opt workload suite.rows with
@@ -447,7 +376,7 @@ let headline suite =
 (* ------------------------------------------------------------------ *)
 (* Ablations (DESIGN.md section 5) *)
 
-let ablation ?(jobs = 1) ?(check = false) opts =
+let ablation ?jobs ?check ?cache ?progress opts =
   let base = config_of_letter opts "C" in
   let variants =
     [
@@ -458,33 +387,58 @@ let ablation ?(jobs = 1) ?(check = false) opts =
       ("baseline (no CLEAR)", { base with Machine.Config.clear_enabled = false });
     ]
   in
+  let workloads =
+    [ Workloads.Mwobject.workload; Workloads.Bitcoin.workload; Workloads.Bst.workload ]
+  in
+  let cells =
+    List.concat_map (fun w -> List.map (fun (label, cfg) -> (label, (cfg, w))) variants) workloads
+  in
+  let measured =
+    Run.best_of_retries ?jobs ?check ?cache ?progress ~seeds:opts.seeds ~trim:opts.trim
+      (List.map snd cells)
+  in
   let t =
     Table.create ~title:"Ablation: CLEAR design choices (cycles, conversions)"
       ~columns:[ "Benchmark"; "Variant"; "Cycles"; "Aborts/commit"; "NS-CL+S-CL share"; "Fallback share" ]
   in
   List.iter
     (fun (w : Machine.Workload.t) ->
-      List.iter
-        (fun (label, cfg) ->
-          let m = Run.measure ~jobs ~check cfg w ~seeds:opts.seeds ~trim:opts.trim in
-          let mode m' = List.assoc m' m.Run.commit_mode_fractions in
-          Table.add_row t
-            [
-              w.name;
-              label;
-              Printf.sprintf "%.0f" m.Run.cycles;
-              Table.f2 m.Run.aborts_per_commit;
-              Table.pct (mode Machine.Stats.Scl +. mode Machine.Stats.Nscl);
-              Table.pct (mode Machine.Stats.Fallback);
-            ])
-        variants;
+      List.iter2
+        (fun (label, _) (m : Run.t) ->
+          let mode m' = List.assoc m' m.commit_mode_fractions in
+          if m.workload = w.name then
+            Table.add_row t
+              [
+                w.name;
+                label;
+                Printf.sprintf "%.0f" m.cycles;
+                Table.f2 m.aborts_per_commit;
+                Table.pct (mode Machine.Stats.Scl +. mode Machine.Stats.Nscl);
+                Table.pct (mode Machine.Stats.Fallback);
+              ])
+        cells measured;
       Table.add_separator t)
-    [ Workloads.Mwobject.workload; Workloads.Bitcoin.workload; Workloads.Bst.workload ];
+    workloads;
   t
 
 (* Extension: HTM vs SLE front-ends (paper S4.1/S4.3 describe CLEAR for
    both; the paper evaluates HTM only). *)
-let sle ?(jobs = 1) ?(check = false) opts =
+let sle ?jobs ?check ?cache ?progress opts =
+  let names = [ "hashmap"; "kmeans-h"; "vacation-h"; "ssca2"; "bitcoin"; "stack" ] in
+  let cell letter frontend = Machine.Config.with_frontend (config_of_letter opts letter) frontend in
+  let measured =
+    Run.best_of_retries ?jobs ?check ?cache ?progress ~seeds:opts.seeds ~trim:opts.trim
+      (List.concat_map
+         (fun name ->
+           let w = Workloads.Registry.find name in
+           [
+             (cell "B" Machine.Config.Htm, w);
+             (cell "B" Machine.Config.Sle, w);
+             (cell "W" Machine.Config.Htm, w);
+             (cell "W" Machine.Config.Sle, w);
+           ])
+         names)
+  in
   let t =
     Table.create
       ~title:"Extension: speculation front-ends (cycles; SLE fallback takes the region's own lock)"
@@ -492,21 +446,13 @@ let sle ?(jobs = 1) ?(check = false) opts =
   in
   List.iter
     (fun name ->
-      let w = Workloads.Registry.find name in
-      let cell letter frontend =
-        let cfg = Machine.Config.with_frontend (config_of_letter opts letter) frontend in
-        let m = Run.measure ~jobs ~check cfg w ~seeds:opts.seeds ~trim:opts.trim in
-        Printf.sprintf "%.0f" m.Run.cycles
-      in
       Table.add_row t
-        [
-          name;
-          cell "B" Machine.Config.Htm;
-          cell "B" Machine.Config.Sle;
-          cell "W" Machine.Config.Htm;
-          cell "W" Machine.Config.Sle;
-        ])
-    [ "hashmap"; "kmeans-h"; "vacation-h"; "ssca2"; "bitcoin"; "stack" ];
+        (name
+        :: List.filter_map
+             (fun (m : Run.t) ->
+               if m.workload = name then Some (Printf.sprintf "%.0f" m.cycles) else None)
+             measured))
+    names;
   t
 
 let storage () =

@@ -47,19 +47,14 @@ val run_suite :
   ?progress:(string -> unit) ->
   options ->
   suite
-(** Run the whole sweep, flattened into one (config, workload, seed) task
-    list executed on [jobs] worker domains (default 1 = sequential). Any job
-    count yields bit-identical results: every simulation is self-contained
-    and explicitly seeded, and aggregation order does not depend on [jobs].
-    With [~check:true] every simulation in the sweep is validated by the
-    execution oracle inside the worker; the first violation raises
-    {!Run.Check_failed}. The oracles run online ({!Check.Stream}) with
-    bounded checker memory. With [~cache:true] each simulation is memoised on
-    disk as one {!Suite_cache} shard keyed by (config, workload, seed) and
-    the executable digest; only missing shards are simulated, and hits are
-    spliced back in task order so partially cached sweeps aggregate
-    bit-identically. [~check:true] ignores [~cache]: a shard hit would skip
-    validation. *)
+(** Run the whole sweep as one {!Run.best_of_retries} call over every
+    (workload, preset) pair, so its task order is workload, preset, retry,
+    seed, and its optional arguments are {!Run.batch}'s: any job count
+    yields bit-identical results, [~check:true] validates every simulation
+    with the execution oracle (online, {!Check.Stream}) and raises
+    {!Run.Check_failed} on the first violation, and [~cache:true] memoises
+    each simulation as one {!Suite_cache} shard. [~check:true] ignores
+    [~cache]. *)
 
 val preset : string -> Machine.Config.t
 (** The bare preset for a letter (B, P, C or W), before any sweep options
@@ -81,13 +76,17 @@ val table2 : options -> Report.Table.t
 val storage : unit -> Report.Table.t
 (** Per-core storage of the CLEAR structures against the paper's §5 total. *)
 
-val ablation : ?jobs:int -> ?check:bool -> options -> Report.Table.t
+val ablation :
+  ?jobs:int -> ?check:bool -> ?cache:bool -> ?progress:(string -> unit) -> options -> Report.Table.t
 (** CLEAR/rw with one design choice switched off at a time, on mwobject,
-    bitcoin and bst. Runs its own simulations on [jobs] domains. *)
+    bitcoin and bst, at the preset's own retry limit: one {!Run.batch} of
+    its 15 cells, whose optional arguments these are. *)
 
-val sle : ?jobs:int -> ?check:bool -> options -> Report.Table.t
-(** HTM against SLE front-ends under B and W on six benchmarks. Runs its own
-    simulations on [jobs] domains. *)
+val sle :
+  ?jobs:int -> ?check:bool -> ?cache:bool -> ?progress:(string -> unit) -> options -> Report.Table.t
+(** HTM against SLE front-ends under B and W on six benchmarks, each at its
+    preset's own retry limit: one {!Run.batch} of its 24 cells, whose
+    optional arguments these are. *)
 
 (** {1 Figures derived from a suite} *)
 

@@ -53,9 +53,8 @@ let run_sim_checked { cfg; workload; seed } =
   Machine.Engine.release engine;
   (stats, verdict)
 
-(* Pool-friendly variant: same signature as [run_sim], turns a failed verdict
-   into an exception (which [Simrt.Pool.parallel_map] propagates to the
-   submitting domain). *)
+(* Turns a failed verdict into an exception, which the pool re-raises on
+   the submitting domain. *)
 let run_sim_enforce sim =
   let stats, verdict = run_sim_checked sim in
   if Check.Verdict.ok verdict then stats
@@ -66,7 +65,43 @@ let run_sim_enforce sim =
             (Machine.Config.preset_letter sim.cfg) sim.seed
             (Check.Verdict.to_string verdict)))
 
-let runner ~check = if check then run_sim_enforce else run_sim
+(* The harness's only call to the pool. With [cache] each simulation is one
+   [Suite_cache] shard; hits are spliced back in task order, so a partially
+   cached batch returns exactly what an uncached one does. A checked batch
+   bypasses the cache in both directions: a hit would skip the oracle, and a
+   checked result is no more reusable than an unchecked one. *)
+let batch ?(jobs = 1) ?(check = false) ?(cache = false) ?(progress = ignore) sims =
+  let cache = cache && not check in
+  if cache then Suite_cache.prune_stale ();
+  let cached =
+    List.map
+      (fun s ->
+        if cache then
+          Suite_cache.load_shard s.cfg ~workload:s.workload.Machine.Workload.name ~seed:s.seed
+        else None)
+      sims
+  in
+  let misses =
+    List.filter_map
+      (fun (s, c) -> if Option.is_none c then Some s else None)
+      (List.combine sims cached)
+  in
+  let hits = List.length sims - List.length misses in
+  if hits > 0 then
+    progress (Printf.sprintf "cache: %d/%d shard(s) hit" hits (List.length sims));
+  let fresh = Simrt.Pool.parallel_map ~jobs (if check then run_sim_enforce else run_sim) misses in
+  if cache then
+    List.iter2
+      (fun s stats ->
+        Suite_cache.save_shard s.cfg ~workload:s.workload.Machine.Workload.name ~seed:s.seed stats)
+      misses fresh;
+  let rec splice cached fresh =
+    match (cached, fresh) with
+    | [], _ -> []
+    | Some s :: cached, fresh | None :: cached, s :: fresh -> s :: splice cached fresh
+    | None :: _, [] -> assert false
+  in
+  splice cached fresh
 
 let tmean ~trim xs = Summary.trimmed_mean ~trim xs
 
@@ -133,27 +168,35 @@ let best = function
   | [] -> invalid_arg "Run.best: empty candidate list"
   | hd :: tl -> List.fold_left (fun best m -> if m.cycles < best.cycles then m else best) hd tl
 
-let measure ?(jobs = 1) ?(check = false) (cfg : Machine.Config.t)
-    (workload : Machine.Workload.t) ~seeds ~trim =
-  let runs = Simrt.Pool.parallel_map ~jobs (runner ~check) (sims cfg workload ~seeds) in
-  of_stats cfg workload ~trim runs
+(* [xs] cut after its first [n] elements. *)
+let rec split_at n xs =
+  match xs with
+  | x :: tl when n > 0 ->
+      let front, back = split_at (n - 1) tl in
+      (x :: front, back)
+  | _ -> ([], xs)
 
-let measure_best_retries ?(jobs = 1) ?(check = false) cfg workload ~seeds ~trim ~retry_choices =
-  match retry_choices with
-  | [] -> invalid_arg "measure_best_retries: empty retry_choices"
-  | choices ->
-      let tasks =
-        List.concat_map
-          (fun n -> sims (Machine.Config.with_retries cfg n) workload ~seeds)
-          choices
-      in
-      let results = Array.of_list (Simrt.Pool.parallel_map ~jobs (runner ~check) tasks) in
-      let per_seed = List.length seeds in
-      let candidates =
-        List.mapi
-          (fun i n ->
-            let runs = List.init per_seed (fun j -> results.((i * per_seed) + j)) in
-            of_stats (Machine.Config.with_retries cfg n) workload ~trim runs)
-          choices
-      in
-      best candidates
+let best_of_retries ?jobs ?check ?cache ?progress ?retry_choices ~seeds ~trim pairs =
+  let cells =
+    List.map
+      (fun ((cfg : Machine.Config.t), w) ->
+        match retry_choices with
+        | None -> ([ cfg ], w)
+        | Some ns -> (List.map (Machine.Config.with_retries cfg) ns, w))
+      pairs
+  in
+  let runs =
+    batch ?jobs ?check ?cache ?progress
+      (List.concat_map (fun (cfgs, w) -> List.concat_map (fun cfg -> sims cfg w ~seeds) cfgs) cells)
+  in
+  let per_seed = List.length seeds in
+  let of_chunk w runs cfg =
+    let mine, rest = split_at per_seed runs in
+    (rest, of_stats cfg w ~trim mine)
+  in
+  snd
+    (List.fold_left_map
+       (fun runs (cfgs, w) ->
+         let runs, candidates = List.fold_left_map (of_chunk w) runs cfgs in
+         (runs, best candidates))
+       runs cells)

@@ -6,9 +6,9 @@
     The unit of work throughout the harness is a single {!sim} — one
     (configuration, workload, seed) simulation. Each simulation builds its own
     store/hierarchy/stats and draws from its own seeded RNG, so any set of
-    sims can run concurrently (e.g. via {!Simrt.Pool}) and aggregate to
-    bit-identical results as long as the per-seed order handed to
-    {!of_stats} is preserved. *)
+    sims can run concurrently ({!batch}) and aggregate to bit-identical
+    results as long as the per-seed order handed to {!of_stats} is
+    preserved. *)
 
 type t = {
   workload : string;
@@ -66,12 +66,21 @@ val run_sim_checked : sim -> Machine.Stats.t * Check.Verdict.t
     follows the live lines instead of the history (DESIGN.md §14). The
     stats are bit-identical to {!run_sim}'s. *)
 
-val run_sim_enforce : sim -> Machine.Stats.t
-(** Like {!run_sim} but raises {!Check_failed} unless the verdict is clean.
-    Drop-in replacement for {!run_sim} in pool task lists. *)
-
-val runner : check:bool -> sim -> Machine.Stats.t
-(** {!run_sim_enforce} when [check], {!run_sim} otherwise. *)
+val batch :
+  ?jobs:int ->
+  ?check:bool ->
+  ?cache:bool ->
+  ?progress:(string -> unit) ->
+  sim list ->
+  Machine.Stats.t list
+(** Run every simulation on [jobs] domains (default 1 = inline) and return
+    their stats in input order, bit-identical at any job count. This is the
+    harness's only use of {!Simrt.Pool}. With [~check:true] every
+    simulation is validated by the execution oracle and the first violation
+    raises {!Check_failed}. With [~cache:true] each simulation is memoised
+    as one {!Suite_cache} shard; only missing shards are simulated, hits are
+    spliced back in order, and [progress] hears how many hit. [~check:true]
+    ignores [~cache]: a shard hit would skip validation. *)
 
 val of_stats : Machine.Config.t -> Machine.Workload.t -> trim:int -> Machine.Stats.t list -> t
 (** Aggregate per-seed runs (in seed order) into a measurement. *)
@@ -80,30 +89,19 @@ val best : t list -> t
 (** The candidate with the fewest cycles; earliest wins ties. Raises
     [Invalid_argument] on an empty list. *)
 
-(** {1 Measurements} *)
-
-val measure :
+val best_of_retries :
   ?jobs:int ->
   ?check:bool ->
-  Machine.Config.t ->
-  Machine.Workload.t ->
+  ?cache:bool ->
+  ?progress:(string -> unit) ->
+  ?retry_choices:int list ->
   seeds:int list ->
   trim:int ->
-  t
-(** One measurement at the configuration's own retry limit, running the
-    per-seed simulations on [jobs] domains (default 1 = inline). With
-    [~check:true] every simulation is validated by the execution oracle;
-    a violation raises {!Check_failed} out of the pool. *)
-
-val measure_best_retries :
-  ?jobs:int ->
-  ?check:bool ->
-  Machine.Config.t ->
-  Machine.Workload.t ->
-  seeds:int list ->
-  trim:int ->
-  retry_choices:int list ->
-  t
-(** The paper's methodology: sweep the retry limit and keep the
-    best-performing setting for this (configuration, application) pair.
-    The whole retry-choice x seed cross-product is one flat task list. *)
+  (Machine.Config.t * Machine.Workload.t) list ->
+  t list
+(** The paper's methodology, one measurement per (configuration, workload)
+    pair in order: each retry limit of [retry_choices] (default: the
+    configuration's own) runs over [seeds], {!of_stats} aggregates each
+    choice and {!best} keeps the fastest. The whole pair x retry x seed
+    cross-product is one {!batch}, enumerated in that order; the optional
+    arguments are {!batch}'s. *)

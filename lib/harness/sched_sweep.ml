@@ -1,9 +1,9 @@
 module S = Machine.Stats
 module J = Report.Json
 
-type options = { workload : string; cores : int; ops : int; retries : int }
+type options = { workload : Machine.Workload.t; cores : int; ops : int; retries : int }
 
-let default_options = { workload = "stack"; cores = 8; ops = 80; retries = 4 }
+let default_options = { workload = Workloads.Stack.workload; cores = 8; ops = 80; retries = 4 }
 
 let seeds = [ 3; 5; 7 ]
 
@@ -38,19 +38,20 @@ let config o letter prof =
     prof
 
 let run ~jobs ~check o =
-  let w = Workloads.Registry.find o.workload in
-  let tasks =
-    List.concat_map
-      (fun (sname, prof) ->
-        List.concat_map
-          (fun letter ->
-            let cfg = config o letter prof in
-            List.map (fun seed -> ((sname, letter, seed), { Run.cfg; workload = w; seed })) seeds)
-          Experiments.letters)
-      Sched.Scenarios.all
+  let keys, sims =
+    List.split
+      (List.concat_map
+         (fun (sname, prof) ->
+           List.concat_map
+             (fun letter ->
+               let cfg = config o letter prof in
+               List.map
+                 (fun seed -> ((sname, letter, seed), { Run.cfg; workload = o.workload; seed }))
+                 seeds)
+             Experiments.letters)
+         Sched.Scenarios.all)
   in
-  let stats = Simrt.Pool.parallel_map ~jobs (Run.runner ~check) (List.map snd tasks) in
-  let runs = List.map2 (fun (key, _) st -> (key, st)) tasks stats in
+  let runs = List.combine keys (Run.batch ~jobs ~check sims) in
   (* Seed means per (scenario, preset), without the material flag. *)
   let agg sname letter =
     let sts =
@@ -93,8 +94,7 @@ let run ~jobs ~check o =
          (fun (sname, per) -> sname <> "symmetric" && List.exists (fun (_, c) -> c.material) per)
          scenarios)
   in
-  let options = { o with workload = w.Machine.Workload.name } in
-  { options; checked = check; runs; scenarios; materially_different }
+  { options = o; checked = check; runs; scenarios; materially_different }
 
 let to_json r =
   let cell_json (l, c) =
@@ -112,7 +112,7 @@ let to_json r =
   in
   J.Obj
     [
-      ("workload", J.Str r.options.workload);
+      ("workload", J.Str r.options.workload.Machine.Workload.name);
       ("cores", J.Int r.options.cores);
       ("ops_per_thread", J.Int r.options.ops);
       ("seeds", J.List (List.map (fun s -> J.Int s) seeds));
@@ -132,7 +132,8 @@ let table r =
     Report.Table.create
       ~title:
         (Printf.sprintf "Scheduler scenarios: %s, %d cores, %d ops/thread (mean of %d seeds)"
-           r.options.workload r.options.cores r.options.ops (List.length seeds))
+           r.options.workload.Machine.Workload.name r.options.cores r.options.ops
+           (List.length seeds))
       ~columns:
         [
           "Scenario"; "Cfg"; "cycles"; "ab/commit"; "1-retry"; "n-retry"; "fallback"; "numa-cyc";

@@ -4,11 +4,11 @@
     [clear_sim sched] and the sched gate of [bench/main.exe gate].
 
     Deterministic per options at any job count: the task list is
-    enumerated in (scenario, preset, seed) order and
-    {!Simrt.Pool.parallel_map} preserves it. *)
+    enumerated in (scenario, preset, seed) order and {!Run.batch} preserves
+    it. *)
 
 type options = {
-  workload : string;  (** registry name *)
+  workload : Machine.Workload.t;
   cores : int;
   ops : int;  (** operations per thread *)
   retries : int;  (** retry limit before fallback *)
@@ -45,8 +45,8 @@ type t = {
 }
 
 val run : jobs:int -> check:bool -> options -> t
-(** Raises [Not_found] for an unknown workload and {!Run.Check_failed} on
-    the first oracle violation when [check]. *)
+(** One {!Run.batch} over every (scenario, preset, seed) simulation. Raises
+    {!Run.Check_failed} on the first oracle violation when [check]. *)
 
 val to_json : t -> Report.Json.t
 

@@ -997,7 +997,6 @@ let run ?(max_cycles = 4_000_000_000) t =
       last_time := Int.max !last_time time
     end
     else begin
-      Stats.add_busy_cycles t.stats latency;
       let at = time + Int.max 1 latency in
       (* A core that stays in [P_next_op] is parked until the next
          unadmitted arrival, a time that only moves forward, so it waits on

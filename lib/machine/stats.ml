@@ -18,7 +18,6 @@ type t = {
   aborts_by_cause : (Abort.cause, int) Hashtbl.t;
   mutable aborts : int;
   mutable total_cycles : int;
-  mutable busy_cycles : int;
   mutable failed_discovery_cycles : int;
   mutable instrs : int;
   mutable wasted_instrs : int;
@@ -41,7 +40,6 @@ let create () =
     aborts_by_cause = Hashtbl.create 8;
     aborts = 0;
     total_cycles = 0;
-    busy_cycles = 0;
     failed_discovery_cycles = 0;
     instrs = 0;
     wasted_instrs = 0;
@@ -86,8 +84,6 @@ let note_first_abort t ~footprint_stable =
   if footprint_stable then t.footprint_stable <- t.footprint_stable + 1
 
 let set_total_cycles t n = t.total_cycles <- n
-
-let add_busy_cycles t n = t.busy_cycles <- t.busy_cycles + n
 
 let commits t = t.commits
 
@@ -134,25 +130,3 @@ let single_retry_ratio t = ratio (commits_with_retries t 1) t.commits
 let fallback_ratio t = ratio t.fallback_commits t.commits
 
 let fig1_ratio t = ratio t.footprint_stable t.first_aborted
-
-let merge stats =
-  let out = create () in
-  List.iter
-    (fun s ->
-      Counter.merge_into ~dst:out.counters s.counters;
-      out.commits <- out.commits + s.commits;
-      Array.iteri (fun i v -> out.commits_by_mode.(i) <- out.commits_by_mode.(i) + v) s.commits_by_mode;
-      Hashtbl.iter (fun r c -> bump out.retry_hist r c) s.retry_hist;
-      out.fallback_commits <- out.fallback_commits + s.fallback_commits;
-      Hashtbl.iter (fun cause n -> bump out.aborts_by_cause cause n) s.aborts_by_cause;
-      out.aborts <- out.aborts + s.aborts;
-      out.total_cycles <- out.total_cycles + s.total_cycles;
-      out.busy_cycles <- out.busy_cycles + s.busy_cycles;
-      out.failed_discovery_cycles <- out.failed_discovery_cycles + s.failed_discovery_cycles;
-      out.instrs <- out.instrs + s.instrs;
-      out.wasted_instrs <- out.wasted_instrs + s.wasted_instrs;
-      out.first_aborted <- out.first_aborted + s.first_aborted;
-      out.footprint_stable <- out.footprint_stable + s.footprint_stable;
-      Hashtbl.iter (fun ar n -> bump out.ar_commits ar n) s.ar_commits)
-    stats;
-  out

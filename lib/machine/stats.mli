@@ -35,8 +35,6 @@ val note_first_abort : t -> footprint_stable:bool -> unit
 
 val set_total_cycles : t -> int -> unit
 
-val add_busy_cycles : t -> int -> unit
-
 (** {1 Derived metrics} *)
 
 val commits : t -> int
@@ -77,8 +75,3 @@ val fallback_ratio : t -> float
 val fig1_ratio : t -> float
 (** Of the AR invocations that aborted their first attempt, the fraction
     whose footprint stayed within the ALT and did not change on the retry. *)
-
-val merge : t list -> t
-(** Combine per-run statistics (summing counters and histogram buckets;
-    total cycles are summed — callers normally merge per-core stats of one
-    run, where total cycles are set once at the end). *)

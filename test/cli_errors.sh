@@ -1,8 +1,9 @@
 #!/bin/sh
-# Out-of-range numeric flags must be command-line errors: exit 124
-# (cmdliner's CLI-error code) with a message naming the flag, never an
-# uncaught exception (exit 125) or a silently accepted run (exit 0). The
-# boundary values themselves must still be accepted. An unknown suite
+# Out-of-range numeric flags, unknown workload names and unknown arrival
+# processes must be command-line errors: exit 124 (cmdliner's CLI-error
+# code) with a message naming the flag, never an uncaught exception (exit
+# 125), a bare exit 2 or a silently accepted run (exit 0). The boundary
+# values themselves must still be accepted. An unknown suite
 # artefact or size is a command-line error too; an uncreatable suite --csv
 # directory is an error naming it, reported before anything is simulated;
 # and bench/main.exe, which only runs the gate, points anything else at
@@ -57,6 +58,10 @@ reject --fault-blind-line check --fault-blind-line=-1
 for cmd in suite openloop sched; do
   reject --jobs "$cmd" --jobs 0
 done
+for cmd in run check analyze sched openloop suite; do
+  reject -w "$cmd" -w nosuch
+done
+reject --process openloop --process foo
 
 # An unwritable --trace-out file is an error naming the file, reported
 # before the simulation runs: non-zero exit, but not an uncaught exception.

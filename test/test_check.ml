@@ -354,12 +354,11 @@ let test_injected_bug_caught () =
     (Result.is_error verdict.Check.Verdict.serial);
   Alcotest.(check bool) "replay flagged" true (Result.is_error verdict.Check.Verdict.replay)
 
-let test_run_sim_enforce_raises () =
+let test_checked_batch_raises () =
   let cfg =
     { (small Config.baseline) with Config.ops_per_thread = 80; fault_blind_line = Some 0 }
   in
-  let sim = { Run.cfg; workload = counter_workload; seed = 5 } in
-  match Run.run_sim_enforce sim with
+  match Run.batch ~check:true (Run.sims cfg counter_workload ~seeds:[ 5 ]) with
   | _ -> Alcotest.fail "expected Check_failed"
   | exception Run.Check_failed msg ->
       Alcotest.(check bool) "message names the workload" true (contains_sub msg "counter")
@@ -737,7 +736,7 @@ let () =
           Alcotest.test_case "clean runs pass all oracles" `Quick test_checked_run_clean;
           Alcotest.test_case "capture does not perturb" `Quick test_check_does_not_perturb;
           Alcotest.test_case "injected bug caught" `Quick test_injected_bug_caught;
-          Alcotest.test_case "enforce raises" `Quick test_run_sim_enforce_raises;
+          Alcotest.test_case "enforce raises" `Quick test_checked_batch_raises;
           Alcotest.test_case "checked suite smoke" `Quick test_suite_checked_smoke;
         ] );
       ( "streaming",

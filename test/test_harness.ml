@@ -25,11 +25,18 @@ let contains haystack needle =
   let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
   go 0
 
+(* One measurement through [Run.best_of_retries] (and so one [Run.batch]). *)
+let measure ?jobs ?retry_choices cfg w ~seeds =
+  match Run.best_of_retries ?jobs ?retry_choices ~seeds ~trim:0 [ (cfg, w) ] with
+  | [ m ] -> m
+  | ms -> Alcotest.failf "one pair measured %d times" (List.length ms)
+
 let test_measure_basics () =
   let cfg = Experiments.config_of_letter micro_options "B" in
-  let m = Run.measure cfg Workloads.Arrayswap.workload ~seeds:[ 1; 2 ] ~trim:0 in
+  let m = measure cfg Workloads.Arrayswap.workload ~seeds:[ 1; 2 ] in
   Alcotest.(check string) "preset letter" "B" m.Run.preset;
   Alcotest.(check string) "workload name" "arrayswap" m.Run.workload;
+  Alcotest.(check int) "own retry limit" cfg.Config.max_retries m.Run.retries;
   Alcotest.(check bool) "cycles positive" true (m.Run.cycles > 0.0);
   Alcotest.(check bool) "energy positive" true (m.Run.energy > 0.0);
   Alcotest.(check bool) "fractions bounded" true
@@ -37,19 +44,27 @@ let test_measure_basics () =
 
 let test_measure_deterministic () =
   let cfg = Experiments.config_of_letter micro_options "W" in
-  let m1 = Run.measure cfg Workloads.Bitcoin.workload ~seeds:[ 1 ] ~trim:0 in
-  let m2 = Run.measure cfg Workloads.Bitcoin.workload ~seeds:[ 1 ] ~trim:0 in
-  Alcotest.(check (float 1e-9)) "same cycles" m1.Run.cycles m2.Run.cycles
+  let m1 = measure cfg Workloads.Bitcoin.workload ~seeds:[ 1 ] in
+  let m2 = measure cfg Workloads.Bitcoin.workload ~seeds:[ 1 ] in
+  Alcotest.(check (float 1e-9)) "same cycles" m1.Run.cycles m2.Run.cycles;
+  Alcotest.(check bool) "same measurement" true (m1 = m2)
 
+(* The best over retry choices is the minimum of the per-choice
+   measurements, and a batch of several pairs measures each in order. *)
 let test_best_retries_picks_minimum () =
   let cfg = Experiments.config_of_letter micro_options "B" in
-  let best =
-    Run.measure_best_retries cfg Workloads.Arrayswap.workload ~seeds:[ 1 ] ~trim:0
-      ~retry_choices:[ 1; 8 ]
-  in
-  let m1 = Run.measure (Config.with_retries cfg 1) Workloads.Arrayswap.workload ~seeds:[ 1 ] ~trim:0 in
-  let m8 = Run.measure (Config.with_retries cfg 8) Workloads.Arrayswap.workload ~seeds:[ 1 ] ~trim:0 in
-  Alcotest.(check (float 1e-9)) "best is the min" (min m1.Run.cycles m8.Run.cycles) best.Run.cycles
+  let w = Workloads.Arrayswap.workload in
+  let best = measure ~retry_choices:[ 1; 8 ] cfg w ~seeds:[ 1 ] in
+  match
+    Run.best_of_retries ~seeds:[ 1 ] ~trim:0
+      [ (Config.with_retries cfg 1, w); (Config.with_retries cfg 8, w) ]
+  with
+  | [ m1; m8 ] ->
+      Alcotest.(check int) "pair order kept" 1 m1.Run.retries;
+      Alcotest.(check (float 1e-9)) "best is the min" (min m1.Run.cycles m8.Run.cycles)
+        best.Run.cycles;
+      Alcotest.(check bool) "best is one of the candidates" true (best = m1 || best = m8)
+  | _ -> Alcotest.fail "expected two measurements"
 
 let test_config_of_letter () =
   Alcotest.(check bool) "B has clear off" false
@@ -83,15 +98,20 @@ let test_suite_parallel_identical () =
 
 let test_measure_parallel_identical () =
   let cfg = Experiments.config_of_letter micro_options "W" in
-  let a =
-    Run.measure_best_retries ~jobs:1 cfg Workloads.Bitcoin.workload ~seeds:[ 1; 2; 3 ] ~trim:0
-      ~retry_choices:[ 2; 5 ]
+  let at jobs =
+    measure ~jobs ~retry_choices:[ 2; 5 ] cfg Workloads.Bitcoin.workload ~seeds:[ 1; 2; 3 ]
   in
-  let b =
-    Run.measure_best_retries ~jobs:3 cfg Workloads.Bitcoin.workload ~seeds:[ 1; 2; 3 ] ~trim:0
-      ~retry_choices:[ 2; 5 ]
-  in
-  Alcotest.(check bool) "measure_best_retries jobs-invariant" true (a = b)
+  Alcotest.(check bool) "best_of_retries jobs-invariant" true (at 1 = at 3)
+
+(* Ablation and SLE each make one batch call, so they inherit its job-count
+   invariance; tables hold only strings, so structural equality is exact. *)
+let test_ablation_parallel_identical () =
+  Alcotest.(check bool) "ablation jobs:3 == jobs:1" true
+    (Experiments.ablation ~jobs:1 micro_options = Experiments.ablation ~jobs:3 micro_options)
+
+let test_sle_parallel_identical () =
+  Alcotest.(check bool) "sle jobs:3 == jobs:1" true
+    (Experiments.sle ~jobs:1 micro_options = Experiments.sle ~jobs:3 micro_options)
 
 let test_suite_shape () =
   let s = Lazy.force suite in
@@ -272,6 +292,20 @@ let test_suite_cached_identical () =
     (Table.to_string (Experiments.fig8 s3));
   ignore (Suite_cache.clear ())
 
+(* The ablation goes through the same shard cache as the sweep: a warm run
+   hits every shard and renders what cold and uncached runs render. *)
+let test_ablation_cached_identical () =
+  ignore (Suite_cache.clear ());
+  let cold = Experiments.ablation ~cache:true micro_options in
+  let messages = ref [] in
+  let progress m = messages := m :: !messages in
+  let warm = Experiments.ablation ~cache:true ~progress micro_options in
+  Alcotest.(check (list string)) "warm ablation hit every shard" [ "cache: 30/30 shard(s) hit" ]
+    !messages;
+  Alcotest.(check bool) "warm equals cold" true (warm = cold);
+  Alcotest.(check bool) "cached equals uncached" true (cold = Experiments.ablation micro_options);
+  ignore (Suite_cache.clear ())
+
 (* A checked sweep must run the oracle on every simulation, so it reads no
    shard even when the caller asks for the cache. *)
 let test_checked_suite_skips_cache () =
@@ -300,6 +334,8 @@ let () =
         [
           Alcotest.test_case "suite jobs:4 == jobs:1" `Slow test_suite_parallel_identical;
           Alcotest.test_case "measure jobs:3 == jobs:1" `Slow test_measure_parallel_identical;
+          Alcotest.test_case "ablation jobs:3 == jobs:1" `Slow test_ablation_parallel_identical;
+          Alcotest.test_case "sle jobs:3 == jobs:1" `Slow test_sle_parallel_identical;
         ] );
       ( "experiments",
         [
@@ -319,6 +355,7 @@ let () =
           Alcotest.test_case "prune legacy + clear scope" `Quick
             test_prune_legacy_and_clear_scope;
           Alcotest.test_case "cached suite identical" `Slow test_suite_cached_identical;
+          Alcotest.test_case "cached ablation identical" `Slow test_ablation_cached_identical;
           Alcotest.test_case "checked suite never reads the cache" `Slow
             test_checked_suite_skips_cache;
         ] );

@@ -285,19 +285,6 @@ let test_stats_aborts () =
     (Stats.aborts_in_category s Abort.Cat_memory_conflict);
   Alcotest.(check (float 1e-9)) "per commit" 3.0 (Stats.aborts_per_commit s)
 
-let test_stats_merge () =
-  let a = Stats.create () and b = Stats.create () in
-  Stats.note_commit a ~ar:"x" ~mode:Stats.Nscl ~retries:1;
-  Stats.note_commit b ~ar:"x" ~mode:Stats.Nscl ~retries:1;
-  Stats.note_abort b Abort.Memory_conflict;
-  Stats.note_first_abort a ~footprint_stable:true;
-  Stats.note_first_abort b ~footprint_stable:false;
-  let m = Stats.merge [ a; b ] in
-  Alcotest.(check int) "commits" 2 (Stats.commits m);
-  Alcotest.(check int) "ar commits" 2 (Stats.commits_for_ar m "x");
-  Alcotest.(check int) "aborts" 1 (Stats.aborts m);
-  Alcotest.(check (float 1e-9)) "fig1" 0.5 (Stats.fig1_ratio m)
-
 (* ------------------------------------------------------------------ *)
 (* Trace *)
 
@@ -377,7 +364,6 @@ let () =
         [
           Alcotest.test_case "commits/retries" `Quick test_stats_commits_and_retries;
           Alcotest.test_case "aborts" `Quick test_stats_aborts;
-          Alcotest.test_case "merge" `Quick test_stats_merge;
         ] );
       ( "trace",
         [
