@@ -251,6 +251,34 @@ let test_open_saturation_drops () =
   Alcotest.(check int) "admitted all complete" r.Driver.admitted r.Driver.completed;
   Alcotest.(check bool) "queue high-water within cap" true (r.Driver.qdepth_hw <= 8)
 
+(* One small point pinned whole: bursty arrivals into a two-deep backlog at
+   low load, so idle cores park between arrivals and wake at each one, and
+   bursts still overflow the cap. Any change to how waiting cores are
+   queued, woken or counted moves one of these numbers. *)
+let test_burst_point_pinned () =
+  let q =
+    { Config.open_rate = 8.0; open_requests = 400; open_process = Config.Open_burst { heat = 1.5 };
+      open_queue_cap = 2 }
+  in
+  let r =
+    Driver.run_point (Config.with_openloop (small_closed Config.clear_rw) (Some q)) (Lazy.force open_workload)
+  in
+  let pct name = function
+    | None -> Alcotest.failf "%s report expected" name
+    | Some p -> Percentile.(p.count, p.mean, p.max, [ p.p50; p.p99; p.p999 ])
+  in
+  let report = Alcotest.(pair (pair int (float 0.0)) (pair int (list int))) in
+  let nest (c, m, mx, l) = ((c, m), (mx, l)) in
+  Alcotest.(check (list int)) "events, admitted, dropped, completed" [ 3340; 350; 50; 350 ]
+    [ r.Driver.events; r.Driver.admitted; r.Driver.dropped; r.Driver.completed ];
+  (* Means as sum / count: every sample sum is an exact integer. *)
+  Alcotest.check report "sojourn: count, mean, max, p50/p99/p999"
+    (nest (350, 193_849.0 /. 350.0, 951, [ 525; 872; 951 ]))
+    (nest (pct "sojourn" r.Driver.sojourn));
+  Alcotest.check report "wait: count, mean, max, p50/p99/p999"
+    (nest (350, 22_015.0 /. 350.0, 414, [ 0; 372; 414 ]))
+    (nest (pct "wait" r.Driver.wait))
+
 (* ------------------------------------------------------------------ *)
 (* Arrival schedule: the Poisson draw is clamped away from 1.0 so a tail
    sample can never overflow to a non-finite gap, and the stream is pinned
@@ -394,6 +422,7 @@ let () =
         [
           Alcotest.test_case "conservation" `Quick test_open_conservation;
           Alcotest.test_case "saturation drops" `Quick test_open_saturation_drops;
+          Alcotest.test_case "burst point pinned" `Quick test_burst_point_pinned;
         ] );
       ( "determinism",
         [
