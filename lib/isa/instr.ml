@@ -33,7 +33,7 @@ let eval_binop op a b =
   | Min -> min a b
   | Max -> max a b
 
-let eval_cond cond a b =
+let eval_cond cond (a : int) b =
   match cond with Eq -> a = b | Ne -> a <> b | Lt -> a < b | Le -> a <= b | Gt -> a > b | Ge -> a >= b
 
 let base_cost = function

@@ -67,7 +67,7 @@ type t = {
   openq : Openq.t option;
   cores : core array;
   queue : int Event_queue.t; (* payload: core id *)
-  arrival_lane : Event_queue.lane; (* idle open-loop cores, parked until the next arrival *)
+  parked : int -> bool; (* the core is in [P_next_op] *)
   conflict_seen : (int * int * int, unit) Hashtbl.t;
       (* (aggressor AR id, victim AR id, line) triples already reported to
          the checker; bounds conflict-event volume by the static matrix
@@ -176,7 +176,7 @@ let create ?trace ?check (cfg : Config.t) (workload : Workload.t) =
       | Some q -> Some (Openq.create q (Rng.split root_rng 104_729)));
     cores;
     queue;
-    arrival_lane = Event_queue.add_lane queue;
+    parked = (fun id -> cores.(id).phase = P_next_op);
     conflict_seen = Hashtbl.create 64;
     power_owner = -1;
     now = 0;
@@ -455,7 +455,7 @@ let do_commit t c =
   if tracing t then
     trace_ev t c
       (Trace.Commit { mode = Check.Witness.mode_name c.mode; retries = c.retries_counted });
-  Stats.note_commit ~ar:op.Workload.ar.Isa.Program.name t.stats ~mode:c.mode ~retries:c.retries_counted;
+  Stats.note_commit ~ar:op.Workload.ar.Isa.Program.id t.stats ~mode:c.mode ~retries:c.retries_counted;
   t.perf.commits <- t.perf.commits + 1;
   (match t.openq with
   | Some oq when c.req >= 0 ->
@@ -982,7 +982,7 @@ let run ?(max_cycles = 4_000_000_000) t =
     if Event_queue.is_empty t.queue then
       failwith "Engine.run: event queue drained with unfinished threads";
     (* The stepped core's event stays at the front while it steps; the
-       queue pops it only when the core finishes or moves to a lane. *)
+       queue pops it only when the core finishes. *)
     let time = Event_queue.min_time t.queue in
     let id = Event_queue.min_payload t.queue in
     t.perf.events_popped <- t.perf.events_popped + 1;
@@ -998,11 +998,12 @@ let run ?(max_cycles = 4_000_000_000) t =
     end
     else begin
       let at = time + Int.max 1 latency in
-      (* A core that stays in [P_next_op] is parked until the next
-         unadmitted arrival, a time that only moves forward, so it waits on
-         a FIFO lane instead of being sifted into the heap (DESIGN.md
-         §7b). *)
-      if picking && c.phase = P_next_op then Event_queue.requeue t.queue t.arrival_lane ~time:at id
+      (* A core that stays in [P_next_op] found the backlog empty and parked
+         until the next arrival. Every [P_next_op] core queued right behind
+         it at this time would do the same, so they move as one run and
+         count as the events they are (DESIGN.md §7b). *)
+      if picking && c.phase = P_next_op then
+        t.perf.events_popped <- t.perf.events_popped + Event_queue.requeue_run t.queue ~time:at t.parked - 1
       else Event_queue.replace_min t.queue ~time:at id
     end;
     if !remaining = 0 then continue := false
@@ -1015,6 +1016,7 @@ let run ?(max_cycles = 4_000_000_000) t =
   t.stats
 
 let release t =
+  Event_queue.release t.queue;
   Mem.Hierarchy.release t.hierarchy;
   Mem.Store.release t.store;
   Conflict_map.release t.conflicts

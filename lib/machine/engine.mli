@@ -69,9 +69,9 @@ val openq : t -> Openq.t option
     (arrival/dispatch/commit stamps) the latency reporter reads. *)
 
 val release : t -> unit
-(** End of life: give the engine's cache, directory, store and
-    conflict-map pages back to this domain's {!Simrt.Pagepool}, so the next
-    engine built on the domain reuses them instead of allocating. Read
+(** End of life: give the engine's cache, directory, store, conflict-map
+    and event-wheel pages back to this domain's {!Simrt.Pagepool}, so the
+    next engine built on the domain reuses them instead of allocating. Read
     what you need first: afterwards the caches are empty, the directory
     untouched and the store reads zeros, except through a
     {!Mem.Store.snapshot} taken before, which stays intact. The returned

@@ -6,6 +6,19 @@ let all_commit_modes = [ Speculative; Scl; Nscl; Fallback ]
 
 let mode_index = function Speculative -> 0 | Scl -> 1 | Nscl -> 2 | Fallback -> 3
 
+let cause_index : Abort.cause -> int = function
+  | Memory_conflict -> 0
+  | Nacked -> 1
+  | Explicit_fallback -> 2
+  | Other_fallback -> 3
+  | Capacity -> 4
+  | Scl_deviation -> 5
+  | Other -> 6
+
+let all_causes = Abort.[ Memory_conflict; Nacked; Explicit_fallback; Other_fallback; Capacity; Scl_deviation; Other ]
+
+(* Counters by small non-negative int keys live in int arrays indexed by
+   the key (AR id, retry count, cause), grown on demand. *)
 type t = {
   counters : Counter.set;
   c_aborts : Counter.cell;
@@ -13,9 +26,9 @@ type t = {
   c_wasted_instrs : Counter.cell;
   mutable commits : int;
   commits_by_mode : int array;
-  retry_hist : (int, int) Hashtbl.t; (* non-fallback commits by retry count *)
+  mutable retry_hist : int array; (* non-fallback commits by retry count *)
   mutable fallback_commits : int;
-  aborts_by_cause : (Abort.cause, int) Hashtbl.t;
+  aborts_by_cause : int array; (* by [cause_index] *)
   mutable aborts : int;
   mutable total_cycles : int;
   mutable failed_discovery_cycles : int;
@@ -23,7 +36,7 @@ type t = {
   mutable wasted_instrs : int;
   mutable first_aborted : int;
   mutable footprint_stable : int;
-  ar_commits : (string, int) Hashtbl.t;
+  mutable ar_commits : int array; (* by AR id *)
 }
 
 let create () =
@@ -35,9 +48,9 @@ let create () =
     c_wasted_instrs = Counter.cell counters "wasted_instrs";
     commits = 0;
     commits_by_mode = Array.make 4 0;
-    retry_hist = Hashtbl.create 16;
+    retry_hist = Array.make 8 0;
     fallback_commits = 0;
-    aborts_by_cause = Hashtbl.create 8;
+    aborts_by_cause = Array.make (List.length all_causes) 0;
     aborts = 0;
     total_cycles = 0;
     failed_discovery_cycles = 0;
@@ -45,29 +58,41 @@ let create () =
     wasted_instrs = 0;
     first_aborted = 0;
     footprint_stable = 0;
-    ar_commits = Hashtbl.create 16;
+    ar_commits = Array.make 8 0;
   }
 
 let counters t = t.counters
 
-let bump tbl key n =
-  let v = match Hashtbl.find_opt tbl key with Some v -> v | None -> 0 in
-  Hashtbl.replace tbl key (v + n)
+(* [a] with one more at index [i], grown to hold it if need be. *)
+let bump a i =
+  let a =
+    if i < Array.length a then a
+    else begin
+      let na = Array.make (Int.max (2 * Array.length a) (i + 1)) 0 in
+      Array.blit a 0 na 0 (Array.length a);
+      na
+    end
+  in
+  a.(i) <- a.(i) + 1;
+  a
+
+let get a i = if i < Array.length a then a.(i) else 0
 
 let note_commit ?ar t ~mode ~retries =
   t.commits <- t.commits + 1;
   t.commits_by_mode.(mode_index mode) <- t.commits_by_mode.(mode_index mode) + 1;
-  (match ar with Some name -> bump t.ar_commits name 1 | None -> ());
+  (match ar with Some id -> t.ar_commits <- bump t.ar_commits id | None -> ());
   match mode with
   | Fallback -> t.fallback_commits <- t.fallback_commits + 1
-  | Speculative | Scl | Nscl -> bump t.retry_hist retries 1
+  | Speculative | Scl | Nscl -> t.retry_hist <- bump t.retry_hist retries
 
-let commits_for_ar t name = match Hashtbl.find_opt t.ar_commits name with Some n -> n | None -> 0
+let commits_for_ar t id = get t.ar_commits id
 
 let note_abort t cause =
   t.aborts <- t.aborts + 1;
   Counter.tick t.c_aborts;
-  bump t.aborts_by_cause cause 1
+  let i = cause_index cause in
+  t.aborts_by_cause.(i) <- t.aborts_by_cause.(i) + 1
 
 let note_instr t =
   t.instrs <- t.instrs + 1;
@@ -91,10 +116,12 @@ let commits_in_mode t mode = t.commits_by_mode.(mode_index mode)
 
 let aborts t = t.aborts
 
-let aborts_with_cause t cause = match Hashtbl.find_opt t.aborts_by_cause cause with Some n -> n | None -> 0
+let aborts_with_cause t cause = t.aborts_by_cause.(cause_index cause)
 
 let aborts_in_category t cat =
-  Hashtbl.fold (fun cause n acc -> if Abort.category cause = cat then acc + n else acc) t.aborts_by_cause 0
+  List.fold_left
+    (fun acc cause -> if Abort.category cause = cat then acc + aborts_with_cause t cause else acc)
+    0 all_causes
 
 let aborts_per_commit t = if t.commits = 0 then 0.0 else float_of_int t.aborts /. float_of_int t.commits
 
@@ -106,17 +133,24 @@ let instrs t = t.instrs
 
 let wasted_instrs t = t.wasted_instrs
 
-let commits_with_retries t n = match Hashtbl.find_opt t.retry_hist n with Some c -> c | None -> 0
+let commits_with_retries t n = get t.retry_hist n
 
-let retried_commits t =
-  Hashtbl.fold (fun r c acc -> if r >= 1 then acc + c else acc) t.retry_hist 0 + t.fallback_commits
+(* Non-fallback commits after at least [n] retries. *)
+let commits_from_retries t n =
+  let acc = ref 0 in
+  for r = n to Array.length t.retry_hist - 1 do
+    acc := !acc + t.retry_hist.(r)
+  done;
+  !acc
+
+let retried_commits t = commits_from_retries t 1 + t.fallback_commits
 
 let retry_breakdown t =
   let denom = retried_commits t in
   if denom = 0 then (0.0, 0.0, 0.0)
   else begin
     let one = commits_with_retries t 1 in
-    let multi = Hashtbl.fold (fun r c acc -> if r >= 2 then acc + c else acc) t.retry_hist 0 in
+    let multi = commits_from_retries t 2 in
     let f n = float_of_int n /. float_of_int denom in
     (f one, f multi, f t.fallback_commits)
   end

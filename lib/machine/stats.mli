@@ -12,12 +12,13 @@ val counters : t -> Simrt.Counter.set
 (** Low-level event counters (cache hits, coherence messages, ...) shared
     with the memory hierarchy and the energy model. *)
 
-val note_commit : ?ar:string -> t -> mode:commit_mode -> retries:int -> unit
+val note_commit : ?ar:int -> t -> mode:commit_mode -> retries:int -> unit
 (** [retries] is the number of aborted attempts that preceded the commit;
-    [ar] attributes the commit to a static atomic region. *)
+    [ar] attributes the commit to a static atomic region, by its
+    non-negative id ({!Isa.Program.ar}'s [id]). *)
 
-val commits_for_ar : t -> string -> int
-(** Commits attributed to the named atomic region. *)
+val commits_for_ar : t -> int -> int
+(** Commits attributed to the atomic region with this id. *)
 
 val note_abort : t -> Abort.cause -> unit
 

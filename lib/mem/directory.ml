@@ -42,14 +42,17 @@ type t = {
   locked : Simrt.Lineset.t array; (* per core, lines it holds locked *)
 }
 
-(* msgs lsl 1 lor from_remote *)
+(* msgs lsl 2 lor held lsl 1 lor from_remote *)
 type coherence = int
 
-let msgs c = c lsr 1
+let msgs c = c lsr 2
+
+let held c = c land 2 <> 0
 
 let from_remote c = c land 1 = 1
 
-let coherence ~msgs ~from_remote = (msgs lsl 1) lor if from_remote then 1 else 0
+let coherence ~msgs ~held ~from_remote =
+  (msgs lsl 2) lor (if held then 2 else 0) lor if from_remote then 1 else 0
 
 let max_cores = 62
 
@@ -110,18 +113,18 @@ let popcount m =
 let read t ~core line =
   let p = page t line and i = slot line in
   let owner = Array.unsafe_get p (i + owner_at) and sharers = Array.unsafe_get p (i + sharers_at) in
-  if owner = core || sharers land bit core <> 0 then coherence ~msgs:0 ~from_remote:false
+  if owner = core || sharers land bit core <> 0 then coherence ~msgs:0 ~held:true ~from_remote:false
   else begin
     let p = own_page t line in
     if owner >= 0 then begin
       (* Downgrade the remote owner to a sharer; data forwarded core-to-core. *)
       p.(i + sharers_at) <- sharers lor bit owner lor bit core;
       p.(i + owner_at) <- -1;
-      coherence ~msgs:3 ~from_remote:true
+      coherence ~msgs:3 ~held:false ~from_remote:true
     end
     else begin
       p.(i + sharers_at) <- sharers lor bit core;
-      coherence ~msgs:2 ~from_remote:false
+      coherence ~msgs:2 ~held:false ~from_remote:false
     end
   end
 
@@ -130,7 +133,7 @@ let write t ~core line =
   let owner = Array.unsafe_get p (i + owner_at) and sharers = Array.unsafe_get p (i + sharers_at) in
   if owner = core && sharers = 0 then begin
     t.invalidated <- 0;
-    coherence ~msgs:0 ~from_remote:false
+    coherence ~msgs:0 ~held:true ~from_remote:false
   end
   else begin
     let from_remote = owner >= 0 && owner <> core in
@@ -140,7 +143,7 @@ let write t ~core line =
     let p = own_page t line in
     p.(i + owner_at) <- core;
     p.(i + sharers_at) <- 0;
-    coherence ~msgs ~from_remote
+    coherence ~msgs ~held:(owner = core || others <> sharers) ~from_remote
   end
 
 let invalidated t = t.invalidated
@@ -163,7 +166,10 @@ let locked_by t line = (page t line).(slot line + locker_at)
 let lock t ~core line =
   let holder = locked_by t line in
   if holder = core then begin
-    t.invalidated <- 0;
+    (* Nobody else can take the line while we hold it, but our own eviction
+       may have dropped us from the entry since: take ownership back, which
+       invalidates nothing. *)
+    ignore (write t ~core line : coherence);
     -1
   end
   else if holder >= 0 then holder

@@ -34,6 +34,11 @@ val msgs : coherence -> int
 val from_remote : coherence -> bool
 (** The data was sourced from a remote private cache. *)
 
+val held : coherence -> bool
+(** The requester was the owner or a sharer before the request. A core's
+    private caches hold only lines the directory lists it for, so when
+    this is false they miss. *)
+
 val read : t -> core:int -> Addr.line -> coherence
 (** Obtain a shared copy. Downgrades a remote modified owner if needed. *)
 
@@ -60,7 +65,8 @@ val lock : t -> core:int -> Addr.line -> int
 (** Try to lock the line for [core]: -1 when [core] now holds it, else the
     current holder, untouched. Locking implies exclusive ownership:
     acquisition invalidates other copies and leaves those cores in
-    {!invalidated}. Re-locking one's own line invalidates nothing. *)
+    {!invalidated}. Re-locking one's own line invalidates nothing and makes
+    [core] its owner again (an eviction may have dropped it). *)
 
 val unlock : t -> core:int -> Addr.line -> unit
 (** Release; no-op if [core] does not hold the lock. *)

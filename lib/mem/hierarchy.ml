@@ -62,6 +62,8 @@ let directory t = t.directory
 
 let l1 t ~core = t.l1s.(core)
 
+let l2 t ~core = t.l2s.(core)
+
 let locked_by t line = Directory.locked_by t.directory line
 
 let numa t = t.numa
@@ -129,13 +131,17 @@ let access t ~core line ~exclusive ~holder =
     in
     let coh_latency = charge_coherence t coh in
     let l1 = t.l1s.(core) and l2 = t.l2s.(core) in
-    (* An exclusive access that had to invalidate other copies pays the
-       coherence round-trip even if its own tags hit. *)
-    if Cache.touch l1 line && Directory.msgs coh = 0 then begin
+    (* Private caches hold only lines the directory lists this core for, so
+       when it held no copy both probes would miss, and a miss moves no LRU
+       age: go straight to the L3. An exclusive access that had to
+       invalidate other copies pays the coherence round-trip even if its
+       own tags hit. *)
+    let held = Directory.held coh in
+    if held && Cache.touch l1 line && Directory.msgs coh = 0 then begin
       Counter.tick t.cells.l1_hit;
       t.l1_hit_outcome
     end
-    else if Cache.touch l2 line && not (Directory.from_remote coh) then begin
+    else if held && Cache.touch l2 line && not (Directory.from_remote coh) then begin
       Counter.tick t.cells.l2_hit;
       (* Private hit, but any coherence exchange went through the line's
          home slice — cross-socket requesters pay the asymmetry adder. *)

@@ -37,6 +37,8 @@ val directory : t -> Directory.t
 
 val l1 : t -> core:int -> Cache.t
 
+val l2 : t -> core:int -> Cache.t
+
 val read_line : t -> core:int -> Addr.line -> outcome
 (** Obtain a shared copy of the line for [core]. *)
 

@@ -3,8 +3,9 @@
     The open-system harness reports tail latency, where approximate
     digests would defeat the point: a p999 that elides the convoy spike
     is exactly the artifact the overload experiment exists to show. So
-    this reporter sorts the full sample and indexes — O(n log n) on a few
-    thousand requests is nothing, and the result is bit-reproducible.
+    this reporter selects each rank exactly from a copy of the full
+    sample (quickselect, linear time), and the result is
+    bit-reproducible.
 
     Nearest-rank definition: the q-th percentile of n samples is element
     [max 1 (ceil (q*n))] (1-based) of the sorted array — the smallest

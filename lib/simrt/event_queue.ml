@@ -1,152 +1,109 @@
-(* A struct-of-arrays binary heap over int keys, plus FIFO lanes beside it.
+(* A timing wheel over int keys, plus a small heap for the far future.
 
-   Every queued event owns a slot of [payloads]; its payload is written
-   there once and never moves. Heap position i holds the key
-   (times.(i), seqs.(i)) and the event's slot id, so sifting writes only
-   ints (no write barrier). Free slot ids form a stack, so an event popped
-   and rescheduled at once gets its own slot back and its payload is not
-   written again. [pop_min] hands back the payload alone, so a push/pop
-   cycle with an immediate payload allocates nothing, and [replace_min]
-   does a pop and a push in one sift. Sifts move a hole rather than
-   swapping.
+   Every queued event owns a slot: its payload sits in [payloads] and its
+   link in [next], written once and moved only by relinking. The wheel
+   gives each cycle of the window [base, base + wheel) one bucket, a FIFO
+   list of slots threaded through [next]; the bucket page holds each
+   bucket's head slot at 2b and tail slot at 2b + 1, -1 when it is empty.
+   Events at or beyond base + wheel wait in a binary min-heap over
+   (time, seq, slot) in parallel int arrays, and seqs are drawn only
+   there.
 
-   A lane is a ring of (time, seq, slot) entries appended in nondecreasing
-   time order. Every key, heap or lane, takes its seq from the one
-   [next_seq] counter, so a lane's keys are (time, seq)-sorted front to
-   back and its head is its least key. The queue's least key is therefore
-   the least of the heap root and the lane heads; [top] names the source
-   that holds it and is kept current by every mutation, so the read side is
-   one branch. Lane heads are mirrored in [head_times]/[head_seqs] (an
-   empty lane reads (max_int, max_int), which no real key reaches: seqs are
-   < max_int). *)
+   Invariants, restored by every mutation:
+   - bucket events have times in [base, base + wheel), and a bucket holds
+     one time, in insertion order;
+   - heap events have times >= base + wheel;
+   - when the queue is not empty, the bucket of [base] is not empty, so it
+     holds the earliest events and [base] is their time.
 
-type lane = int
+   Advancing [base] by one opens one cycle at the top of the window; its
+   heap events move into the (empty) bucket before anything else can be
+   appended there, in (time, seq) order, so the bucket stays in insertion
+   order. A push below [base] lowers it and sends the events that fall out
+   of the top of the window back to the heap, in bucket order. *)
 
-type ring = {
-  mutable r_times : int array;
-  mutable r_seqs : int array;
-  mutable r_slots : int array;
-  mutable first : int; (* ring index of the head *)
-  mutable len : int;
-}
+let wheel = 1024
+
+let mask = wheel - 1
 
 type 'a t = {
-  mutable times : int array;
-  mutable seqs : int array;
-  mutable slots : int array; (* heap position -> payload slot *)
-  mutable size : int; (* heap positions in use *)
+  mutable buckets : int array; (* 2 * wheel words, from {!Pagepool} *)
+  mutable base : int;
+  mutable in_wheel : int; (* events in buckets *)
+  mutable count : int; (* in buckets and heap *)
   mutable payloads : 'a array; (* by slot *)
-  mutable free : int array; (* [0, nfree): free slot ids *)
-  mutable nfree : int;
+  mutable next : int array; (* by slot: next in its bucket, or in the free list *)
+  mutable free : int; (* head of the free-slot list, -1 when none *)
+  mutable times : int array; (* heap position -> time, seq, slot *)
+  mutable seqs : int array;
+  mutable slots : int array;
+  mutable size : int; (* heap positions in use *)
   mutable next_seq : int;
-  mutable rings : ring array; (* by lane *)
-  mutable head_times : int array; (* by lane *)
-  mutable head_seqs : int array;
-  mutable top : int; (* [in_heap] or the lane holding the least key *)
-  mutable count : int; (* heap size plus every lane's length *)
 }
-
-let in_heap = -1
 
 let create () =
   {
+    buckets = Pagepool.take ~len:(2 * wheel) ~fill:(-1);
+    base = 0;
+    in_wheel = 0;
+    count = 0;
+    payloads = [||];
+    next = [||];
+    free = -1;
     times = [||];
     seqs = [||];
     slots = [||];
     size = 0;
-    payloads = [||];
-    free = [||];
-    nfree = 0;
     next_seq = 0;
-    rings = [||];
-    head_times = [||];
-    head_seqs = [||];
-    top = in_heap;
-    count = 0;
   }
 
 let[@inline] is_empty t = t.count = 0
 
 let length t = t.count
 
-let add_lane t =
-  let k = Array.length t.rings in
-  t.rings <- Array.append t.rings [| { r_times = [||]; r_seqs = [||]; r_slots = [||]; first = 0; len = 0 } |];
-  t.head_times <- Array.append t.head_times [| max_int |];
-  t.head_seqs <- Array.append t.head_seqs [| max_int |];
-  k
-
 let clear t =
+  Array.fill t.buckets 0 (Array.length t.buckets) (-1);
+  t.base <- 0;
+  t.in_wheel <- 0;
+  t.count <- 0;
+  t.payloads <- [||];
+  t.next <- [||];
+  t.free <- -1;
   t.times <- [||];
   t.seqs <- [||];
   t.slots <- [||];
   t.size <- 0;
-  t.payloads <- [||];
-  t.free <- [||];
-  t.nfree <- 0;
-  t.next_seq <- 0;
-  Array.iter
-    (fun r ->
-      r.r_times <- [||];
-      r.r_seqs <- [||];
-      r.r_slots <- [||];
-      r.first <- 0;
-      r.len <- 0)
-    t.rings;
-  Array.fill t.head_times 0 (Array.length t.head_times) max_int;
-  Array.fill t.head_seqs 0 (Array.length t.head_seqs) max_int;
-  t.top <- in_heap;
-  t.count <- 0
+  t.next_seq <- 0
+
+let release t =
+  clear t;
+  Pagepool.give t.buckets;
+  t.buckets <- [||]
 
 (* ---- payload slots ---- *)
 
 (* A free slot holding [payload]. When every slot is taken the pool
-   doubles, and the new slots are the free ones. *)
+   doubles, and the new slots are the free ones. Slots are reused last in,
+   first out, so an event popped and pushed at once gets its own slot. *)
 let take_slot t payload =
-  if t.nfree = 0 then begin
+  if t.free < 0 then begin
     let cap = Array.length t.payloads in
     let ncap = if cap = 0 then 16 else cap * 2 in
     let payloads = Array.make ncap payload in
     Array.blit t.payloads 0 payloads 0 cap;
     t.payloads <- payloads;
-    t.free <- Array.init ncap (fun i -> ncap - 1 - i);
-    t.nfree <- ncap - cap
+    t.next <- Array.init ncap (fun i -> if i < cap then t.next.(i) else if i + 1 < ncap then i + 1 else -1);
+    t.free <- cap
   end;
-  let n = t.nfree - 1 in
-  t.nfree <- n;
-  let slot = Array.unsafe_get t.free n in
-  (* A payload rescheduled right after its pop lands in its old slot: skip
-     the write barrier. *)
+  let slot = t.free in
+  t.free <- Array.unsafe_get t.next slot;
+  (* Skip the write barrier when the slot already holds the payload. *)
   if Array.unsafe_get t.payloads slot != payload then t.payloads.(slot) <- payload;
   slot
 
-let release_slot t slot =
-  Array.unsafe_set t.free t.nfree slot;
-  t.nfree <- t.nfree + 1
+(* ---- overflow heap ---- *)
 
-(* ---- the least key ---- *)
-
-(* Point [top] at the least of the heap root and the lane heads. *)
-let settle t =
-  let src = ref in_heap and bt = ref max_int and bs = ref max_int in
-  if t.size > 0 then begin
-    bt := Array.unsafe_get t.times 0;
-    bs := Array.unsafe_get t.seqs 0
-  end;
-  let ht = t.head_times and hs = t.head_seqs in
-  for k = 0 to Array.length ht - 1 do
-    let lt = Array.unsafe_get ht k in
-    if lt < !bt || (lt = !bt && Array.unsafe_get hs k < !bs) then begin
-      src := k;
-      bt := lt;
-      bs := Array.unsafe_get hs k
-    end
-  done;
-  t.top <- !src
-
-(* ---- heap ---- *)
-
-let heap_push t ~time ~seq ~slot =
+let heap_push t ~time slot =
   let cap = Array.length t.times in
   if t.size = cap then begin
     let ncap = if cap = 0 then 16 else cap * 2 in
@@ -159,6 +116,8 @@ let heap_push t ~time ~seq ~slot =
     t.seqs <- extend t.seqs;
     t.slots <- extend t.slots
   end;
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
   let times = t.times and seqs = t.seqs and slots = t.slots in
   (* Sift the hole up from the end while (time, seq) sorts before its
      parent. *)
@@ -167,25 +126,27 @@ let heap_push t ~time ~seq ~slot =
   let continue = ref true in
   while !continue && !i > 0 do
     let parent = (!i - 1) / 2 in
-    let pt = Array.unsafe_get times parent in
-    if time < pt || (time = pt && seq < Array.unsafe_get seqs parent) then begin
-      Array.unsafe_set times !i pt;
-      Array.unsafe_set seqs !i (Array.unsafe_get seqs parent);
-      Array.unsafe_set slots !i (Array.unsafe_get slots parent);
+    let pt = times.(parent) in
+    if time < pt || (time = pt && seq < seqs.(parent)) then begin
+      times.(!i) <- pt;
+      seqs.(!i) <- seqs.(parent);
+      slots.(!i) <- slots.(parent);
       i := parent
     end
     else continue := false
   done;
-  Array.unsafe_set times !i time;
-  Array.unsafe_set seqs !i seq;
-  Array.unsafe_set slots !i slot
+  times.(!i) <- time;
+  seqs.(!i) <- seq;
+  slots.(!i) <- slot
 
-(* Sift the entry (time, seq, slot) down from the hole at position 0 of a
-   heap of [n] positions, and store it where it lands. Child selection
-   compares without short-circuit branches: heap order is data-dependent,
-   so a branch there is a coin toss for the predictor. *)
-let sift_down t n ~time ~seq ~slot =
+(* Remove the root; returns its slot. The last position's entry sifts down
+   from the root's hole. *)
+let heap_pop t =
   let times = t.times and seqs = t.seqs and slots = t.slots in
+  let root = slots.(0) in
+  let n = t.size - 1 in
+  t.size <- n;
+  let time = times.(n) and seq = seqs.(n) and slot = slots.(n) in
   let i = ref 0 in
   let continue = ref true in
   while !continue do
@@ -193,184 +154,165 @@ let sift_down t n ~time ~seq ~slot =
     if l >= n then continue := false
     else begin
       let r = l + 1 in
-      let c =
-        if r < n then begin
-          let tl = Array.unsafe_get times l and tr = Array.unsafe_get times r in
-          l
-          + (Bool.to_int (tr < tl)
-            lor (Bool.to_int (tr = tl) land Bool.to_int (Array.unsafe_get seqs r < Array.unsafe_get seqs l)))
-        end
-        else l
-      in
-      let ct = Array.unsafe_get times c in
-      if ct < time || (ct = time && Array.unsafe_get seqs c < seq) then begin
-        Array.unsafe_set times !i ct;
-        Array.unsafe_set seqs !i (Array.unsafe_get seqs c);
-        Array.unsafe_set slots !i (Array.unsafe_get slots c);
+      let c = if r < n && (times.(r) < times.(l) || (times.(r) = times.(l) && seqs.(r) < seqs.(l))) then r else l in
+      if times.(c) < time || (times.(c) = time && seqs.(c) < seq) then begin
+        times.(!i) <- times.(c);
+        seqs.(!i) <- seqs.(c);
+        slots.(!i) <- slots.(c);
         i := c
       end
       else continue := false
     end
   done;
-  Array.unsafe_set times !i time;
-  Array.unsafe_set seqs !i seq;
-  Array.unsafe_set slots !i slot
+  if n > 0 then begin
+    times.(!i) <- time;
+    seqs.(!i) <- seq;
+    slots.(!i) <- slot
+  end;
+  root
 
-(* Remove the root; returns its slot. *)
-let heap_pop t =
-  let slot = t.slots.(0) in
-  let n = t.size - 1 in
-  t.size <- n;
-  (* Move the last position's entry into the root's hole. *)
-  if n > 0 then sift_down t n ~time:t.times.(n) ~seq:t.seqs.(n) ~slot:t.slots.(n);
+(* ---- the wheel ---- *)
+
+(* Link the list [first .. last] (already threaded through [next]) at the
+   tail of [time]'s bucket. *)
+let[@inline] append_run t ~time first last =
+  let b = 2 * (time land mask) in
+  let buckets = t.buckets in
+  let tail = Array.unsafe_get buckets (b + 1) in
+  if Array.unsafe_get buckets b < 0 then Array.unsafe_set buckets b first
+  else Array.unsafe_set t.next tail first;
+  Array.unsafe_set buckets (b + 1) last;
+  Array.unsafe_set t.next last (-1)
+
+(* Move the heap events that the window now covers into their buckets. *)
+let drain t =
+  while t.size > 0 && t.times.(0) < t.base + wheel do
+    let time = t.times.(0) in
+    let slot = heap_pop t in
+    append_run t ~time slot slot;
+    t.in_wheel <- t.in_wheel + 1
+  done
+
+(* Lower [base] to [time]: the buckets of times [time + wheel, base +
+   wheel) leave the window, and their events go to the heap in bucket
+   order, drawing fresh seqs. No heap event shares their times. *)
+let lower t time =
+  for x = Int.max t.base (time + wheel) to t.base + wheel - 1 do
+    let b = 2 * (x land mask) in
+    let s = ref t.buckets.(b) in
+    t.buckets.(b) <- -1;
+    while !s >= 0 do
+      let n = t.next.(!s) in
+      heap_push t ~time:x !s;
+      t.in_wheel <- t.in_wheel - 1;
+      s := n
+    done
+  done;
+  t.base <- time
+
+(* Queue the unlinked [slot] at [time]. *)
+let place t ~time slot =
+  if time < t.base then lower t time;
+  if time < t.base + wheel then begin
+    append_run t ~time slot slot;
+    t.in_wheel <- t.in_wheel + 1
+  end
+  else heap_push t ~time slot
+
+(* Advance [base] to the earliest event. *)
+let settle t =
+  if t.in_wheel = 0 then begin
+    if t.size > 0 then begin
+      t.base <- t.times.(0);
+      drain t
+    end
+  end
+  else if Array.unsafe_get t.buckets (2 * (t.base land mask)) < 0 then begin
+    let buckets = t.buckets and base = ref (t.base + 1) in
+    (* The heap's root enters the window when [base] reaches [enter]. *)
+    let enter = ref (if t.size > 0 then t.times.(0) - wheel + 1 else max_int) in
+    while !base >= !enter || Array.unsafe_get buckets (2 * (!base land mask)) < 0 do
+      if !base >= !enter then begin
+        t.base <- !base;
+        drain t;
+        enter := if t.size > 0 then t.times.(0) - wheel + 1 else max_int
+      end
+      else incr base
+    done;
+    t.base <- !base
+  end
+
+(* Unlink the earliest event, leaving [base] where it is; returns its
+   slot. *)
+let[@inline] unlink_min t =
+  let b = 2 * (t.base land mask) in
+  let slot = Array.unsafe_get t.buckets b in
+  Array.unsafe_set t.buckets b (Array.unsafe_get t.next slot);
+  t.in_wheel <- t.in_wheel - 1;
   slot
 
-(* ---- lanes ---- *)
-
-(* Remove lane [k]'s head; returns its slot. *)
-let lane_pop t k =
-  let r = t.rings.(k) in
-  let i = r.first in
-  let slot = r.r_slots.(i) in
-  r.first <- (i + 1) land (Array.length r.r_times - 1);
-  r.len <- r.len - 1;
-  if r.len > 0 then begin
-    t.head_times.(k) <- r.r_times.(r.first);
-    t.head_seqs.(k) <- r.r_seqs.(r.first)
-  end
-  else begin
-    t.head_times.(k) <- max_int;
-    t.head_seqs.(k) <- max_int
-  end;
-  slot
-
-(* Time of lane [r]'s last event; [r] must be non-empty. *)
-let lane_tail r = r.r_times.((r.first + r.len - 1) land (Array.length r.r_times - 1))
-
-(* Add an entry at lane [k]'s tail; into an empty lane, it is the head. *)
-let lane_push t k ~time ~seq ~slot =
-  let r = t.rings.(k) in
-  let cap = Array.length r.r_times in
-  if r.len = cap then begin
-    (* Unroll into a ring twice the size (capacities are powers of two). *)
-    let ncap = if cap = 0 then 8 else cap * 2 in
-    let unroll a =
-      let na = Array.make ncap 0 in
-      for i = 0 to r.len - 1 do
-        na.(i) <- a.((r.first + i) land (cap - 1))
-      done;
-      na
-    in
-    r.r_times <- unroll r.r_times;
-    r.r_seqs <- unroll r.r_seqs;
-    r.r_slots <- unroll r.r_slots;
-    r.first <- 0
-  end;
-  let i = (r.first + r.len) land (Array.length r.r_times - 1) in
-  r.r_times.(i) <- time;
-  r.r_seqs.(i) <- seq;
-  r.r_slots.(i) <- slot;
-  r.len <- r.len + 1;
-  if r.len = 1 then begin
-    t.head_times.(k) <- time;
-    t.head_seqs.(k) <- seq
-  end
-
-(* ---- the merged view ---- *)
+(* ---- the queue ---- *)
 
 let push t ~time payload =
   assert (time >= 0);
-  let seq = t.next_seq in
-  t.next_seq <- seq + 1;
-  heap_push t ~time ~seq ~slot:(take_slot t payload);
+  place t ~time (take_slot t payload);
   t.count <- t.count + 1;
-  settle t
-
-let append t k ~time payload =
-  if time < 0 then invalid_arg "Event_queue.append: negative time";
-  let r = t.rings.(k) in
-  if r.len > 0 && time < lane_tail r then invalid_arg "Event_queue.append: time below the lane's tail";
-  let seq = t.next_seq in
-  t.next_seq <- seq + 1;
-  lane_push t k ~time ~seq ~slot:(take_slot t payload);
-  t.count <- t.count + 1;
-  settle t
-
-let requeue t k ~time payload =
-  if t.count = 0 then invalid_arg "Event_queue.requeue: empty queue";
-  if time < 0 then invalid_arg "Event_queue.requeue: negative time";
-  let r = t.rings.(k) in
-  let src = t.top in
-  (* The lane's tail once the earliest event is gone: when that event heads
-     this very lane and is alone in it, there is none. *)
-  if (if src = k then r.len > 1 else r.len > 0) && time < lane_tail r then
-    invalid_arg "Event_queue.requeue: time below the lane's tail";
-  let seq = t.next_seq in
-  t.next_seq <- seq + 1;
-  if src = k then begin
-    (* Rotate: the head's entry moves to the tail, slot and all. *)
-    let mask = Array.length r.r_times - 1 in
-    let first = r.first in
-    let slot = Array.unsafe_get r.r_slots first in
-    if Array.unsafe_get t.payloads slot != payload then t.payloads.(slot) <- payload;
-    let i = (first + r.len) land mask in
-    Array.unsafe_set r.r_times i time;
-    Array.unsafe_set r.r_seqs i seq;
-    Array.unsafe_set r.r_slots i slot;
-    let first = (first + 1) land mask in
-    r.first <- first;
-    Array.unsafe_set t.head_times k (Array.unsafe_get r.r_times first);
-    Array.unsafe_set t.head_seqs k (Array.unsafe_get r.r_seqs first)
-  end
-  else begin
-    let slot = if src = in_heap then heap_pop t else lane_pop t src in
-    if t.payloads.(slot) != payload then t.payloads.(slot) <- payload;
-    lane_push t k ~time ~seq ~slot
-  end;
   settle t
 
 let[@inline] min_time t =
   if t.count = 0 then invalid_arg "Event_queue.min_time: empty queue";
-  if t.top = in_heap then t.times.(0) else t.head_times.(t.top)
+  t.base
 
 let[@inline] min_payload t =
   if t.count = 0 then invalid_arg "Event_queue.min_payload: empty queue";
-  let k = t.top in
-  let slot =
-    if k = in_heap then t.slots.(0)
-    else
-      let r = t.rings.(k) in
-      r.r_slots.(r.first)
-  in
-  t.payloads.(slot)
+  t.payloads.(Array.unsafe_get t.buckets (2 * (t.base land mask)))
 
 let pop_min t =
   if t.count = 0 then invalid_arg "Event_queue.pop_min: empty queue";
+  let slot = unlink_min t in
   t.count <- t.count - 1;
-  let k = t.top in
-  let slot = if k = in_heap then heap_pop t else lane_pop t k in
-  release_slot t slot;
+  t.next.(slot) <- t.free;
+  t.free <- slot;
   settle t;
   t.payloads.(slot)
 
 let replace_min t ~time payload =
   assert (time >= 0);
   if t.count = 0 then invalid_arg "Event_queue.replace_min: empty queue";
-  let seq = t.next_seq in
-  t.next_seq <- seq + 1;
-  let k = t.top in
-  if k = in_heap then begin
-    let slot = t.slots.(0) in
-    (* Rescheduling the same payload is the common case: skip the barrier. *)
-    if t.payloads.(slot) != payload then t.payloads.(slot) <- payload;
-    sift_down t t.size ~time ~seq ~slot
+  let slot = unlink_min t in
+  (* Rescheduling the same payload is the common case: skip the barrier. *)
+  if t.payloads.(slot) != payload then t.payloads.(slot) <- payload;
+  place t ~time slot;
+  settle t
+
+let requeue_run t ~time same =
+  assert (time >= 0);
+  if t.count = 0 then invalid_arg "Event_queue.requeue_run: empty queue";
+  let b = 2 * (t.base land mask) in
+  let first = t.buckets.(b) in
+  let last = ref first and n = ref 1 in
+  let s = ref t.next.(first) in
+  while !s >= 0 && same t.payloads.(!s) do
+    last := !s;
+    incr n;
+    s := t.next.(!s)
+  done;
+  t.buckets.(b) <- !s;
+  t.in_wheel <- t.in_wheel - !n;
+  if time >= t.base && time < t.base + wheel then begin
+    append_run t ~time first !last;
+    t.in_wheel <- t.in_wheel + !n
   end
   else begin
-    let slot = lane_pop t k in
-    if t.payloads.(slot) != payload then t.payloads.(slot) <- payload;
-    heap_push t ~time ~seq ~slot
+    let s = ref first in
+    for _ = 1 to !n do
+      let nx = t.next.(!s) in
+      place t ~time !s;
+      s := nx
+    done
   end;
-  settle t
+  settle t;
+  !n
 
 let pop t =
   if t.count = 0 then None

@@ -1,40 +1,30 @@
-(** Priority queue ordering simulator events by time: a binary min-heap
-    stored as parallel arrays (no record per event), plus FIFO lanes beside
-    it.
+(** Priority queue ordering simulator events by time: a timing wheel with
+    one FIFO bucket per cycle of a sliding window, and a small heap for
+    events beyond it.
 
     The global simulation loop pops the (time, payload) pair with the smallest
     time; ties are broken by insertion order (FIFO among equal times) so the
-    simulation is fully deterministic.
-
-    A lane holds events whose times arrive in nondecreasing order, so it
-    needs no sifting: an append and a pop are O(1). Every event, heap or
-    lane, takes its insertion rank from one shared counter, and every read
-    and pop below looks at the heap root and every lane head by
-    (time, insertion). Events therefore come out in exactly the order one
-    heap holding them all would give. *)
+    simulation is fully deterministic. Scheduling inside the window and
+    popping are O(1); reaching the next non-empty bucket costs one probe
+    per empty cycle skipped. *)
 
 type 'a t
 
-type lane
-
 val create : unit -> 'a t
+(** An empty queue. Its bucket page comes from this domain's
+    {!Pagepool}. *)
 
-val add_lane : 'a t -> lane
-(** A new, empty lane of this queue. *)
+val release : 'a t -> unit
+(** End of life: drop every event and give the bucket page back to
+    {!Pagepool}. The queue must not be used afterwards. *)
 
 val is_empty : 'a t -> bool
 
 val length : 'a t -> int
-(** Events queued, in the heap and every lane. *)
 
 val push : 'a t -> time:int -> 'a -> unit
-(** [push q ~time x] schedules [x] at [time] on the heap. [time] must be
-    non-negative. *)
-
-val append : 'a t -> lane -> time:int -> 'a -> unit
-(** [append q l ~time x] schedules [x] at [time] on lane [l]. Raises
-    [Invalid_argument] when [time] is negative or below the time of the
-    lane's last event. *)
+(** [push q ~time x] schedules [x] at [time], which must be non-negative
+    and may lie below the earliest queued time. *)
 
 val pop : 'a t -> (int * 'a) option
 (** Remove and return the earliest event, or [None] if empty. *)
@@ -52,19 +42,20 @@ val pop_min : 'a t -> 'a
     [Invalid_argument] when empty. *)
 
 val replace_min : 'a t -> time:int -> 'a -> unit
-(** [replace_min q ~time x] is [ignore (pop_min q); push q ~time x]: the
-    same pop order afterwards, and one sift when the earliest event was on
-    the heap. The engine's event loop reschedules the core it just stepped
-    this way. Raises [Invalid_argument] when empty. *)
+(** [replace_min q ~time x] is [ignore (pop_min q); push q ~time x] without
+    freeing and retaking a slot. The engine's event loop reschedules the
+    core it just stepped this way. Raises [Invalid_argument] when empty. *)
 
-val requeue : 'a t -> lane -> time:int -> 'a -> unit
-(** [requeue q l ~time x] is [ignore (pop_min q); append q l ~time x]: the
-    earliest event moves onto lane [l]. Raises [Invalid_argument] when [q]
-    is empty or as {!append} does. *)
+val requeue_run : 'a t -> time:int -> ('a -> bool) -> int
+(** [requeue_run q ~time same] moves the earliest event, and after it every
+    consecutive event of its time whose payload satisfies [same], to
+    [time], in their order; returns how many moved. When [time] is later
+    than theirs, that is as many [replace_min q ~time x] calls, each on the
+    event then earliest with its own payload. Raises [Invalid_argument]
+    when empty. *)
 
 val peek_time : 'a t -> int option
 (** Time of the earliest event without removing it. *)
 
 val clear : 'a t -> unit
-(** Drop every event and restart the insertion counter. Lanes stay
-    registered, empty. *)
+(** Drop every event. *)

@@ -10,7 +10,9 @@
 
 type t = {
   mutable sims : int;  (** simulations aggregated into this record *)
-  mutable events_popped : int;  (** event-queue pops (engine main loop) *)
+  mutable events_popped : int;
+      (** simulated events stepped: one per core, also when the engine
+          main loop re-parks a run of idle cores in one iteration *)
   mutable conflict_checks : int;  (** conflict-map mask queries *)
   mutable conflict_hits : int;  (** queries returning a non-empty victim mask *)
   mutable footprint_inserts : int;  (** per-attempt footprint line touches *)

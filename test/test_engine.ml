@@ -138,14 +138,14 @@ let test_golden_fingerprints () =
           seed c cm ab ins wa gc gcm gab gin gwa)
     golden_fingerprints
 
-(* Event counts: the number of events the sequential loop pops, with the
-   run's fingerprint, pinned from the engine before idle cores moved to a
-   FIFO lane. The closed-loop runs are contended at 16 cores with one
+(* Event counts: the number of events the sequential loop steps, with the
+   run's fingerprint, pinned from the engine before idle cores moved off
+   the event heap. The closed-loop runs are contended at 16 cores with one
    retry: under B most waits spin on the fallback lock ([spin_cycles]
    out), under C cores also retry held cacheline locks ([spin_cycles / 2]
-   out). The open-loop points park idle cores on the arrival lane between
-   Poisson arrivals. A queue change that lost, repeated or reordered an
-   event would move these numbers. *)
+   out). The open-loop points park idle cores between Poisson arrivals
+   and re-park them a run at a time. A queue change that lost, repeated
+   or reordered an event would move these numbers. *)
 let golden_event_counts =
   let closed preset =
     Config.with_seed { preset with Config.cores = 16; ops_per_thread = 40; max_retries = 1 } 42

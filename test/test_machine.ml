@@ -260,12 +260,13 @@ let test_config_pp () =
 
 let test_stats_commits_and_retries () =
   let s = Stats.create () in
-  Stats.note_commit s ~ar:"x" ~mode:Stats.Speculative ~retries:0;
-  Stats.note_commit s ~ar:"x" ~mode:Stats.Speculative ~retries:1;
-  Stats.note_commit s ~ar:"y" ~mode:Stats.Scl ~retries:1;
+  Stats.note_commit s ~ar:20 ~mode:Stats.Speculative ~retries:0;
+  Stats.note_commit s ~ar:20 ~mode:Stats.Speculative ~retries:1;
+  Stats.note_commit s ~ar:3 ~mode:Stats.Scl ~retries:1;
   Stats.note_commit s ~mode:Stats.Fallback ~retries:6;
   Alcotest.(check int) "commits" 4 (Stats.commits s);
-  Alcotest.(check int) "per AR" 2 (Stats.commits_for_ar s "x");
+  Alcotest.(check int) "per AR" 2 (Stats.commits_for_ar s 20);
+  Alcotest.(check int) "AR never committed" 0 (Stats.commits_for_ar s 4);
   Alcotest.(check int) "scl commits" 1 (Stats.commits_in_mode s Stats.Scl);
   let one, many, fb = Stats.retry_breakdown s in
   Alcotest.(check (float 1e-9)) "one-retry share" (2.0 /. 3.0) one;

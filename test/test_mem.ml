@@ -403,10 +403,14 @@ module Ref_directory = struct
         if e.owner = core then e.owner <- -1;
         e.sharers <- e.sharers land lnot (bit core)
 
-  (* -1 when acquired (with the invalidated mask), else the holder. *)
+  (* -1 when acquired (with the invalidated mask), else the holder. The
+     holder re-locking takes ownership back. *)
   let lock t ~core line =
     let e = entry t line in
-    if e.locker = core then (-1, 0)
+    if e.locker = core then begin
+      ignore (write t ~core line);
+      (-1, 0)
+    end
     else if e.locker >= 0 then (e.locker, 0)
     else begin
       let _, _, inv = write t ~core line in
@@ -585,6 +589,65 @@ let test_hierarchy_counter_cells () =
   Alcotest.(check int) "still counting" 1 (Counter.get counters "mem_access");
   Alcotest.(check int) "merge copied values, not cells" 0 (Counter.get total "mem_access")
 
+(* The access path skips a core's L1 and L2 probes when the directory says
+   the core held no copy. That is exact only if the private caches hold
+   nothing the directory does not list the core for: after any script of
+   reads, writes, locks, unlocks and flushes, every line in a core's L1 or
+   L2 names that core as owner or sharer. The tiny geometry and a small
+   line range keep evictions from both levels frequent. *)
+type hier_op = H_read of int * int | H_write of int * int | H_lock of int * int | H_unlock_all of int | H_flush of int
+
+let hier_cores = 3
+
+let hier_op_gen =
+  let open QCheck.Gen in
+  let core = int_range 0 (hier_cores - 1) and line = int_range 0 95 in
+  frequency
+    [
+      (5, map2 (fun c l -> H_read (c, l)) core line);
+      (4, map2 (fun c l -> H_write (c, l)) core line);
+      (2, map2 (fun c l -> H_lock (c, l)) core line);
+      (1, map (fun c -> H_unlock_all c) core);
+      (1, map (fun c -> H_flush c) core);
+    ]
+
+let show_hier_op = function
+  | H_read (c, l) -> Printf.sprintf "read %d %d" c l
+  | H_write (c, l) -> Printf.sprintf "write %d %d" c l
+  | H_lock (c, l) -> Printf.sprintf "lock %d %d" c l
+  | H_unlock_all c -> Printf.sprintf "unlock_all %d" c
+  | H_flush c -> Printf.sprintf "flush %d" c
+
+let prop_private_lines_listed =
+  QCheck.Test.make ~name:"private cache lines are listed in the directory" ~count:300
+    (QCheck.make ~print:(QCheck.Print.list show_hier_op) QCheck.Gen.(list_size (int_range 0 150) hier_op_gen))
+    (fun script ->
+      let store = Store.create ~words:(1 lsl 12) in
+      let h = Hierarchy.create Params.tiny ~cores:hier_cores ~store ~counters:(Counter.create_set ()) in
+      let dir = Hierarchy.directory h in
+      let listed () =
+        List.for_all
+          (fun core ->
+            let ok = ref true in
+            let check line = if not (Directory.is_sharer dir ~core line) then ok := false in
+            Cache.iter (Hierarchy.l1 h ~core) check;
+            Cache.iter (Hierarchy.l2 h ~core) check;
+            !ok)
+          (List.init hier_cores Fun.id)
+      in
+      (* Reads and writes through another core's lock are refused. *)
+      let free_for core line = let holder = Hierarchy.locked_by h line in holder < 0 || holder = core in
+      List.for_all
+        (fun op ->
+          (match op with
+          | H_read (core, line) -> if free_for core line then ignore (Hierarchy.read_line h ~core line)
+          | H_write (core, line) -> if free_for core line then ignore (Hierarchy.write_line h ~core line)
+          | H_lock (core, line) -> ignore (Hierarchy.lock_line h ~core line)
+          | H_unlock_all core -> ignore (Hierarchy.unlock_all h ~core : int)
+          | H_flush core -> Hierarchy.flush_core h ~core);
+          listed ())
+        script)
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -637,5 +700,6 @@ let () =
           Alcotest.test_case "eviction reported" `Quick test_hierarchy_eviction_reported;
           Alcotest.test_case "counters" `Quick test_hierarchy_counters;
           Alcotest.test_case "counter cells" `Quick test_hierarchy_counter_cells;
-        ] );
+        ]
+        @ qsuite [ prop_private_lines_listed ] );
     ]

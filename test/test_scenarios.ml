@@ -116,7 +116,8 @@ let test_deviation_total_conserved () =
   let engine = Engine.create cfg w in
   let stats = Engine.run engine in
   let store = Engine.store engine in
-  let chases = Stats.commits_for_ar stats "chase" in
+  let chase = List.find (fun (ar : P.ar) -> ar.P.name = "chase") w.Workload.ars in
+  let chases = Stats.commits_for_ar stats chase.P.id in
   Alcotest.(check int) "every chase incremented exactly one cell" chases
     (Store.read store cell0 + Store.read store cell1)
 

@@ -198,154 +198,126 @@ let prop_queue_interleaved =
                   p = expected))
         script)
 
-(* Lanes against one plain priority queue holding every event. The model
-   numbers each accepted insert from one counter, as the queue does, and
-   remembers which lane (or -1, the heap) each event went to, so it knows a
-   lane's tail. Times come from a narrow range, so ties and appends below a
-   tail are both frequent. Every step's observable result — popped
-   (time, payload) pairs, a raised [Invalid_argument], the length — must
-   agree, and so must the final drain. *)
-module Lane_model = struct
+(* The wheel against one plain priority queue holding every event. The
+   model numbers each insert from one counter and pops by (time, seq).
+   Times come from narrow clusters a window or more apart, so ties, events
+   beyond the window (the overflow heap), window advances and pushes below
+   the earliest queued time (which lower the window) are all frequent.
+   Payloads whose low bit is set count as parked for [requeue_run]. Every
+   step's observable result must agree with the model's: the earliest
+   (time, payload), the length, a run's size, a raised [Invalid_argument];
+   and so must the final drain. *)
+module Wheel_model = struct
   module S = Set.Make (struct
-    type t = int * int * int * int (* time, seq, payload, lane *)
+    type t = int * int * int (* time, seq, payload *)
 
-    let compare (t1, s1, _, _) (t2, s2, _, _) = compare (t1, s1) (t2, s2)
+    let compare (t1, s1, _) (t2, s2, _) = compare (t1, s1) (t2, s2)
   end)
 
   type t = { mutable set : S.t; mutable seq : int }
 
   let create () = { set = S.empty; seq = 0 }
 
-  let insert m ~time ~lane payload =
-    m.set <- S.add (time, m.seq, payload, lane) m.set;
+  let insert m ~time payload =
+    m.set <- S.add (time, m.seq, payload) m.set;
     m.seq <- m.seq + 1
 
-  (* Time of the lane's last event, if it holds any. *)
-  let tail m lane = S.fold (fun (t, _, _, l) acc -> if l = lane then Some t else acc) m.set None
-
-  let below_tail m lane time = match tail m lane with Some t -> time < t | None -> false
-
   let pop m =
-    let ((time, _, payload, _) as e) = S.min_elt m.set in
+    let ((time, _, payload) as e) = S.min_elt m.set in
     m.set <- S.remove e m.set;
     (time, payload)
+
+  (* Pop the earliest event and the consecutive same-time events behind it
+     that satisfy [same]; their payloads, in order. *)
+  let pop_run m same =
+    let time, first = pop m in
+    let rec more acc =
+      match S.min_elt_opt m.set with
+      | Some (t, _, x) when t = time && same x ->
+          ignore (pop m);
+          more (x :: acc)
+      | _ -> List.rev acc
+    in
+    more [ first ]
 end
 
-type lane_op =
-  | L_push of int
-  | L_append of int * int
-  | L_pop_min
-  | L_replace_min of int
-  | L_requeue of int * int
+type wheel_op = W_push of int * bool | W_pop_min | W_replace_min of int * bool | W_requeue_run of int
 
-let lane_op_gen =
+let wheel_op_gen =
   let open QCheck.Gen in
-  let time = int_range 0 8 and lane = int_range 0 2 in
+  let time = map2 ( + ) (oneofl [ 0; 1_020; 2_050; 5_000 ]) (int_range 0 6) in
   frequency
     [
-      (3, map (fun t -> L_push t) time);
-      (4, map2 (fun l t -> L_append (l, t)) lane time);
-      (3, return L_pop_min);
-      (2, map (fun t -> L_replace_min t) time);
-      (3, map2 (fun l t -> L_requeue (l, t)) lane time);
+      (4, map2 (fun t p -> W_push (t, p)) time bool);
+      (3, return W_pop_min);
+      (2, map2 (fun t p -> W_replace_min (t, p)) time bool);
+      (3, map (fun t -> W_requeue_run t) time);
     ]
 
-let show_lane_op = function
-  | L_push t -> Printf.sprintf "push %d" t
-  | L_append (l, t) -> Printf.sprintf "append %d %d" l t
-  | L_pop_min -> "pop_min"
-  | L_replace_min t -> Printf.sprintf "replace_min %d" t
-  | L_requeue (l, t) -> Printf.sprintf "requeue %d %d" l t
+let show_wheel_op = function
+  | W_push (t, p) -> Printf.sprintf "push %d%s" t (if p then " parked" else "")
+  | W_pop_min -> "pop_min"
+  | W_replace_min (t, p) -> Printf.sprintf "replace_min %d%s" t (if p then " parked" else "")
+  | W_requeue_run t -> Printf.sprintf "requeue_run %d" t
 
-let prop_lanes_match_one_heap =
-  QCheck.Test.make ~name:"lanes pop in one heap's (time, seq) order" ~count:500
-    (QCheck.make ~print:(QCheck.Print.list show_lane_op) QCheck.Gen.(list_size (int_range 0 80) lane_op_gen))
+let prop_wheel_matches_model =
+  QCheck.Test.make ~name:"wheel matches a (time, seq) model" ~count:500
+    (QCheck.make ~print:(QCheck.Print.list show_wheel_op) QCheck.Gen.(list_size (int_range 0 120) wheel_op_gen))
     (fun script ->
       let q = Event_queue.create () in
-      let lanes = Array.init 3 (fun _ -> Event_queue.add_lane q) in
-      let m = Lane_model.create () in
+      let m = Wheel_model.create () in
+      let parked x = x land 1 = 1 in
       let next = ref 0 in
-      let fresh () =
+      let fresh p =
         incr next;
-        !next
+        (2 * !next) + Bool.to_int p
       in
-      let raises f = match f () with () -> false | exception Invalid_argument _ -> true in
-      let popped = ref [] and expected = ref [] in
-      let record_pop () =
-        let time = Event_queue.min_time q in
-        popped := (time, Event_queue.pop_min q) :: !popped;
-        expected := Lane_model.pop m :: !expected
+      let raises f = match f () with _ -> false | exception Invalid_argument _ -> true in
+      let empty () = Wheel_model.S.is_empty m.set in
+      (* The queue's earliest event is the model's. *)
+      let front_agrees () =
+        empty ()
+        ||
+        let time, _, x = Wheel_model.S.min_elt m.set in
+        Event_queue.min_time q = time && Event_queue.min_payload q = x
       in
       let step = function
-        | L_push time ->
-            let x = fresh () in
+        | W_push (time, p) ->
+            let x = fresh p in
             Event_queue.push q ~time x;
-            Lane_model.insert m ~time ~lane:(-1) x;
+            Wheel_model.insert m ~time x;
             true
-        | L_append (l, time) ->
-            let x = fresh () in
-            let below = Lane_model.below_tail m l time in
-            if not below then Lane_model.insert m ~time ~lane:l x;
-            raises (fun () -> Event_queue.append q lanes.(l) ~time x) = below
-        | L_pop_min ->
-            if Lane_model.S.is_empty m.set then raises (fun () -> ignore (Event_queue.pop_min q : int))
+        | W_pop_min ->
+            if empty () then raises (fun () -> Event_queue.pop_min q)
+            else snd (Wheel_model.pop m) = Event_queue.pop_min q
+        | W_replace_min (time, p) ->
+            let x = fresh p in
+            if empty () then raises (fun () -> Event_queue.replace_min q ~time x)
             else begin
-              record_pop ();
-              true
-            end
-        | L_replace_min time ->
-            let x = fresh () in
-            if Lane_model.S.is_empty m.set then
-              raises (fun () -> Event_queue.replace_min q ~time x)
-            else begin
-              expected := Lane_model.pop m :: !expected;
-              Lane_model.insert m ~time ~lane:(-1) x;
-              popped := (Event_queue.min_time q, Event_queue.min_payload q) :: !popped;
+              ignore (Wheel_model.pop m);
+              Wheel_model.insert m ~time x;
               Event_queue.replace_min q ~time x;
               true
             end
-        | L_requeue (l, time) ->
-            let x = fresh () in
-            if Lane_model.S.is_empty m.set then raises (fun () -> Event_queue.requeue q lanes.(l) ~time x)
+        | W_requeue_run time ->
+            if empty () then raises (fun () -> Event_queue.requeue_run q ~time parked)
             else begin
-              (* Pop first: the lane's tail is judged without the head. *)
-              let before = m.set in
-              let head = Lane_model.pop m in
-              if Lane_model.below_tail m l time then begin
-                m.set <- before;
-                raises (fun () -> Event_queue.requeue q lanes.(l) ~time x)
-              end
-              else begin
-                expected := head :: !expected;
-                Lane_model.insert m ~time ~lane:l x;
-                popped := (Event_queue.min_time q, Event_queue.min_payload q) :: !popped;
-                Event_queue.requeue q lanes.(l) ~time x;
-                true
-              end
+              let run = Wheel_model.pop_run m parked in
+              List.iter (Wheel_model.insert m ~time) run;
+              Event_queue.requeue_run q ~time parked = List.length run
             end
       in
       let ok =
-        List.for_all (fun op -> step op && Event_queue.length q = Lane_model.S.cardinal m.set) script
+        List.for_all
+          (fun op -> step op && Event_queue.length q = Wheel_model.S.cardinal m.set && front_agrees ())
+          script
       in
-      while not (Event_queue.is_empty q) do
-        record_pop ()
-      done;
-      ok && Lane_model.S.is_empty m.set && !popped = !expected)
-
-let test_lane_append_below_tail () =
-  let q = Event_queue.create () in
-  let lane = Event_queue.add_lane q in
-  Event_queue.append q lane ~time:5 "a";
-  Event_queue.append q lane ~time:5 "b";
-  Alcotest.check_raises "below the tail" (Invalid_argument "Event_queue.append: time below the lane's tail")
-    (fun () -> Event_queue.append q lane ~time:4 "c");
-  Alcotest.(check int) "rejected append leaves the queue alone" 2 (Event_queue.length q);
-  Event_queue.push q ~time:1 "h";
-  let order = List.init 3 (fun _ -> match Event_queue.pop q with Some (_, x) -> x | None -> "-") in
-  Alcotest.(check (list string)) "heap before lane, lane FIFO" [ "h"; "a"; "b" ] order;
-  (* An emptied lane takes any time again. *)
-  Event_queue.append q lane ~time:0 "d";
-  Alcotest.(check (option int)) "emptied lane restarts" (Some 0) (Event_queue.peek_time q)
+      let rec drain () =
+        match Event_queue.pop q with
+        | None -> empty ()
+        | Some got -> got = Wheel_model.pop m && drain ()
+      in
+      ok && drain ())
 
 (* ------------------------------------------------------------------ *)
 (* Summary *)
@@ -571,14 +543,13 @@ let () =
           Alcotest.test_case "FIFO ties" `Quick test_queue_fifo_ties;
           Alcotest.test_case "peek" `Quick test_queue_peek;
           Alcotest.test_case "clear" `Quick test_queue_clear;
-          Alcotest.test_case "lane append below tail" `Quick test_lane_append_below_tail;
         ]
         @ qsuite
             [
               prop_queue_sorted;
               prop_queue_time_seq_sorted;
               prop_queue_interleaved;
-              prop_lanes_match_one_heap;
+              prop_wheel_matches_model;
             ] );
       ( "pool",
         [
