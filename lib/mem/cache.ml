@@ -1,19 +1,21 @@
-(* Tags and LRU ages live in pages of whole sets, the {!Store} zero-chunk
-   idiom: a fresh cache points every page slot at one shared all-empty page,
-   so creating a 16-core machine allocates page tables, not megabytes of
-   [-1] tags, and a simulation pays only for the sets it touches. The shared
-   page is only ever read (every lookup on it misses), and the first insert
-   into a set copies its page. Within a page each set is one block of its
-   ways' tags followed by their ages, so an access touches one contiguous
-   span of host memory.
+(* Tags live in pages of whole sets, the {!Store} zero-chunk idiom: a fresh
+   cache points every page slot at one shared all-empty page, so creating a
+   16-core machine allocates page tables, not megabytes of [-1] tags, and a
+   simulation pays only for the sets it touches. The shared page is only
+   ever read (every lookup on it misses), and the first insert into a set
+   copies its page.
+
+   A set is its ways' tags in recency order: the most recently used line at
+   way 0, the least recently used valid line last, empty ways (-1) at the
+   tail. That is the whole LRU state, so a set is one contiguous span of
+   host memory with no ages and no clock. A hit or an insert moves the line
+   to way 0 by shifting the ways in front of it back by one; the victim of a
+   full set is its last way; a probe stops at the first empty way, as no
+   line lies beyond it.
 
    Owned pages come from {!Simrt.Pagepool}, and [clear] gives them back:
    nothing outside this module holds a page, so a cleared cache is the
-   pages' last reader.
-
-   Way lookups return the tag's offset in its page, or -1, so the hit path
-   allocates nothing, and [insert] finds the line, the first empty way and
-   the LRU way in one pass over the set. *)
+   pages' last reader. *)
 
 (* Words per page, at most: pages are whole sets, a power of two of them. *)
 let page_words = 2048
@@ -21,13 +23,12 @@ let page_words = 2048
 let empty_page = Array.make page_words (-1)
 
 type t = {
-  sets : int;
+  set_mask : int; (* sets - 1 *)
   ways : int;
   page_shift : int; (* log2 sets per page *)
   page_set_mask : int; (* sets per page - 1 *)
   empty : int array; (* shared read-only page of empty tags *)
   pages : int array array;
-  mutable tick : int;
 }
 
 let create ~sets ~ways =
@@ -35,56 +36,63 @@ let create ~sets ~ways =
     invalid_arg "Cache.create: sets must be a positive power of two";
   if ways <= 0 then invalid_arg "Cache.create: ways must be positive";
   let shift = ref 0 in
-  while 1 lsl (!shift + 1) <= sets && (1 lsl (!shift + 1)) * 2 * ways <= page_words do
+  while 1 lsl (!shift + 1) <= sets && (1 lsl (!shift + 1)) * ways <= page_words do
     incr shift
   done;
-  let len = (1 lsl !shift) * 2 * ways in
+  let len = (1 lsl !shift) * ways in
   let empty = if len <= page_words then empty_page else Array.make len (-1) in
   {
-    sets;
+    set_mask = sets - 1;
     ways;
     page_shift = !shift;
     page_set_mask = (1 lsl !shift) - 1;
     empty;
     pages = Array.make (sets lsr !shift) empty;
-    tick = 0;
   }
 
-let sets t = t.sets
-
-let ways t = t.ways
-
-let[@inline] set_of t line = line land (t.sets - 1)
+let[@inline] set_of t line = line land t.set_mask
 
 let[@inline] page_of t line = Array.unsafe_get t.pages (set_of t line lsr t.page_shift)
 
-(* Offset of [line]'s set block (tags, then ages) in its page. *)
-let[@inline] base_of t line = (line land t.page_set_mask) * 2 * t.ways
+(* Offset of [line]'s set (its way 0) in its page. *)
+let[@inline] base_of t line = (line land t.page_set_mask) * t.ways
+
+(* The first way in [i, stop) of page [p] that holds [line] or is empty,
+   else [stop]. *)
+let[@inline] scan p line i stop =
+  let i = ref i in
+  while
+    !i < stop
+    &&
+    let tag = Array.unsafe_get p !i in
+    tag <> line && tag <> -1
+  do
+    incr i
+  done;
+  !i
 
 (* Offset of [line]'s tag in page [p], or -1. *)
 let[@inline] find t p line =
-  if p == t.empty then -1
-  else begin
-    let base = base_of t line in
-    let stop = base + t.ways in
-    let i = ref base in
-    while !i < stop && Array.unsafe_get p !i <> line do
-      incr i
-    done;
-    if !i < stop then !i else -1
-  end
+  let base = base_of t line in
+  let stop = base + t.ways in
+  let i = scan p line base stop in
+  if i < stop && Array.unsafe_get p i = line then i else -1
+
+(* Shift ways [base, i) of page [p] back by one and put [line] at [base].
+   The annotation keeps the loop typed: on an ['a array] each store would
+   test for a float array and go through [caml_modify]. *)
+let[@inline] to_front (p : int array) base i line =
+  for j = i downto base + 1 do
+    Array.unsafe_set p j (Array.unsafe_get p (j - 1))
+  done;
+  Array.unsafe_set p base line
 
 let mem t line = find t (page_of t line) line >= 0
-
-(* Make tag [i] of page [p] the set's most recently used. *)
-let[@inline] bump t p i =
-  t.tick <- t.tick + 1;
-  Array.unsafe_set p (i + t.ways) t.tick
 
 let touch t line =
   let p = page_of t line in
   let i = find t p line in
-  if i >= 0 then bump t p i;
+  if i >= 0 then to_front p (base_of t line) i line;
   i >= 0
 
 (* [line]'s page, copied out of the shared empty page first if need be. *)
@@ -93,10 +101,7 @@ let own_page t line =
   let p = t.pages.(pi) in
   if p != t.empty then p
   else begin
-    let np = Simrt.Pagepool.take ~len:((t.page_set_mask + 1) * 2 * t.ways) ~fill:0 in
-    for s = 0 to t.page_set_mask do
-      Array.fill np (s * 2 * t.ways) t.ways (-1)
-    done;
+    let np = Simrt.Pagepool.take ~len:((t.page_set_mask + 1) * t.ways) ~fill:(-1) in
     t.pages.(pi) <- np;
     np
   end
@@ -108,29 +113,12 @@ let present = -2
 let place t line =
   let p = own_page t line in
   let base = base_of t line in
-  let stop = base + t.ways in
-  (* One pass: the line itself, else the first empty way, else the least
-     recently used way (the first of equals). *)
-  let hit = ref (-1) and empty = ref (-1) and lru = ref base in
-  let i = ref base in
-  while !hit < 0 && !i < stop do
-    let tag = Array.unsafe_get p !i in
-    if tag = line then hit := !i
-    else if tag = -1 then (if !empty < 0 then empty := !i)
-    else if Array.unsafe_get p (!i + t.ways) < Array.unsafe_get p (!lru + t.ways) then lru := !i;
-    incr i
-  done;
-  if !hit >= 0 then begin
-    bump t p !hit;
-    present
-  end
-  else begin
-    let victim = if !empty >= 0 then !empty else !lru in
-    let evicted = Array.unsafe_get p victim in
-    Array.unsafe_set p victim line;
-    bump t p victim;
-    evicted
-  end
+  (* The line, the first empty way, or else the last way: the least
+     recently used line of a full set. *)
+  let i = scan p line base (base + t.ways - 1) in
+  let tag = Array.unsafe_get p i in
+  to_front p base i line;
+  if tag = line then present else tag
 
 let insert t line =
   let r = place t line in
@@ -142,19 +130,13 @@ let invalidate t line =
   let p = page_of t line in
   let i = find t p line in
   if i >= 0 then begin
-    p.(i) <- -1;
-    p.(i + t.ways) <- 0
+    let last = base_of t line + t.ways - 1 in
+    for j = i to last - 1 do
+      Array.unsafe_set p j (Array.unsafe_get p (j + 1))
+    done;
+    Array.unsafe_set p last (-1)
   end;
   i >= 0
-
-let lines_in_set_of t line =
-  let p = page_of t line in
-  let base = base_of t line in
-  let n = ref 0 in
-  for i = base to base + t.ways - 1 do
-    if p.(i) <> -1 then incr n
-  done;
-  !n
 
 let would_fit t lines =
   let per_set = Hashtbl.create 16 in
@@ -171,14 +153,13 @@ let iter t f =
     (fun p ->
       if p != t.empty then
         for s = 0 to t.page_set_mask do
-          let base = s * 2 * t.ways in
-          for i = base to base + t.ways - 1 do
-            let tag = Array.unsafe_get p i in
-            if tag <> -1 then f tag
+          let base = s * t.ways in
+          let i = ref base in
+          while !i < base + t.ways && Array.unsafe_get p !i <> -1 do
+            f (Array.unsafe_get p !i);
+            incr i
           done
         done)
     t.pages
 
-let clear t =
-  Simrt.Pagepool.give_table t.pages ~empty:t.empty;
-  t.tick <- 0
+let clear t = Simrt.Pagepool.give_table t.pages ~empty:t.empty

@@ -10,10 +10,6 @@ type t
 val create : sets:int -> ways:int -> t
 (** [sets] must be a power of two. *)
 
-val sets : t -> int
-
-val ways : t -> int
-
 val mem : t -> Addr.line -> bool
 (** Is the line present? Does not update LRU. *)
 
@@ -32,16 +28,14 @@ val fill : t -> Addr.line -> bool
 val invalidate : t -> Addr.line -> bool
 (** Drop the line; returns whether it was present. *)
 
-val lines_in_set_of : t -> Addr.line -> int
-(** Occupancy of the set that [line] maps to. *)
-
 val would_fit : t -> Addr.line list -> bool
 (** Could all these (distinct) lines reside in the cache simultaneously, i.e.
     does no set receive more lines than it has ways? This is the discovery
     "can we lock the whole footprint" test. *)
 
 val iter : t -> (Addr.line -> unit) -> unit
-(** Every resident line, in (set, way) order. *)
+(** Every resident line, in (set, recency) order, most recently used
+    first. *)
 
 val clear : t -> unit
 (** Empty the cache and give its pages back to {!Simrt.Pagepool}. *)

@@ -96,6 +96,21 @@ let test_cache_invalidate () =
   Alcotest.(check bool) "absent now" false (Cache.mem c 4);
   Alcotest.(check bool) "absent invalidate" false (Cache.invalidate c 4)
 
+(* A set keeps its lines in recency order: [touch] and [insert] refresh a
+   line, [mem] does not, the victim is the least recently used line and an
+   invalidated way is refilled before anything is evicted. *)
+let test_cache_recency_order () =
+  let c = Cache.create ~sets:1 ~ways:3 in
+  List.iter (fun l -> Alcotest.(check int) "fills an empty way" (-1) (Cache.insert c l)) [ 1; 2; 3 ];
+  Alcotest.(check bool) "touch 1" true (Cache.touch c 1);
+  Alcotest.(check bool) "mem 2" true (Cache.mem c 2);
+  Alcotest.(check int) "evicts 2, untouched by mem" 2 (Cache.insert c 4);
+  Alcotest.(check bool) "invalidate 3" true (Cache.invalidate c 3);
+  Alcotest.(check int) "refills the freed way" (-1) (Cache.insert c 5);
+  let order = ref [] in
+  Cache.iter c (fun l -> order := l :: !order);
+  Alcotest.(check (list int)) "most recently used first" [ 5; 4; 1 ] (List.rev !order)
+
 let test_cache_would_fit () =
   let c = Cache.create ~sets:2 ~ways:2 in
   (* lines 0,2,4 all map to set 0 — three in a 2-way set do not fit *)
@@ -180,15 +195,14 @@ module Flat_cache = struct
     end;
     i >= 0
 
-  let lines_in_set_of t line =
-    let b = base t line in
-    let n = ref 0 in
-    for i = b to b + t.ways - 1 do
-      if t.tags.(i) <> -1 then incr n
-    done;
-    !n
-
-  let iter t f = Array.iter (fun tag -> if tag <> -1 then f tag) t.tags
+  (* Each set's lines most recently used first: ages are unique. *)
+  let iter t f =
+    for s = 0 to t.sets - 1 do
+      List.init t.ways (fun w -> (s * t.ways) + w)
+      |> List.filter (fun i -> t.tags.(i) <> -1)
+      |> List.sort (fun i j -> compare t.age.(j) t.age.(i))
+      |> List.iter (fun i -> f t.tags.(i))
+    done
 
   let clear t =
     Array.fill t.tags 0 (Array.length t.tags) (-1);
@@ -215,7 +229,9 @@ let test_cache_clear_recycles () =
 
 (* Random op sequences over a handful of sets spread across the cache, each
    hit by up to twice its ways in distinct lines: hits, fills, LRU
-   evictions and invalidations on sets in several pages. *)
+   evictions and invalidations on sets in several pages. The resident
+   lines must match in each set's recency order, which the reference keeps
+   as ages. *)
 let prop_cache_matches_flat =
   let gen =
     QCheck.Gen.(
@@ -239,8 +255,7 @@ let prop_cache_matches_flat =
           if kind < 30 then Cache.touch c line = Flat_cache.touch r line
           else if kind < 75 then Cache.insert c line = Flat_cache.insert r line
           else if kind < 85 then Cache.invalidate c line = Flat_cache.invalidate r line
-          else if kind < 92 then Cache.mem c line = Flat_cache.mem r line
-          else if kind < 99 then Cache.lines_in_set_of c line = Flat_cache.lines_in_set_of r line
+          else if kind < 99 then Cache.mem c line = Flat_cache.mem r line
           else begin
             Cache.clear c;
             Flat_cache.clear r;
@@ -666,6 +681,7 @@ let () =
         [
           Alcotest.test_case "hit/miss" `Quick test_cache_hit_miss;
           Alcotest.test_case "LRU eviction" `Quick test_cache_lru_eviction;
+          Alcotest.test_case "recency order" `Quick test_cache_recency_order;
           Alcotest.test_case "invalidate" `Quick test_cache_invalidate;
           Alcotest.test_case "would_fit" `Quick test_cache_would_fit;
           Alcotest.test_case "reinsert" `Quick test_cache_reinsert_no_evict;
