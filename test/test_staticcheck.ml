@@ -52,6 +52,104 @@ let test_registry_summaries_sane () =
         w.ars)
     Workloads.Registry.all
 
+(* Every registry AR's static summary and prediction, one row each, pinned
+   from the verifier before its abstract values stopped carrying taint: line
+   bounds, execution bounds, indirections, the five fits, lock groups,
+   envelope and Table-1 class. A drift here changes what the gate and
+   [clear_sim analyze] report. *)
+let summary_row (w : Machine.Workload.t) (ar : P.ar) =
+  let written_regions = List.concat_map P.regions_written w.ars in
+  let s = A.analyze_ar ar in
+  let p = Pr.predict ~written_regions s in
+  let b = A.bound_to_string and f = Pr.fit_name in
+  Printf.sprintf
+    "%s/%s r=%s w=%s fp=%s st=%s minst=%d instr=%s must=%b ind=[%s] alt=%s sq=%s lock=%s crt=%s \
+     win=%s groups=%s env=%s class=%s"
+    w.name ar.P.name (b s.A.read_lines) (b s.A.write_lines) (b s.A.footprint_lines)
+    (b s.A.store_execs) s.A.min_store_execs (b s.A.max_instr_execs) s.A.must_indirect
+    (String.concat "," s.A.indirections) (f p.Pr.alt_fit) (f p.Pr.sq_fit) (f p.Pr.lock_fit)
+    (f p.Pr.crt_fit) (f p.Pr.window_fit)
+    (match p.Pr.lock_groups with None -> "-" | Some n -> string_of_int n)
+    (Pr.envelope_name p.Pr.envelope)
+    (Clear.Analysis.classification_name p.Pr.classification)
+
+let golden_summaries =
+  [
+    "arrayswap/swap r=2 w=2 fp=2 st=2 minst=2 instr=5 must=false ind=[] alt=fits sq=fits lock=fits crt=fits win=fits groups=- env=NS-CL class=immutable";
+    "arrayswap/add_pair r=2 w=1 fp=2 st=1 minst=1 instr=6 must=false ind=[] alt=fits sq=fits lock=fits crt=fits win=fits groups=- env=NS-CL class=immutable";
+    "bitcoin/transfer r=4 w=2 fp=6 st=2 minst=2 instr=9 must=true ind=[users] alt=fits sq=fits lock=fits crt=fits win=fits groups=- env=S-CL class=likely immutable";
+    "bst/insert r=31841 w=6 fp=31846 st=8 minst=5 instr=oo must=true ind=[bst.node,bst.root] alt=may overflow sq=fits lock=may overflow crt=fits win=may overflow groups=- env=S-CL|spec class=mutable";
+    "bst/contains r=31842 w=1 fp=31843 st=2 minst=1 instr=oo must=true ind=[bst.node,bst.root] alt=may overflow sq=fits lock=may overflow crt=fits win=may overflow groups=- env=S-CL|spec class=mutable";
+    "bst/delete r=31841 w=2 fp=31843 st=3 minst=1 instr=oo must=true ind=[bst.node,bst.root] alt=may overflow sq=fits lock=may overflow crt=fits win=may overflow groups=- env=S-CL|spec class=mutable";
+    "deque/push_back r=1 w=2 fp=2 st=2 minst=2 instr=8 must=true ind=[dq.idx] alt=fits sq=fits lock=fits crt=fits win=fits groups=- env=S-CL class=mutable";
+    "deque/pop_front r=3 w=2 fp=4 st=3 minst=1 instr=12 must=true ind=[dq.idx] alt=fits sq=fits lock=fits crt=fits win=fits groups=- env=S-CL class=mutable";
+    "hashmap/insert r=31815 w=4 fp=31818 st=5 minst=1 instr=oo must=true ind=[hm.node] alt=may overflow sq=fits lock=may overflow crt=fits win=may overflow groups=- env=S-CL|spec class=mutable";
+    "hashmap/lookup r=31816 w=1 fp=31817 st=2 minst=1 instr=oo must=true ind=[hm.head,hm.node] alt=may overflow sq=fits lock=may overflow crt=fits win=may overflow groups=- env=S-CL|spec class=mutable";
+    "hashmap/remove r=31815 w=2 fp=31817 st=3 minst=1 instr=oo must=true ind=[hm.node] alt=may overflow sq=fits lock=may overflow crt=fits win=may overflow groups=- env=S-CL|spec class=mutable";
+    "mwobject/mw_update r=2 w=2 fp=2 st=4 minst=4 instr=13 must=false ind=[] alt=fits sq=fits lock=fits crt=fits win=fits groups=- env=NS-CL class=immutable";
+    "queue/enqueue r=1 w=4 fp=4 st=4 minst=4 instr=6 must=true ind=[q.tail] alt=fits sq=fits lock=fits crt=fits win=fits groups=- env=S-CL class=mutable";
+    "queue/dequeue r=3 w=2 fp=4 st=3 minst=1 instr=8 must=true ind=[q.head,q.node] alt=fits sq=fits lock=fits crt=fits win=fits groups=- env=S-CL class=mutable";
+    "stack/push r=1 w=3 fp=3 st=3 minst=3 instr=5 must=false ind=[] alt=fits sq=fits lock=fits crt=fits win=fits groups=- env=NS-CL class=immutable";
+    "stack/pop r=3 w=2 fp=4 st=3 minst=1 instr=8 must=true ind=[st.top] alt=fits sq=fits lock=fits crt=fits win=fits groups=- env=S-CL class=mutable";
+    "sorted-list/count_matching r=31819 w=1 fp=31820 st=1 minst=1 instr=oo must=true ind=[list.head,list.node] alt=may overflow sq=fits lock=may overflow crt=fits win=may overflow groups=- env=S-CL|spec class=mutable";
+    "sorted-list/insert r=31818 w=3 fp=31821 st=3 minst=1 instr=oo must=true ind=[list.node] alt=may overflow sq=fits lock=may overflow crt=fits win=may overflow groups=- env=S-CL|spec class=mutable";
+    "sorted-list/update_stats r=1 w=1 fp=1 st=1 minst=1 instr=4 must=false ind=[] alt=fits sq=fits lock=fits crt=fits win=fits groups=- env=NS-CL class=immutable";
+    "bayes/update_score r=2 w=1 fp=3 st=1 minst=1 instr=5 must=true ind=[bay.dir] alt=fits sq=fits lock=fits crt=fits win=fits groups=- env=S-CL class=likely immutable";
+    "bayes/inc_parent_count r=2 w=1 fp=3 st=1 minst=1 instr=5 must=true ind=[bay.dir] alt=fits sq=fits lock=fits crt=fits win=fits groups=- env=S-CL class=likely immutable";
+    "bayes/dec_parent_count r=2 w=1 fp=3 st=1 minst=1 instr=5 must=true ind=[bay.dir] alt=fits sq=fits lock=fits crt=fits win=fits groups=- env=S-CL class=likely immutable";
+    "bayes/log_progress r=2 w=2 fp=4 st=2 minst=2 instr=6 must=true ind=[bay.pdir] alt=fits sq=fits lock=fits crt=fits win=fits groups=- env=S-CL class=likely immutable";
+    "bayes/read_scores r=3 w=1 fp=4 st=1 minst=1 instr=8 must=true ind=[bay.dir] alt=fits sq=fits lock=fits crt=fits win=fits groups=- env=S-CL class=likely immutable";
+    "bayes/push_task r=1 w=2 fp=2 st=2 minst=2 instr=7 must=true ind=[bay.idx] alt=fits sq=fits lock=fits crt=fits win=fits groups=- env=S-CL class=mutable";
+    "bayes/pop_task r=2 w=2 fp=3 st=2 minst=2 instr=8 must=true ind=[bay.idx] alt=fits sq=fits lock=fits crt=fits win=fits groups=- env=S-CL class=mutable";
+    "bayes/add_parent r=15963 w=3 fp=15966 st=4 minst=0 instr=oo must=true ind=[bay.node] alt=may overflow sq=fits lock=may overflow crt=fits win=may overflow groups=- env=S-CL|spec class=mutable";
+    "bayes/remove_parent r=15964 w=2 fp=15966 st=3 minst=1 instr=oo must=true ind=[bay.node] alt=may overflow sq=fits lock=may overflow crt=fits win=may overflow groups=- env=S-CL|spec class=mutable";
+    "bayes/has_parent r=15964 w=1 fp=15965 st=2 minst=1 instr=oo must=true ind=[bay.node] alt=may overflow sq=fits lock=may overflow crt=fits win=may overflow groups=- env=S-CL|spec class=mutable";
+    "bayes/count_parents r=15964 w=1 fp=15965 st=1 minst=1 instr=oo must=true ind=[bay.node] alt=may overflow sq=fits lock=may overflow crt=fits win=may overflow groups=- env=S-CL|spec class=mutable";
+    "bayes/reverse_edge r=15965 w=3 fp=15967 st=3 minst=0 instr=oo must=true ind=[bay.node] alt=may overflow sq=fits lock=may overflow crt=fits win=may overflow groups=- env=S-CL|spec class=mutable";
+    "bayes/sum_family_scores r=15965 w=1 fp=15966 st=1 minst=1 instr=oo must=true ind=[bay.node] alt=may overflow sq=fits lock=may overflow crt=fits win=may overflow groups=- env=S-CL|spec class=mutable";
+    "bayes/touch_family r=15964 w=24 fp=15964 st=oo minst=0 instr=oo must=true ind=[bay.node] alt=may overflow sq=may overflow lock=may overflow crt=may overflow win=may overflow groups=- env=S-CL|spec class=mutable";
+    "genome/hashset_insert r=31846 w=4 fp=31850 st=5 minst=1 instr=oo must=true ind=[gen.hs] alt=may overflow sq=fits lock=may overflow crt=fits win=may overflow groups=- env=S-CL|spec class=mutable";
+    "genome/hashset_contains r=31847 w=1 fp=31848 st=2 minst=1 instr=oo must=true ind=[gen.hs] alt=may overflow sq=fits lock=may overflow crt=fits win=may overflow groups=- env=S-CL|spec class=mutable";
+    "genome/chain_append r=31830 w=1 fp=31831 st=1 minst=0 instr=oo must=false ind=[gen.seg] alt=may overflow sq=fits lock=may overflow crt=fits win=may overflow groups=- env=NS-CL|S-CL|spec class=mutable";
+    "genome/chain_weight r=31830 w=1 fp=31831 st=1 minst=1 instr=oo must=false ind=[gen.seg] alt=may overflow sq=fits lock=may overflow crt=fits win=may overflow groups=- env=NS-CL|S-CL|spec class=mutable";
+    "genome/bump_tail_weight r=31831 w=1 fp=31832 st=1 minst=1 instr=oo must=true ind=[gen.seg] alt=may overflow sq=fits lock=may overflow crt=fits win=may overflow groups=- env=S-CL|spec class=mutable";
+    "intruder/pop_fragment r=65 w=2 fp=66 st=2 minst=2 instr=oo must=true ind=[intr.idx] alt=may overflow sq=fits lock=may overflow crt=fits win=may overflow groups=- env=S-CL|spec class=mutable";
+    "intruder/update_flow r=3 w=3 fp=6 st=3 minst=3 instr=9 must=true ind=[intr.fdir] alt=fits sq=fits lock=fits crt=fits win=fits groups=- env=S-CL class=likely immutable";
+    "intruder/update_detector r=2 w=1 fp=3 st=1 minst=1 instr=5 must=true ind=[intr.ddir] alt=fits sq=fits lock=fits crt=fits win=fits groups=- env=S-CL class=likely immutable";
+    "kmeans-h/add_point r=6 w=5 fp=11 st=5 minst=5 instr=17 must=true ind=[km.dir] alt=fits sq=fits lock=fits crt=fits win=fits groups=- env=S-CL class=likely immutable";
+    "kmeans-h/update_membership r=3 w=2 fp=5 st=2 minst=2 instr=8 must=true ind=[km.mdir] alt=fits sq=fits lock=fits crt=fits win=fits groups=- env=S-CL class=likely immutable";
+    "kmeans-h/update_delta r=1 w=1 fp=1 st=1 minst=1 instr=4 must=false ind=[] alt=fits sq=fits lock=fits crt=fits win=fits groups=- env=NS-CL class=immutable";
+    "kmeans-l/add_point r=6 w=5 fp=11 st=5 minst=5 instr=17 must=true ind=[km.dir] alt=fits sq=fits lock=fits crt=fits win=fits groups=- env=S-CL class=likely immutable";
+    "kmeans-l/update_membership r=3 w=2 fp=5 st=2 minst=2 instr=8 must=true ind=[km.mdir] alt=fits sq=fits lock=fits crt=fits win=fits groups=- env=S-CL class=likely immutable";
+    "kmeans-l/update_delta r=1 w=1 fp=1 st=1 minst=1 instr=4 must=false ind=[] alt=fits sq=fits lock=fits crt=fits win=fits groups=- env=NS-CL class=immutable";
+    "labyrinth/claim_path r=258 w=73 fp=259 st=oo minst=1 instr=oo must=true ind=[lab.grid,lab.path] alt=may overflow sq=may overflow lock=may overflow crt=may overflow win=may overflow groups=- env=S-CL|spec class=mutable";
+    "labyrinth/erase_path r=258 w=72 fp=258 st=oo minst=0 instr=oo must=true ind=[lab.grid,lab.path] alt=may overflow sq=may overflow lock=may overflow crt=may overflow win=may overflow groups=- env=S-CL|spec class=mutable";
+    "labyrinth/validate_path r=258 w=1 fp=259 st=1 minst=1 instr=oo must=true ind=[lab.grid,lab.path] alt=may overflow sq=fits lock=may overflow crt=fits win=may overflow groups=- env=S-CL|spec class=mutable";
+    "ssca2/inc_degree r=1 w=1 fp=1 st=1 minst=1 instr=4 must=false ind=[] alt=fits sq=fits lock=fits crt=fits win=fits groups=- env=NS-CL class=immutable";
+    "ssca2/write_edge r=0 w=1 fp=1 st=1 minst=1 instr=2 must=false ind=[] alt=fits sq=fits lock=fits crt=fits win=fits groups=- env=NS-CL class=immutable";
+    "ssca2/update_stats r=3 w=2 fp=5 st=2 minst=2 instr=8 must=true ind=[g.dir] alt=fits sq=fits lock=fits crt=fits win=fits groups=- env=S-CL class=likely immutable";
+    "vacation-h/reserve r=51 w=3 fp=54 st=4 minst=1 instr=oo must=true ind=[vac.head,vac.rec] alt=may overflow sq=fits lock=may overflow crt=fits win=may overflow groups=- env=S-CL|spec class=mutable";
+    "vacation-h/cancel r=51 w=3 fp=54 st=4 minst=1 instr=oo must=true ind=[vac.head,vac.rec] alt=may overflow sq=fits lock=may overflow crt=fits win=may overflow groups=- env=S-CL|spec class=mutable";
+    "vacation-h/update_customer r=3 w=2 fp=5 st=2 minst=2 instr=8 must=true ind=[vac.cdir] alt=fits sq=fits lock=fits crt=fits win=fits groups=- env=S-CL class=likely immutable";
+    "vacation-l/reserve r=147 w=3 fp=150 st=4 minst=1 instr=oo must=true ind=[vac.head,vac.rec] alt=may overflow sq=fits lock=may overflow crt=fits win=may overflow groups=- env=S-CL|spec class=mutable";
+    "vacation-l/cancel r=147 w=3 fp=150 st=4 minst=1 instr=oo must=true ind=[vac.head,vac.rec] alt=may overflow sq=fits lock=may overflow crt=fits win=may overflow groups=- env=S-CL|spec class=mutable";
+    "vacation-l/update_customer r=3 w=2 fp=5 st=2 minst=2 instr=8 must=true ind=[vac.cdir] alt=fits sq=fits lock=fits crt=fits win=fits groups=- env=S-CL class=likely immutable";
+    "yada/pop_work r=2 w=2 fp=3 st=2 minst=2 instr=8 must=true ind=[yada.idx] alt=fits sq=fits lock=fits crt=fits win=fits groups=- env=S-CL class=mutable";
+    "yada/push_work r=1 w=2 fp=2 st=2 minst=2 instr=7 must=true ind=[yada.idx] alt=fits sq=fits lock=fits crt=fits win=fits groups=- env=S-CL class=mutable";
+    "yada/refine r=5 w=4 fp=8 st=4 minst=1 instr=19 must=true ind=[yada.tri] alt=fits sq=fits lock=fits crt=fits win=fits groups=- env=S-CL class=mutable";
+    "yada/split r=1 w=4 fp=4 st=6 minst=5 instr=9 must=true ind=[yada.tri] alt=fits sq=fits lock=fits crt=fits win=fits groups=- env=S-CL class=mutable";
+    "yada/check_quality r=5 w=1 fp=6 st=1 minst=1 instr=21 must=true ind=[yada.tri] alt=fits sq=fits lock=fits crt=fits win=fits groups=- env=S-CL class=mutable";
+    "yada/global_counter r=1 w=1 fp=1 st=1 minst=1 instr=4 must=false ind=[] alt=fits sq=fits lock=fits crt=fits win=fits groups=- env=NS-CL class=immutable";
+  ]
+
+let test_golden_summaries () =
+  let rows =
+    List.concat_map
+      (fun (w : Machine.Workload.t) -> List.map (summary_row w) w.ars)
+      Workloads.Registry.all
+  in
+  Alcotest.(check (list string)) "registry summary rows" golden_summaries rows
+
 (* ------------------------------------------------------------------ *)
 (* Decision envelope *)
 
@@ -325,6 +423,7 @@ let () =
           Alcotest.test_case "classification matches Clear.Analysis" `Quick
             test_registry_agreement;
           Alcotest.test_case "registry summaries sane" `Quick test_registry_summaries_sane;
+          Alcotest.test_case "golden registry summaries" `Quick test_golden_summaries;
         ] );
       ( "envelope",
         [
