@@ -647,31 +647,12 @@ let analyze_cmd =
   let analyze workload json conflicts =
     let ws = match workload with None -> Workloads.Registry.all | Some w -> [ w ] in
     if conflicts then analyze_conflicts ws json
-    else begin
-    let mismatches = ref 0 in
+    else
     let per_workload =
       List.map
         (fun (w : Machine.Workload.t) ->
           let written_regions = List.concat_map Isa.Program.regions_written w.ars in
-          let dynamic = Clear.Analysis.classify_workload w.ars in
-          let predictions =
-            List.map (fun ar -> P.predict ~written_regions (A.analyze_ar ar)) w.ars
-          in
-          (* The static classification must agree with the reference
-             analysis on every AR — they share the taint transfer, so any
-             divergence is an analyzer bug worth failing loudly on. *)
-          List.iter2
-            (fun (ar, c) (p : P.t) ->
-              if p.P.classification <> c then begin
-                incr mismatches;
-                Printf.eprintf
-                  "[analyze] MISMATCH %s/%s: static %s vs Clear.Analysis %s\n%!" w.name
-                  ar.Isa.Program.name
-                  (Clear.Analysis.classification_name p.P.classification)
-                  (Clear.Analysis.classification_name c)
-              end)
-            dynamic predictions;
-          (w, predictions))
+          (w, List.map (fun ar -> P.predict ~written_regions (A.analyze_ar ar)) w.ars))
         ws
     in
     if json then
@@ -716,12 +697,7 @@ let analyze_cmd =
             ps;
           Report.Table.print t;
           print_newline ())
-        per_workload;
-    if !mismatches > 0 then begin
-      Printf.eprintf "[analyze] %d classification mismatch(es)\n%!" !mismatches;
-      exit 1
-    end
-    end
+        per_workload
   in
   let workload_filter =
     Arg.(value & opt (some workload_conv) None
@@ -739,8 +715,7 @@ let analyze_cmd =
   Cmd.v
     (Cmd.info "analyze"
        ~doc:"Static AR verification: abstract-interpretation footprint bounds, CLEAR table \
-             fits, the sound decision envelope, and the Table-1 mutability classification \
-             (checked against the reference analysis; exits non-zero on disagreement). With \
+             fits, the sound decision envelope, and the Table-1 mutability classification. With \
              $(b,--conflicts), the pairwise AR may-conflict matrix with dynamic validation.")
     Term.(const analyze $ workload_filter $ json_arg $ conflicts_arg)
 

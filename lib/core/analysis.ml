@@ -13,9 +13,9 @@ let anon_region = "<anon>"
 let region_name r = if r = "" then anon_region else r
 
 (* Taint state: one region set per register. The dataflow runs to fixpoint
-   over the (tiny) CFG; merge is set union. *)
-let indirections (ar : Isa.Program.ar) =
-  let body = ar.body in
+   over the (tiny) CFG; merge is set union. Targets outside the body (on
+   raw, unvalidated bodies) contribute no edge. *)
+let indirections (body : I.t array) =
   let n = Array.length body in
   let nregs = I.num_regs in
   if n = 0 then []
@@ -29,7 +29,7 @@ let indirections (ar : Isa.Program.ar) =
     let use_as_indirection st op = collected := S.union !collected (taint_of st op) in
     let changed = ref true in
     let merge_into i st =
-      if i < n then begin
+      if i >= 0 && i < n then begin
         let dst = in_state.(i) in
         let was_reached = reached.(i) in
         reached.(i) <- true;
@@ -79,8 +79,7 @@ let indirections (ar : Isa.Program.ar) =
   end
 
 (* Classification from an already-computed indirection list; shared with the
-   static verifier (lib/staticcheck), whose abstract interpreter reproduces
-   [indirections] and must agree with [classify] by construction. *)
+   static verifier (lib/staticcheck), whose summaries carry [indirections]. *)
 let classify_regions ~indirections:regions ~written_regions =
   match regions with
   | [] -> Immutable
@@ -88,7 +87,8 @@ let classify_regions ~indirections:regions ~written_regions =
       let written = S.of_list (List.map region_name written_regions) in
       if List.exists (fun r -> S.mem r written) regions then Mutable else Likely_immutable
 
-let classify ~ar ~written_regions = classify_regions ~indirections:(indirections ar) ~written_regions
+let classify ~(ar : Isa.Program.ar) ~written_regions =
+  classify_regions ~indirections:(indirections ar.body) ~written_regions
 
 let classify_workload ars =
   let written_regions = List.concat_map Isa.Program.regions_written ars in

@@ -26,17 +26,18 @@ val anon_region : string
 val region_name : string -> string
 (** Identity on non-empty tags; [anon_region] for [""]. *)
 
-val indirections : Isa.Program.ar -> string list
+val indirections : Isa.Instr.t array -> string list
 (** Region tags of loads whose results reach an address computation or
-    branch. Empty when the footprint is statically immutable. Untagged loads
-    report as ["<anon>"]. *)
+    branch in the body. Empty when the footprint is statically immutable.
+    Untagged loads report as ["<anon>"]. Accepts raw, unvalidated bodies:
+    branch and jump targets outside the body contribute no edge. *)
 
 val classify_regions :
   indirections:string list -> written_regions:string list -> classification
 (** Classification from a precomputed indirection list (as returned by
     {!indirections}); [classify] is [classify_regions] over the taint
-    analysis, and the static verifier feeds it the abstract-interpretation
-    equivalent. *)
+    analysis, and the static verifier feeds it its summary's copy of the
+    same list. *)
 
 val classify : ar:Isa.Program.ar -> written_regions:string list -> classification
 

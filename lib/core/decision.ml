@@ -9,5 +9,3 @@ let decide a =
   else S_cl
 
 let mode_name = function Ns_cl -> "NS-CL" | S_cl -> "S-CL" | Speculative_retry -> "speculative"
-
-let pp_mode ppf m = Format.pp_print_string ppf (mode_name m)

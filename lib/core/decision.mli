@@ -22,5 +22,3 @@ type assessment = {
 val decide : assessment -> mode
 
 val mode_name : mode -> string
-
-val pp_mode : Format.formatter -> mode -> unit

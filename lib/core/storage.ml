@@ -6,10 +6,15 @@ type breakdown = {
   total_bytes : float;
 }
 
+(* Valid (1) + program counter (64) + is-convertible (1) + is-immutable (1)
+   + SQ-full counter (2) + LRU (4) = 73 bits. *)
 let ert_entry_bits = 1 + 64 + 1 + 1 + 2 + 4
 
+(* Valid (1) + address (58) + needs-locking (1) + locked (1) + hit (1) +
+   conflict (1) = 63 bits, before the extra CAM bits. *)
 let alt_entry_bits = 1 + 58 + 1 + 1 + 1 + 1
 
+(* Valid (1) + address (58) + LRU (3) = 62 bits, before the extra bits. *)
 let crt_entry_bits = 1 + 58 + 3
 
 let compute ?(physical_registers = 180) ?(ert_entries = 16) ?(alt_entries = 32) ?(crt_entries = 64)

@@ -18,17 +18,6 @@ type breakdown = {
   total_bytes : float;
 }
 
-val ert_entry_bits : int
-(** Valid (1) + program counter (64) + is-convertible (1) + is-immutable (1)
-    + SQ-full counter (2) + LRU (4) = 73 bits. *)
-
-val alt_entry_bits : int
-(** Valid (1) + address (58) + needs-locking (1) + locked (1) + hit (1) +
-    conflict (1) = 63 bits (plus the extra CAM bits, see above). *)
-
-val crt_entry_bits : int
-(** Valid (1) + address (58) + LRU (3) = 62 bits (plus extra bits). *)
-
 val compute :
   ?physical_registers:int ->
   ?ert_entries:int ->

@@ -17,9 +17,6 @@
 val dir : string
 (** ["_cache"], relative to the working directory. *)
 
-val build_id : unit -> string
-(** Hex digest of the running executable; memoised. *)
-
 val shard_path : Machine.Config.t -> workload:string -> seed:int -> string
 (** Shard path for one simulation ([seed] is applied to the configuration
     before digesting, so callers may pass the unseeded sweep config). *)

@@ -1,5 +1,6 @@
 exception Error of string
 
+(* Matches the engine's runaway-loop guard (200k dynamic instructions). *)
 let default_fuel = 200_000
 
 let operand regs = function Instr.Reg r -> regs.(r) | Instr.Imm i -> i

@@ -10,9 +10,6 @@
 exception Error of string
 (** Raised on a runaway body (fuel exhausted) or a PC out of range. *)
 
-val default_fuel : int
-(** Matches the engine's runaway-loop guard (200k dynamic instructions). *)
-
 val run :
   ?fuel:int ->
   Program.ar ->

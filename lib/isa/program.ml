@@ -16,8 +16,6 @@ let build_ar ?regions ~id ~name f =
   f b;
   make_ar ?regions ~id ~name (Asm.assemble b)
 
-let region_extent ar region = List.assoc_opt region ar.regions
-
 let instruction_count ar = Array.length ar.body
 
 let store_count ar =

@@ -23,8 +23,6 @@ val make_ar : ?regions:(string * (int * int)) list -> id:int -> name:string -> I
 val build_ar : ?regions:(string * (int * int)) list -> id:int -> name:string -> (Asm.t -> unit) -> ar
 (** Convenience: run the builder function on a fresh assembler buffer. *)
 
-val region_extent : ar -> string -> (int * int) option
-
 val instruction_count : ar -> int
 
 val store_count : ar -> int

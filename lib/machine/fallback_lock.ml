@@ -35,6 +35,4 @@ let readers t =
   let rec loop c acc = if c < 0 then acc else loop (c - 1) (if t.readers land bit c <> 0 then c :: acc else acc) in
   loop 62 []
 
-let read_held t = t.readers <> 0
-
 let free t = t.writer = -1 && t.readers = 0 && t.waiting_writers = 0

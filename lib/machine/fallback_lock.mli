@@ -32,6 +32,4 @@ val writer_held : t -> bool
 
 val readers : t -> int list
 
-val read_held : t -> bool
-
 val free : t -> bool

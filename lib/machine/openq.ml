@@ -90,8 +90,6 @@ let complete t ~req ~now =
 let next_arrival t =
   if t.next_idx < Array.length t.arrival_t then t.arrival_t.(t.next_idx) else max_int
 
-let backlog_depth t = Queue.length t.backlog
-
 let exhausted t = t.next_idx >= Array.length t.arrival_t && Queue.is_empty t.backlog
 
 let total t = Array.length t.arrival_t
@@ -103,10 +101,6 @@ let dropped t = t.n_dropped
 let completed t = t.completed
 
 let qdepth_hw t = t.qdepth_hw
-
-let last_arrival t =
-  let n = Array.length t.arrival_t in
-  if n = 0 then 0 else t.arrival_t.(n - 1)
 
 (* Two passes over [upto] — count, then fill — so the result is built in
    place rather than through an intermediate list. *)

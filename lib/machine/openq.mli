@@ -53,8 +53,6 @@ val next_arrival : t -> int
 val exhausted : t -> bool
 (** No future arrivals and nothing waiting: dispatchers can park. *)
 
-val backlog_depth : t -> int
-
 val total : t -> int
 
 val admitted : t -> int
@@ -65,9 +63,6 @@ val completed : t -> int
 
 val qdepth_hw : t -> int
 (** Backlog-depth high-water mark over the run. *)
-
-val last_arrival : t -> int
-(** Arrival time of the final generated request (0 when none). *)
 
 val sojourns : t -> int array
 (** [commit - arrival] for every completed request, in request order. *)

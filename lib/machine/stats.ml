@@ -18,7 +18,9 @@ let cause_index : Abort.cause -> int = function
 let all_causes = Abort.[ Memory_conflict; Nacked; Explicit_fallback; Other_fallback; Capacity; Scl_deviation; Other ]
 
 (* Counters by small non-negative int keys live in int arrays indexed by
-   the key (AR id, retry count, cause), grown on demand. *)
+   the key (AR id, retry count, cause), grown on demand. Aborts, retired
+   and wasted instructions are kept only in their [counters] cells; the
+   accessors read them back by name. *)
 type t = {
   counters : Counter.set;
   c_aborts : Counter.cell;
@@ -29,11 +31,8 @@ type t = {
   mutable retry_hist : int array; (* non-fallback commits by retry count *)
   mutable fallback_commits : int;
   aborts_by_cause : int array; (* by [cause_index] *)
-  mutable aborts : int;
   mutable total_cycles : int;
   mutable failed_discovery_cycles : int;
-  mutable instrs : int;
-  mutable wasted_instrs : int;
   mutable first_aborted : int;
   mutable footprint_stable : int;
   mutable ar_commits : int array; (* by AR id *)
@@ -51,11 +50,8 @@ let create () =
     retry_hist = Array.make 8 0;
     fallback_commits = 0;
     aborts_by_cause = Array.make (List.length all_causes) 0;
-    aborts = 0;
     total_cycles = 0;
     failed_discovery_cycles = 0;
-    instrs = 0;
-    wasted_instrs = 0;
     first_aborted = 0;
     footprint_stable = 0;
     ar_commits = Array.make 8 0;
@@ -89,18 +85,13 @@ let note_commit ?ar t ~mode ~retries =
 let commits_for_ar t id = get t.ar_commits id
 
 let note_abort t cause =
-  t.aborts <- t.aborts + 1;
   Counter.tick t.c_aborts;
   let i = cause_index cause in
   t.aborts_by_cause.(i) <- t.aborts_by_cause.(i) + 1
 
-let note_instr t =
-  t.instrs <- t.instrs + 1;
-  Counter.tick t.c_instrs
+let note_instr t = Counter.tick t.c_instrs
 
-let note_wasted_instrs t n =
-  t.wasted_instrs <- t.wasted_instrs + n;
-  Counter.bump t.c_wasted_instrs n
+let note_wasted_instrs t n = Counter.bump t.c_wasted_instrs n
 
 let note_failed_discovery_cycles t n = t.failed_discovery_cycles <- t.failed_discovery_cycles + n
 
@@ -114,7 +105,7 @@ let commits t = t.commits
 
 let commits_in_mode t mode = t.commits_by_mode.(mode_index mode)
 
-let aborts t = t.aborts
+let aborts t = Counter.get t.counters "aborts"
 
 let aborts_with_cause t cause = t.aborts_by_cause.(cause_index cause)
 
@@ -123,15 +114,16 @@ let aborts_in_category t cat =
     (fun acc cause -> if Abort.category cause = cat then acc + aborts_with_cause t cause else acc)
     0 all_causes
 
-let aborts_per_commit t = if t.commits = 0 then 0.0 else float_of_int t.aborts /. float_of_int t.commits
+let aborts_per_commit t =
+  if t.commits = 0 then 0.0 else float_of_int (aborts t) /. float_of_int t.commits
 
 let total_cycles t = t.total_cycles
 
 let failed_discovery_cycles t = t.failed_discovery_cycles
 
-let instrs t = t.instrs
+let instrs t = Counter.get t.counters "instrs"
 
-let wasted_instrs t = t.wasted_instrs
+let wasted_instrs t = Counter.get t.counters "wasted_instrs"
 
 let commits_with_retries t n = get t.retry_hist n
 

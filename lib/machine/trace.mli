@@ -33,8 +33,6 @@ val recorded : t -> int
 val retained : t -> int
 (** Events still in the ring (≤ capacity and ≤ {!recorded}). *)
 
-val pp_event : Format.formatter -> event -> unit
-
 val dump : ?limit:int -> t -> Format.formatter -> unit
 (** Print the most recent [limit] events (default: everything retained).
     [limit] is clamped to the retained count. *)

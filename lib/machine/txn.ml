@@ -49,10 +49,6 @@ let in_write_set t line = Simrt.Lineset.mem t.write_set line
 
 let in_either_set t line = in_read_set t line || in_write_set t line
 
-let read_set t = Simrt.Lineset.sorted_list t.read_set
-
-let write_set t = Simrt.Lineset.sorted_list t.write_set
-
 let iter_lines t f =
   Simrt.Lineset.iter t.read_set f;
   Simrt.Lineset.iter t.write_set f

@@ -27,10 +27,6 @@ val in_write_set : t -> Mem.Addr.line -> bool
 
 val in_either_set : t -> Mem.Addr.line -> bool
 
-val read_set : t -> Mem.Addr.line list
-
-val write_set : t -> Mem.Addr.line list
-
 val iter_lines : t -> (Mem.Addr.line -> unit) -> unit
 (** Visit every line of the read set then of the write set, without
     allocating; lines in both sets are visited twice, so the callback must

@@ -17,8 +17,3 @@ type t = {
 }
 
 let op ?(extra_think = 0) ?(lock_id = 0) ar init_regs = { ar; init_regs; extra_think; lock_id }
-
-let find_ar t name =
-  match List.find_opt (fun (ar : Isa.Program.ar) -> ar.name = name) t.ars with
-  | Some ar -> ar
-  | None -> raise Not_found

@@ -36,6 +36,3 @@ type t = {
 
 val op : ?extra_think:int -> ?lock_id:int -> Isa.Program.ar -> (Isa.Instr.reg * int) list -> op
 (** [lock_id] defaults to 0, a single workload-wide mutex. *)
-
-val find_ar : t -> string -> Isa.Program.ar
-(** Look up a static AR by name; raises [Not_found]. *)

@@ -25,5 +25,3 @@ val line_offset : t -> int
 val same_line : t -> t -> bool
 
 val pp : Format.formatter -> t -> unit
-
-val pp_line : Format.formatter -> line -> unit

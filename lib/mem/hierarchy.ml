@@ -200,8 +200,6 @@ let lock_line t ~core line =
     `Acquired { latency = t.params.Params.coherence_msg + transfer + remote; l1_victim = victim }
   end
 
-let unlock_line t ~core line = Directory.unlock t.directory ~core line
-
 let locked_lines t ~core = Directory.locked_lines t.directory ~core
 
 let unlock_all t ~core =

@@ -49,8 +49,6 @@ val lock_line : t -> core:int -> Addr.line -> [ `Acquired of outcome | `Held_by 
 (** Attempt to lock a line (exclusive + pinned). Fails without side effects
     when another core holds the lock. *)
 
-val unlock_line : t -> core:int -> Addr.line -> unit
-
 val unlock_all : t -> core:int -> int
 (** Bulk-unlock every line held by [core]; returns the number released. *)
 

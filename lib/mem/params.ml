@@ -51,8 +51,6 @@ let tiny =
     coherence_msg = 12;
   }
 
-let l1_set_of t line = line land (t.l1_sets - 1)
-
 let dir_set_of t line = line land (t.dir_sets - 1)
 
 let load_latency t ~level =

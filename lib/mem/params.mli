@@ -31,9 +31,6 @@ val tiny : t
 (** A miniature hierarchy for fast unit tests (few sets/ways, same
     latencies). *)
 
-val l1_set_of : t -> Addr.line -> int
-(** L1 set index of a line. *)
-
 val dir_set_of : t -> Addr.line -> int
 (** Directory set index of a line — the lexicographical locking key. *)
 

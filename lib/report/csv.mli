@@ -4,9 +4,6 @@ val escape : string -> string
 (** RFC-4180-style quoting: fields containing commas, quotes or newlines are
     wrapped in double quotes with inner quotes doubled. *)
 
-val of_rows : string list list -> string
-(** Render rows (first row = header) as CSV text. *)
-
 val of_table : Table.t -> string
 (** Header + data rows of a harness table (separators dropped). *)
 

@@ -1,6 +1,7 @@
 (** Minimal JSON document builder and serialiser for machine-readable
     reports ([clear_sim analyze --json], [clear_sim lint --json]). Emission
-    only — the repo never parses JSON, so no reader is provided. *)
+    only: no reader is provided. The one consumer that reads JSON back,
+    [bench/gate.ml]'s [values_of], scans flat rows for a key by hand. *)
 
 type t =
   | Null

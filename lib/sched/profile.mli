@@ -45,10 +45,6 @@ val is_symmetric : t -> bool
 (** Structural check that a profile cannot perturb the symmetric machine
     (all-[Default] pacing, multiplier 1, zero stride, flat matrix). *)
 
-val is_hot : t -> core:int -> bool
-
-val think_for : t -> core:int -> think_dist
-
 val sample_dist : think_dist -> base:int -> Simrt.Rng.t -> int
 (** One draw from a distribution directly (at most one value from [rng]).
     [base] only matters for [Default]. This is the sampling kernel behind

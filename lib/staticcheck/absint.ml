@@ -1,4 +1,3 @@
-module S = Value.S
 module I = Isa.Instr
 
 type bound = Finite of int | Unbounded
@@ -54,24 +53,19 @@ let nregs = I.num_regs
 
 let value_of st = function
   | I.Reg r -> st.(r)
-  | I.Imm k -> Value.const_ k S.empty
+  | I.Imm k -> Value.const_ k
 
-(* Successor edges with their outgoing states. [collect] receives the taint
-   of every operand used as an address or branch input — exactly the
-   collection points of [Clear.Analysis.indirections]. Out-of-range branch
-   targets (possible on raw, unvalidated bodies) contribute no edge; the
-   lint pass reports them separately. *)
-let step ?(collect = fun (_ : S.t) -> ()) (n : int) (st : Value.t array) i instr =
+(* Successor edges with their outgoing states. Out-of-range branch targets
+   (possible on raw, unvalidated bodies) contribute no edge; the lint pass
+   reports them separately. *)
+let step (n : int) (st : Value.t array) i instr =
   let out = Array.copy st in
   let succ j st = if j >= 0 && j <= n then [ (j, st) ] else [] in
   match (instr : I.t) with
-  | Ld { dst; base; off = _; region } ->
-      collect (value_of st base).Value.taint;
-      out.(dst) <- Value.top (S.singleton (Clear.Analysis.region_name region));
+  | Ld { dst; _ } ->
+      out.(dst) <- Value.top;
       succ (i + 1) out
-  | St { base; _ } ->
-      collect (value_of st base).Value.taint;
-      succ (i + 1) out
+  | St _ -> succ (i + 1) out
   | Mov { dst; src } ->
       out.(dst) <- value_of st src;
       succ (i + 1) out
@@ -80,8 +74,6 @@ let step ?(collect = fun (_ : S.t) -> ()) (n : int) (st : Value.t array) i instr
       succ (i + 1) out
   | Br { cond; a; b; target } ->
       let va = value_of st a and vb = value_of st b in
-      collect va.Value.taint;
-      collect vb.Value.taint;
       let apply st (cond : I.cond) =
         let va', vb' = Value.refine cond va vb in
         let st = Array.copy st in
@@ -176,14 +168,12 @@ let analyze ?(name = "<raw>") ?(regions = []) (body : I.t array) : summary =
   let n = Array.length body in
   if n = 0 then empty_summary ~regions name body
   else begin
-    let initial = Array.init nregs (fun r -> Value.init_ r S.empty) in
+    let initial = Array.init nregs (fun r -> Value.init_ r) in
     let in_states = Array.init n (fun _ -> Array.make nregs Value.bot) in
     Array.blit initial 0 in_states.(0) 0 nregs;
     let reached = Array.make n false in
     reached.(0) <- true;
-    let collected = ref S.empty in
     let falls_off = ref false in
-    let collect ts = collected := S.union !collected ts in
 
     (* Phase 1: may-state fixpoint, widening after a few plain passes. *)
     let changed = ref true in
@@ -211,22 +201,15 @@ let analyze ?(name = "<raw>") ?(regions = []) (body : I.t array) : summary =
                   end
                 done
               end)
-            (step ~collect n in_states.(i) i body.(i))
+            (step n in_states.(i) i body.(i))
       done;
       incr pass
     done;
-    (* A second collection sweep over the stable states, mirroring the last
-       pass of Clear.Analysis (collection there also runs to fixpoint). *)
-    for i = 0 to n - 1 do
-      if reached.(i) then ignore (step ~collect n in_states.(i) i body.(i))
-    done;
-
     (* Phase 2: a few narrowing passes. Each recomputes every in-state as the
        plain join of its predecessors' out-edges — one application of the
        (monotone) transfer to a sound state yields a sound state, so this
        recovers the precision widening gave away without risking
-       non-termination. Reachability and taint collection keep the phase-1
-       results (identical to Clear.Analysis by construction). *)
+       non-termination. Reachability keeps the phase-1 result. *)
     for _ = 1 to 3 do
       let fresh = Array.init n (fun _ -> Array.make nregs Value.bot) in
       let seen = Array.make n false in
@@ -282,7 +265,7 @@ let analyze ?(name = "<raw>") ?(regions = []) (body : I.t array) : summary =
        the site: the workload's layout guarantees — and the dynamic gate
        verifies — that tagged accesses stay inside their region. *)
     let component_of st base off region =
-      let v = Value.binop I.Add (value_of st base) (Value.const_ off S.empty) in
+      let v = Value.binop I.Add (value_of st base) (Value.const_ off) in
       match v.Value.shape with
       | Value.Const when Value.is_finite v -> Cwords { lo = v.Value.lo; hi = v.Value.hi }
       | Value.Init r when Value.is_finite v -> Crel { reg = r; lo = v.Value.lo; hi = v.Value.hi }
@@ -447,7 +430,7 @@ let analyze ?(name = "<raw>") ?(regions = []) (body : I.t array) : summary =
       store_execs;
       min_store_execs;
       max_instr_execs;
-      indirections = S.elements !collected;
+      indirections = Clear.Analysis.indirections body;
       must_indirect;
       falls_off_end = !falls_off;
     }

@@ -1,12 +1,11 @@
 (** Abstract interpreter over mini-ISA bodies (DESIGN.md §10).
 
-    [analyze] runs a widening/narrowing interval+taint fixpoint over an AR
-    body and produces a {!summary}: sound over-approximations of the lines
-    any single attempt may read or write, execution-count bounds, the
-    taint-derived indirection regions (bit-for-bit identical to
-    {!Clear.Analysis.indirections} — same reachability, same transfer, same
-    collection points), and a must-indirection flag that under-approximates
-    the engine's dynamic taint tracking from below. *)
+    [analyze] runs a widening/narrowing interval fixpoint over an AR body
+    and produces a {!summary}: sound over-approximations of the lines any
+    single attempt may read or write, execution-count bounds, the
+    indirection regions (taken from {!Clear.Analysis.indirections}), and a
+    must-indirection flag that under-approximates the engine's dynamic
+    taint tracking from below. *)
 
 type bound = Finite of int | Unbounded
 
@@ -49,7 +48,7 @@ type summary = {
   store_execs : bound;  (** store instructions one attempt may execute *)
   min_store_execs : int;  (** fewest stores on any entry-to-Halt path; [max_int] if no Halt *)
   max_instr_execs : bound;
-  indirections : string list;  (** = [Clear.Analysis.indirections] on validated ARs *)
+  indirections : string list;  (** [Clear.Analysis.indirections] of [body] *)
   must_indirect : bool;
       (** every entry-to-Halt path performs an indirection the engine's
           dynamic taint bits are guaranteed to flag *)
@@ -63,7 +62,3 @@ val analyze : ?name:string -> ?regions:(string * (int * int)) list -> Isa.Instr.
     into {!Cregion} components. *)
 
 val analyze_ar : Isa.Program.ar -> summary
-
-val line_bound : site list -> bound
-(** Distinct-line bound for an arbitrary site subset (e.g. one region's
-    write sites), with the same counting rules the summary bounds use. *)

@@ -22,7 +22,6 @@ type cover =
   | Top  (** any line — the analysis could not bound the pair *)
   | Spans of (int * int) array  (** sorted, disjoint, inclusive line intervals *)
 
-val inter : cover -> cover -> cover
 val union : cover -> cover -> cover
 val is_empty : cover -> bool
 
@@ -50,11 +49,9 @@ val of_ars : ?params:Predict.params -> Isa.Program.ar list -> t
 val ars : t -> ar_info array
 (** In input order. *)
 
-val find_index : t -> ar_id:int -> int option
 val may_conflict : t -> int -> int -> cover
 
 val may_conflict_ids : t -> ida:int -> idb:int -> cover option
 (** Matrix lookup by AR ids; [None] when either id is unknown. *)
 
-val pp_cover : Format.formatter -> cover -> unit
 val cover_to_string : cover -> string

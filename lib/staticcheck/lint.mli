@@ -9,8 +9,6 @@
 
 type severity = Error | Warning | Info
 
-val severity_name : severity -> string
-
 type diag = {
   severity : severity;
   ar : string;

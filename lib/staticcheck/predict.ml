@@ -43,10 +43,6 @@ type t = {
   crt_fit : fit;
   window_fit : fit;
   lock_groups : int option;
-  concrete_lines : Mem.Addr.line list option;
-  region_rw_bounds : (string * (A.bound * A.bound)) list;
-      (** per region tag, (read-line, write-line) set-size bounds — the
-          static read/write-set sizes an LRW-HTM backend would reserve *)
   envelope : envelope;
 }
 
@@ -130,21 +126,6 @@ let predict ?(params = default_params) ~written_regions (summary : A.summary) =
      ever commits speculatively or through the fallback lock.
      [must_lock]: every completed discovery is guaranteed fits+lockable, so
      the decision can never be a plain speculative retry. *)
-  let region_rw_bounds =
-    let tags =
-      List.sort_uniq compare
-        (List.filter_map
-           (fun (s : A.site) -> if s.A.region = "" then None else Some s.A.region)
-           summary.A.sites)
-    in
-    List.map
-      (fun r ->
-        let tagged w =
-          List.filter (fun (s : A.site) -> s.A.region = r && s.A.written = w) summary.A.sites
-        in
-        (r, (A.line_bound (tagged false), A.line_bound (tagged true))))
-      tags
-  in
   let never_fit = summary.A.min_store_execs > p.sq_entries in
   let must_lock = alt_fit = Fits && sq_fit = Fits && lock_fit = Fits in
   let may_indirect = summary.A.indirections <> [] in
@@ -166,8 +147,6 @@ let predict ?(params = default_params) ~written_regions (summary : A.summary) =
     crt_fit;
     window_fit;
     lock_groups;
-    concrete_lines = lines;
-    region_rw_bounds;
     envelope;
   }
 

@@ -45,19 +45,14 @@ type envelope = {
 
 type t = {
   summary : Absint.summary;
-  classification : Clear.Analysis.classification;  (** Table-1 class, from the abstract taint *)
+  classification : Clear.Analysis.classification;
+      (** Table-1 class, from the summary's {!Clear.Analysis.indirections} *)
   alt_fit : fit;
   sq_fit : fit;
   lock_fit : fit;  (** L1 associativity admits locking the whole footprint *)
   crt_fit : fit;
   window_fit : fit;
   lock_groups : int option;  (** distinct directory sets, when fully concrete *)
-  concrete_lines : Mem.Addr.line list option;
-      (** exact footprint when every site is a bounded absolute window *)
-  region_rw_bounds : (string * (Absint.bound * Absint.bound)) list;
-      (** per region tag, (read-line, write-line) distinct-set-size bounds —
-          the static read/write-set reservations a limited-read-write HTM
-          backend (LRW, PAPERS.md) would need for this region *)
   envelope : envelope;
 }
 

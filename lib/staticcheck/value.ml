@@ -1,5 +1,3 @@
-module S = Set.Make (String)
-
 (* Interval bounds are clamped to [neg_inf, inf]; the sentinels mean
    "unbounded on that side", so every arithmetic helper below must map a
    sentinel operand back to a sentinel result for the monotone direction —
@@ -17,24 +15,23 @@ type shape =
   | Init of Isa.Instr.reg  (** initial value of register [r] plus an offset in [lo, hi] *)
   | Top  (** anything (e.g. a loaded value) *)
 
-type t = { shape : shape; lo : int; hi : int; taint : S.t }
+type t = { shape : shape; lo : int; hi : int }
 
-let bot = { shape = Bot; lo = 0; hi = 0; taint = S.empty }
+let bot = { shape = Bot; lo = 0; hi = 0 }
 
-let top taint = { shape = Top; lo = 0; hi = 0; taint }
+let top = { shape = Top; lo = 0; hi = 0 }
 
 (* Collapse degenerate intervals: a Const or Init value unbounded on both
-   sides carries no information beyond its taint. *)
-let make shape lo hi taint =
+   sides carries no information. *)
+let make shape lo hi =
   match shape with
   | Bot -> bot
-  | Top -> top taint
-  | Const | Init _ ->
-      if lo <= neg_inf && hi >= inf then top taint else { shape; lo; hi; taint }
+  | Top -> top
+  | Const | Init _ -> if lo <= neg_inf && hi >= inf then top else { shape; lo; hi }
 
-let const_ n taint = make Const n n taint
+let const_ n = make Const n n
 
-let init_ r taint = make (Init r) 0 0 taint
+let init_ r = make (Init r) 0 0
 
 let is_bot v = v.shape = Bot
 
@@ -72,18 +69,17 @@ let ssucc x = if x = inf || x = neg_inf then x else x + 1
 (* ---------------- lattice ---------------- *)
 
 let equal a b =
-  a.shape = b.shape && S.equal a.taint b.taint
+  a.shape = b.shape
   && match a.shape with Const | Init _ -> a.lo = b.lo && a.hi = b.hi | Bot | Top -> true
 
 let join a b =
   if is_bot a then b
   else if is_bot b then a
   else
-    let taint = S.union a.taint b.taint in
     match (a.shape, b.shape) with
-    | Const, Const -> make Const (min a.lo b.lo) (max a.hi b.hi) taint
-    | Init ra, Init rb when ra = rb -> make (Init ra) (min a.lo b.lo) (max a.hi b.hi) taint
-    | _ -> top taint
+    | Const, Const -> make Const (min a.lo b.lo) (max a.hi b.hi)
+    | Init ra, Init rb when ra = rb -> make (Init ra) (min a.lo b.lo) (max a.hi b.hi)
+    | _ -> top
 
 (* [prev] is the old state at a merge point, [next] the freshly joined one
    (so next >= prev pointwise); any bound still growing jumps to the
@@ -96,50 +92,45 @@ let widen ~prev ~next =
         make next.shape
           (if next.lo < prev.lo then neg_inf else next.lo)
           (if next.hi > prev.hi then inf else next.hi)
-          next.taint
     | _ -> next
 
 (* ---------------- transfer functions ---------------- *)
 
-let with_taint v taint = { v with taint }
-
 let binop op a b =
   if is_bot a || is_bot b then bot
   else
-    let taint = S.union a.taint b.taint in
-    let top = top taint in
     let exact () =
       match (singleton a, singleton b) with
-      | Some x, Some y -> Some (const_ (Isa.Instr.eval_binop op x y) taint)
+      | Some x, Some y -> Some (const_ (Isa.Instr.eval_binop op x y))
       | _ -> None
     in
     match (op : Isa.Instr.binop) with
     | Add -> (
         match (a.shape, b.shape) with
-        | Const, Const -> make Const (sadd a.lo b.lo) (sadd a.hi b.hi) taint
-        | Init r, Const | Const, Init r -> make (Init r) (sadd a.lo b.lo) (sadd a.hi b.hi) taint
+        | Const, Const -> make Const (sadd a.lo b.lo) (sadd a.hi b.hi)
+        | Init r, Const | Const, Init r -> make (Init r) (sadd a.lo b.lo) (sadd a.hi b.hi)
         | _ -> top)
     | Sub -> (
         match (a.shape, b.shape) with
-        | Const, Const -> make Const (ssub a.lo b.hi) (ssub a.hi b.lo) taint
-        | Init r, Const -> make (Init r) (ssub a.lo b.hi) (ssub a.hi b.lo) taint
+        | Const, Const -> make Const (ssub a.lo b.hi) (ssub a.hi b.lo)
+        | Init r, Const -> make (Init r) (ssub a.lo b.hi) (ssub a.hi b.lo)
         | Init ra, Init rb when ra = rb ->
             (* same symbolic base cancels *)
-            make Const (ssub a.lo b.hi) (ssub a.hi b.lo) taint
+            make Const (ssub a.lo b.hi) (ssub a.hi b.lo)
         | _ -> top)
     | Mul -> (
         match (a.shape, b.shape) with
         | Const, Const ->
             let c = [ smul a.lo b.lo; smul a.lo b.hi; smul a.hi b.lo; smul a.hi b.hi ] in
-            make Const (List.fold_left min inf c) (List.fold_left max neg_inf c) taint
+            make Const (List.fold_left min inf c) (List.fold_left max neg_inf c)
         | _ -> top)
     | Min -> (
         match (a.shape, b.shape) with
-        | Const, Const -> make Const (min a.lo b.lo) (min a.hi b.hi) taint
+        | Const, Const -> make Const (min a.lo b.lo) (min a.hi b.hi)
         | _ -> top)
     | Max -> (
         match (a.shape, b.shape) with
-        | Const, Const -> make Const (max a.lo b.lo) (max a.hi b.hi) taint
+        | Const, Const -> make Const (max a.lo b.lo) (max a.hi b.hi)
         | _ -> top)
     | Div -> (
         match (a.shape, b.shape) with
@@ -150,7 +141,7 @@ let binop op a b =
             let lo =
               if a.lo = neg_inf then neg_inf else min (a.lo / b.lo) (a.lo / b.hi)
             and hi = if a.hi = inf then inf else max (a.hi / b.lo) (a.hi / b.hi) in
-            make Const lo hi taint
+            make Const lo hi
         | _ -> ( match exact () with Some v -> v | None -> top))
     | Rem -> (
         match (a.shape, b.shape) with
@@ -158,21 +149,21 @@ let binop op a b =
             (* |a mod b| <= min (|a|, b-1); sign follows a (OCaml mod). *)
             let lo = max (min a.lo 0) (sneg (spred b.hi))
             and hi = min (max a.hi 0) (spred b.hi) in
-            make Const lo hi taint
+            make Const lo hi
         | _ -> ( match exact () with Some v -> v | None -> top))
     | And -> (
         match (a.shape, b.shape) with
-        | Const, Const when a.lo >= 0 && b.lo >= 0 -> make Const 0 (min a.hi b.hi) taint
+        | Const, Const when a.lo >= 0 && b.lo >= 0 -> make Const 0 (min a.hi b.hi)
         | _ -> ( match exact () with Some v -> v | None -> top))
     | Or -> (
         match (a.shape, b.shape) with
         | Const, Const when a.lo >= 0 && b.lo >= 0 ->
             (* no carries: a lor b <= a + b for non-negatives *)
-            make Const (max a.lo b.lo) (sadd a.hi b.hi) taint
+            make Const (max a.lo b.lo) (sadd a.hi b.hi)
         | _ -> ( match exact () with Some v -> v | None -> top))
     | Xor -> (
         match (a.shape, b.shape) with
-        | Const, Const when a.lo >= 0 && b.lo >= 0 -> make Const 0 (sadd a.hi b.hi) taint
+        | Const, Const when a.lo >= 0 && b.lo >= 0 -> make Const 0 (sadd a.hi b.hi)
         | _ -> ( match exact () with Some v -> v | None -> top))
     | Shl -> (
         match (a.shape, b.shape, singleton b) with
@@ -180,7 +171,7 @@ let binop op a b =
             let k = k land 63 in
             if k <= 30 then
               let m = 1 lsl k in
-              make Const (smul a.lo m) (smul a.hi m) taint
+              make Const (smul a.lo m) (smul a.hi m)
             else ( match exact () with Some v -> v | None -> top)
         | _ -> ( match exact () with Some v -> v | None -> top))
     | Shr -> (
@@ -188,7 +179,7 @@ let binop op a b =
         | Const, Const, Some k ->
             let k = k land 63 in
             let shr x = if x = inf || x = neg_inf then x else x asr k in
-            make Const (shr a.lo) (shr a.hi) taint
+            make Const (shr a.lo) (shr a.hi)
         | _ -> ( match exact () with Some v -> v | None -> top))
 
 (* Refine [a] and [b] under the assumption that [cond a b] holds. Narrowing
@@ -206,7 +197,7 @@ let refine cond a b =
   in
   if not comparable then (a, b)
   else
-    let mk v lo hi = make v.shape lo hi v.taint in
+    let mk v lo hi = make v.shape lo hi in
     let a', b' =
       match (cond : Isa.Instr.cond) with
       | Eq ->
@@ -246,7 +237,7 @@ let pp ppf v =
     else if x = neg_inf then Format.fprintf ppf "-oo"
     else Format.fprintf ppf "%d" x
   in
-  (match v.shape with
+  match v.shape with
   | Bot -> Format.fprintf ppf "bot"
   | Top -> Format.fprintf ppf "top"
   | Const ->
@@ -254,6 +245,4 @@ let pp ppf v =
       else Format.fprintf ppf "[%a,%a]" pp_bound v.lo pp_bound v.hi
   | Init r ->
       if v.lo = 0 && v.hi = 0 then Format.fprintf ppf "init(r%d)" r
-      else Format.fprintf ppf "init(r%d)+[%a,%a]" r pp_bound v.lo pp_bound v.hi);
-  if not (S.is_empty v.taint) then
-    Format.fprintf ppf "{%s}" (String.concat "," (S.elements v.taint))
+      else Format.fprintf ppf "init(r%d)+[%a,%a]" r pp_bound v.lo pp_bound v.hi

@@ -1,13 +1,10 @@
 (** Abstract value domain for the static AR verifier (DESIGN.md §10).
 
     A value is a shape — bottom, constant, initial-register-plus-offset, or
-    top — with an interval of offsets and a taint set of region tags. The
-    taint component mirrors {!Clear.Analysis} exactly: loads produce [Top]
-    tainted with the load's region, taint unions through ALU ops, and [Mov]
-    from an immediate clears it. Interval bounds saturate at the [inf]
+    top — with an interval of offsets. Loads produce [Top]. The domain
+    carries no taint: which loaded values reach an address or a branch is
+    {!Clear.Analysis.indirections}. Interval bounds saturate at the [inf]
     sentinels, which mean "unbounded on that side" (not a numeric bound). *)
-
-module S : Set.S with type elt = string
 
 val inf : int
 (** Positive-unbounded sentinel (2{^50}); [neg_inf] is its negation. Every
@@ -17,19 +14,19 @@ val neg_inf : int
 
 type shape = Bot | Const | Init of Isa.Instr.reg | Top
 
-type t = private { shape : shape; lo : int; hi : int; taint : S.t }
+type t = private { shape : shape; lo : int; hi : int }
 
 val bot : t
 
-val top : S.t -> t
+val top : t
 
-val make : shape -> int -> int -> S.t -> t
+val make : shape -> int -> int -> t
 (** Normalising constructor: [Const]/[Init] unbounded on both sides
     collapses to [Top]. *)
 
-val const_ : int -> S.t -> t
+val const_ : int -> t
 
-val init_ : Isa.Instr.reg -> S.t -> t
+val init_ : Isa.Instr.reg -> t
 (** The value register [r] holds on entry. *)
 
 val is_bot : t -> bool
@@ -46,8 +43,6 @@ val join : t -> t -> t
 val widen : prev:t -> next:t -> t
 (** [next] must be [join prev x] for some [x]; still-growing bounds jump to
     the sentinels so fixpoint chains are finite. *)
-
-val with_taint : t -> S.t -> t
 
 val binop : Isa.Instr.binop -> t -> t -> t
 (** Sound transfer of {!Isa.Instr.eval_binop}; falls back to exact

@@ -254,7 +254,7 @@ let test_analysis_immutable () =
         A.st b ~base:(I.Reg 0) ~src:(I.Reg 8) ~region:"a" ();
         A.halt b)
   in
-  Alcotest.(check (list string)) "no indirections" [] (Analysis.indirections ar);
+  Alcotest.(check (list string)) "no indirections" [] (Analysis.indirections ar.P.body);
   Alcotest.(check string) "immutable" "immutable"
     (Analysis.classification_name (Analysis.classify ~ar ~written_regions:[ "a" ]))
 
@@ -267,7 +267,7 @@ let test_analysis_likely_immutable () =
         A.st b ~base:(I.Reg 8) ~src:(I.Reg 9) ~region:"rec" ();
         A.halt b)
   in
-  Alcotest.(check (list string)) "dir feeds addresses" [ "dir" ] (Analysis.indirections ar);
+  Alcotest.(check (list string)) "dir feeds addresses" [ "dir" ] (Analysis.indirections ar.P.body);
   Alcotest.(check string) "likely" "likely immutable"
     (Analysis.classification_name (Analysis.classify ~ar ~written_regions:[ "rec" ]));
   Alcotest.(check string) "mutable when dir written" "mutable"
@@ -284,7 +284,7 @@ let test_analysis_branch_dependency () =
         A.place b skip;
         A.halt b)
   in
-  Alcotest.(check (list string)) "branch taint" [ "flag" ] (Analysis.indirections ar)
+  Alcotest.(check (list string)) "branch taint" [ "flag" ] (Analysis.indirections ar.P.body)
 
 let test_analysis_taint_through_alu () =
   let ar =
@@ -296,7 +296,8 @@ let test_analysis_taint_through_alu () =
         A.st b ~base:(I.Reg 2) ~src:(I.Reg 10) ~region:"out" ();
         A.halt b)
   in
-  Alcotest.(check (list string)) "taint flows through ALU" [ "idx" ] (Analysis.indirections ar)
+  Alcotest.(check (list string))
+    "taint flows through ALU" [ "idx" ] (Analysis.indirections ar.P.body)
 
 let test_analysis_loop_fixpoint () =
   (* list traversal: the loop-carried register becomes tainted on the second
@@ -313,7 +314,8 @@ let test_analysis_loop_fixpoint () =
         A.place b done_;
         A.halt b)
   in
-  Alcotest.(check (list string)) "loop-carried taint found" [ "link" ] (Analysis.indirections ar)
+  Alcotest.(check (list string))
+    "loop-carried taint found" [ "link" ] (Analysis.indirections ar.P.body)
 
 let test_analysis_data_only_load () =
   (* a loaded value used only as store data is not an indirection *)
@@ -323,7 +325,7 @@ let test_analysis_data_only_load () =
         A.st b ~base:(I.Reg 1) ~src:(I.Reg 8) ~region:"dst" ();
         A.halt b)
   in
-  Alcotest.(check (list string)) "no indirection" [] (Analysis.indirections ar)
+  Alcotest.(check (list string)) "no indirection" [] (Analysis.indirections ar.P.body)
 
 let test_analysis_workload_counts () =
   (* expected (immutable, likely, mutable) per benchmark *)
@@ -368,7 +370,7 @@ let test_analysis_untagged_indirection () =
         A.halt b)
   in
   Alcotest.(check (list string)) "anon indirection" [ Analysis.anon_region ]
-    (Analysis.indirections ar);
+    (Analysis.indirections ar.P.body);
   Alcotest.(check string) "likely when anon never written" "likely immutable"
     (Analysis.classification_name (Analysis.classify ~ar ~written_regions:[ "rec" ]));
   Alcotest.(check string) "mutable when some AR stores untagged" "mutable"
@@ -392,7 +394,7 @@ let test_analysis_taint_every_binop () =
                 A.halt b)
           in
           Alcotest.(check (list string)) "binop propagates taint" [ "src" ]
-            (Analysis.indirections ar))
+            (Analysis.indirections ar.P.body))
         [ true; false ])
     [ I.Add; I.Sub; I.Mul; I.Div; I.Rem; I.And; I.Or; I.Xor; I.Shl; I.Shr; I.Min; I.Max ]
 
@@ -407,7 +409,7 @@ let test_analysis_mov_imm_clears_taint () =
         A.st b ~base:(I.Reg 1) ~src:(I.Reg 9) ~region:"out" ();
         A.halt b)
   in
-  Alcotest.(check (list string)) "taint cleared" [] (Analysis.indirections ar)
+  Alcotest.(check (list string)) "taint cleared" [] (Analysis.indirections ar.P.body)
 
 let test_analysis_cross_ar_mutability () =
   (* the reader indirects through "dir" but never writes it; the writer AR
