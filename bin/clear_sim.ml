@@ -131,7 +131,8 @@ let run_cmd =
         trace_out
     in
     let t0 = Unix.gettimeofday () in
-    let engine = Machine.Engine.create ?trace cfg w in
+    let check = Option.map (fun tr -> Machine.Trace.collector tr ~cores) trace in
+    let engine = Machine.Engine.create ?check cfg w in
     let stats = Machine.Engine.run engine in
     let elapsed = Unix.gettimeofday () -. t0 in
     let module S = Machine.Stats in
@@ -185,7 +186,10 @@ let run_cmd =
     | Some tr, Some oc, Some file ->
         Out_channel.output_string oc (Machine.Trace.to_chrome_json tr);
         close_out oc;
-        Printf.printf "trace written   %s (%d events)\n" file (Machine.Trace.retained tr)
+        let kept = Machine.Trace.retained tr and recorded = Machine.Trace.recorded tr in
+        if kept = recorded then Printf.printf "trace written   %s (%d events)\n" file kept
+        else
+          Printf.printf "trace written   %s (kept the newest %d of %d events)\n" file kept recorded
     | _ -> ()
   in
   let term =

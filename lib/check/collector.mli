@@ -3,9 +3,12 @@
     The engine (when created with a collector) feeds this during simulation:
     the initial memory snapshot, one witness per committed attempt, any
     store writes performed by workload drivers {e outside} atomic regions
-    (thread-private scratch buffers; see DESIGN.md §9), and the complete
-    lock/release event stream. The collector numbers commits and retains
-    nothing; each emission goes to the sink in emission order. *)
+    (thread-private scratch buffers; see DESIGN.md §9), the end-of-discovery
+    decisions, and the one complete attempt-lifecycle stream
+    ({!Lock_safety.event}). The collector numbers commits and retains
+    nothing; each emission goes to the sink in emission order. The
+    streaming checker ({!Stream.sink}) and the execution trace
+    ([Machine.Trace.collector]) are its two sinks. *)
 
 type decision = {
   time : int;
@@ -44,14 +47,16 @@ type sink = {
           {!Capbuf}). *)
   sink_driver_writes : time:int -> core:int -> stores:(Mem.Addr.t * int) list -> unit;
   sink_lock_event : Lock_safety.event -> unit;
+      (** Every attempt-lifecycle event, in emission order. *)
   sink_decision : decision -> unit;
   sink_conflict : conflict -> unit;
   sink_ars : Isa.Program.ar list -> unit;
   sink_stats : unit -> int * int;  (** (peak live lines, retired entries) *)
 }
 (** An online consumer of the emission stream. {!Stream.sink} builds one
-    over the incremental oracles. Plain closures — no module dependency
-    from here onto the streaming checker. *)
+    over the incremental oracles, [Machine.Trace.collector] one over the
+    trace ring. Plain closures — no module dependency from here onto
+    either. *)
 
 type t
 

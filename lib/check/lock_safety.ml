@@ -1,8 +1,11 @@
+type outcome = Committed of { mode : Witness.mode; retries : int } | Aborted of Abort.cause
+
 type event =
-  | Attempt_begin of { time : int; core : int }
+  | Attempt_begin of { time : int; core : int; ar : Isa.Program.ar; mode : Witness.mode; attempt : int }
+  | Failed_mode of { time : int; core : int }
   | Lock of { time : int; core : int; line : Mem.Addr.line; key : int }
   | Unlock of { time : int; core : int; line : Mem.Addr.line }
-  | Attempt_end of { time : int; core : int }
+  | Attempt_end of { time : int; core : int; outcome : outcome }
 
 type violation = { time : int; core : int; reason : string }
 
@@ -57,7 +60,7 @@ let drop_held t core line =
 let err time core fmt = Printf.ksprintf (fun reason -> Error { time; core; reason }) fmt
 
 let add t = function
-  | Attempt_begin { time; core } ->
+  | Attempt_begin { time; core; _ } ->
       let n = t.n_held.(core) in
       if n > 0 then
         err time core "attempt begins while still holding %d line lock(s) from a previous attempt" n
@@ -87,7 +90,8 @@ let add t = function
       end
       else if h >= 0 then err time core "unlocked line %d held by core %d" line h
       else err time core "unlocked line %d that is not locked" line
-  | Attempt_end { time; core } ->
+  | Failed_mode _ -> Ok ()
+  | Attempt_end { time; core; _ } ->
       let n = t.n_held.(core) in
       if n > 0 then
         (* the most recently acquired lock still held *)

@@ -515,13 +515,14 @@ let add_driver_writes t ~time ~core:_ ~stores =
 
 let add_lock_event t (ev : Lock_safety.event) =
   (match ev with
-  | Lock_safety.Attempt_begin { time; core } ->
+  | Lock_safety.Attempt_begin { time; core; _ } ->
       note_time t time;
       t.inflight.(core) <- time
-  | Lock_safety.Attempt_end { time; core } ->
+  | Lock_safety.Attempt_end { time; core; _ } ->
       note_time t time;
       t.inflight.(core) <- -1
-  | Lock_safety.Lock { time; _ } | Lock_safety.Unlock { time; _ } -> note_time t time);
+  | Lock_safety.Failed_mode { time; _ } | Lock_safety.Lock { time; _ } | Lock_safety.Unlock { time; _ } ->
+      note_time t time);
   match t.lock_err with
   | Some _ -> ()
   | None -> (

@@ -83,7 +83,7 @@ val add_driver_writes :
 
 val add_lock_event : t -> Lock_safety.event -> unit
 (** Also drives the frontier: [Attempt_begin]/[Attempt_end] mark cores
-    in-flight/idle. *)
+    in-flight/idle; every other event only advances the stream's clock. *)
 
 val add_decision : t -> Collector.decision -> unit
 

@@ -20,8 +20,6 @@ val of_stream : Stream.t -> final:Mem.Store.image -> t
     {!Lock_safety.check} and the static gate over the whole history
     (DESIGN.md §14). *)
 
-val pp : Format.formatter -> t -> unit
+val to_string : t -> string
 (** Multi-line report: one PASS/FAIL line per oracle, violation details on
     failure. *)
-
-val to_string : t -> string

@@ -19,8 +19,6 @@ let create ?(capacity = 32) ~dir_set_of () =
   if capacity <= 0 then invalid_arg "Alt.create: capacity must be positive";
   { capacity; dir_set_of; rows = []; count = 0 }
 
-let capacity t = t.capacity
-
 let size t = t.count
 
 let reset t =
@@ -63,8 +61,6 @@ let record t line ~written =
     t.count <- t.count + 1;
     `Ok
   end
-
-let mem t line = List.exists (fun e -> e.line = line) t.rows
 
 let lines t = List.map (fun e -> e.line) t.rows
 

@@ -25,8 +25,6 @@ type t
 
 val create : ?capacity:int -> dir_set_of:(Mem.Addr.line -> int) -> unit -> t
 
-val capacity : t -> int
-
 val size : t -> int
 
 val reset : t -> unit
@@ -36,8 +34,6 @@ val record : t -> Mem.Addr.line -> written:bool -> [ `Ok | `Overflow ]
 (** Note an access. Re-recording a line merges ([written] ORs in). Returns
     [`Overflow] when a new line does not fit; the table keeps its current
     contents so the footprint seen so far is still inspectable. *)
-
-val mem : t -> Mem.Addr.line -> bool
 
 val lines : t -> Mem.Addr.line list
 (** All recorded lines, in lock order. *)

@@ -15,8 +15,6 @@ let create ?(entries = 16) () =
   if entries <= 0 then invalid_arg "Ert.create: entries must be positive";
   { slots = Array.init entries (fun _ -> { e = None; age = 0 }); tick = 0 }
 
-let capacity t = Array.length t.slots
-
 let bump t slot =
   t.tick <- t.tick + 1;
   slot.age <- t.tick

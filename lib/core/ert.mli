@@ -20,8 +20,6 @@ type t
 val create : ?entries:int -> unit -> t
 (** Default 16 entries. *)
 
-val capacity : t -> int
-
 val lookup : t -> pc:int -> entry option
 (** Find without allocating; refreshes LRU on hit. *)
 

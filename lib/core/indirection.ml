@@ -4,8 +4,6 @@ let create ~regs =
   if regs <= 0 then invalid_arg "Indirection.create: regs must be positive";
   Bytes.make regs '\000'
 
-let regs t = Bytes.length t
-
 let reset t = Bytes.fill t 0 (Bytes.length t) '\000'
 
 let set t r = Bytes.set t r '\001'

@@ -10,13 +10,9 @@ type t
 
 val create : regs:int -> t
 
-val regs : t -> int
-
 val reset : t -> unit
 (** Clear every bit (start of an AR attempt: initial registers come from
     outside the region). *)
-
-val set : t -> int -> unit
 
 val get : t -> int -> bool
 

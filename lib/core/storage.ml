@@ -33,8 +33,3 @@ let compute ?(physical_registers = 180) ?(ert_entries = 16) ?(alt_entries = 32) 
   }
 
 let paper = compute ()
-
-let pp ppf b =
-  Format.fprintf ppf
-    "@[<v>indirection bits: %6.1f B@,ERT: %6.1f B@,ALT: %6.1f B@,CRT: %6.1f B@,total: %6.1f B@]"
-    b.indirection_bytes b.ert_bytes b.alt_bytes b.crt_bytes b.total_bytes

@@ -33,5 +33,3 @@ val compute :
 
 val paper : breakdown
 (** [compute ()] with the defaults. *)
-
-val pp : Format.formatter -> breakdown -> unit

@@ -48,7 +48,6 @@ type core = {
 
 type t = {
   cfg : Config.t;
-  trace : Trace.t option;
   check : Check.Collector.t option;
   driver_cap : Check.Capbuf.t; (* driver writes outside ARs, while checking *)
   store_observer : (Mem.Addr.t -> int -> unit) option; (* the checker's, if any *)
@@ -78,7 +77,7 @@ type t = {
 
 let max_ar_instrs = 200_000
 
-let create ?trace ?check (cfg : Config.t) (workload : Workload.t) =
+let create ?check (cfg : Config.t) (workload : Workload.t) =
   let words = max cfg.memory_words workload.memory_words in
   let store = Mem.Store.create ~words in
   let stats = Stats.create () in
@@ -146,7 +145,6 @@ let create ?trace ?check (cfg : Config.t) (workload : Workload.t) =
   let store_observer = Mem.Store.observer store in
   {
     cfg;
-    trace;
     check;
     driver_cap;
     store_observer;
@@ -223,10 +221,7 @@ let try_acquire_power t c =
   if
     t.cfg.policy = Config.Power_tm && c.attempt >= 1
     && (t.power_owner = -1 || t.power_owner = c.id)
-  then begin
-    t.power_owner <- c.id;
-    Txn.set_power c.txn true
-  end
+  then t.power_owner <- c.id
 
 (* Is core [v]'s transaction protected against requester-wins? Paper §5.2:
    the power transaction, and with CLEAR over PowerTM every S-CL, nack
@@ -264,17 +259,6 @@ let touch_line t c line =
    across later attempts (Lineset rebuilds into fresh arrays). *)
 let attempt_footprint c = Simrt.Lineset.sorted_view c.attempt_lines
 
-let tracing t = match t.trace with None -> false | Some _ -> true
-
-(* Call sites on the per-operation path guard with [tracing] so the event
-   value is not even built when no trace is recorded. *)
-let trace_ev t c kind =
-  match t.trace with
-  | None -> ()
-  | Some tr ->
-      let ar = match c.op with Some op -> op.Workload.ar.Isa.Program.name | None -> "-" in
-      Trace.record tr ~time:t.now ~core:c.id ~ar kind
-
 (* Clear the current region's ERT bits: [~convertible:false] rules out
    cacheline locking, [~immutable:false] marks the footprint data-dependent
    (so a locked retry must be S-CL). The one ERT lookup of the engine. *)
@@ -296,7 +280,9 @@ let cap_write t c line = if capturing t then Check.Capbuf.note_write c.cap ~line
 
 let cap_store t c addr value = if capturing t then Check.Capbuf.note_store c.cap ~addr ~value
 
-(* Callers guard with [capturing], like [trace_ev]'s with [tracing]. *)
+(* The attempt lifecycle's one emission path, feeding the checker or the
+   trace. Callers guard with [capturing] so the event value is not even
+   built when nothing consumes it. *)
 let lock_ev t ev =
   match t.check with None -> () | Some col -> Check.Collector.add_lock_event col ev
 
@@ -387,9 +373,10 @@ let fig1_close t c =
    cacheline-locked modes acquire their lines before running the body. *)
 let open_attempt t c mode =
   c.mode <- mode;
-  if tracing t then
-    trace_ev t c (Trace.Begin_attempt { attempt = c.attempt; mode = Check.Witness.mode_name mode });
-  if capturing t then lock_ev t (Check.Lock_safety.Attempt_begin { time = t.now; core = c.id });
+  if capturing t then
+    lock_ev t
+      (Check.Lock_safety.Attempt_begin
+         { time = t.now; core = c.id; ar = (current_op c).Workload.ar; mode; attempt = c.attempt });
   if buffered c then Txn.start c.txn;
   Regfile.load_initial c.regs (current_op c).Workload.init_regs;
   c.pc <- 0;
@@ -405,22 +392,21 @@ let open_attempt t c mode =
 (* Every attempt ends here, committed or aborted: withdraw from conflict
    detection, release the cacheline locks and the fallback-lock hold (the
    shared hold of a CL-mode execution or the exclusive hold of a fallback
-   execution), tell the checker, drop the power token and the transaction. *)
-let end_attempt t c =
+   execution), tell the checker the [outcome], drop the power token and the
+   transaction. *)
+let end_attempt t c outcome =
   Txn.iter_lines c.txn (fun line -> Conflict_map.remove_line t.conflicts ~core:c.id line);
   (match c.mode with
   | Scl | Nscl ->
-      if tracing t || capturing t then
+      if capturing t then
         List.iter
-          (fun line ->
-            trace_ev t c (Trace.Unlocked line);
-            lock_ev t (Check.Lock_safety.Unlock { time = t.now; core = c.id; line }))
+          (fun line -> lock_ev t (Check.Lock_safety.Unlock { time = t.now; core = c.id; line }))
           (Mem.Hierarchy.locked_lines t.hierarchy ~core:c.id);
       ignore (Mem.Hierarchy.unlock_all t.hierarchy ~core:c.id : int)
   | Speculative | Fallback -> ());
   c.lock_queue <- [];
   Fallback_lock.release (op_lock t c) ~core:c.id;
-  if capturing t then lock_ev t (Check.Lock_safety.Attempt_end { time = t.now; core = c.id });
+  if capturing t then lock_ev t (Check.Lock_safety.Attempt_end { time = t.now; core = c.id; outcome });
   release_power t c;
   Txn.reset c.txn
 
@@ -449,12 +435,9 @@ let do_commit t c =
   | Some col ->
       Check.Collector.add_commit col c.cap ~time:t.now ~core:c.id ~ar:op.Workload.ar
         ~init_regs:op.Workload.init_regs ~mode:c.mode ~retries:c.retries_counted);
-  end_attempt t c;
+  end_attempt t c (Check.Lock_safety.Committed { mode = c.mode; retries = c.retries_counted });
   fig1_close t c;
   Clear.Ert.note_commit c.ert ~pc:op.Workload.ar.Isa.Program.id;
-  if tracing t then
-    trace_ev t c
-      (Trace.Commit { mode = Check.Witness.mode_name c.mode; retries = c.retries_counted });
   Stats.note_commit ~ar:op.Workload.ar.Isa.Program.id t.stats ~mode:c.mode ~retries:c.retries_counted;
   t.perf.commits <- t.perf.commits + 1;
   (match t.openq with
@@ -466,7 +449,6 @@ let do_commit t c =
   t.cfg.xend_cost + (drained / 4)
 
 let do_abort t c cause =
-  if tracing t then trace_ev t c (Trace.Aborted cause);
   Stats.note_abort t.stats cause;
   t.perf.aborts <- t.perf.aborts + 1;
   Stats.note_wasted_instrs t.stats c.attempt_instrs;
@@ -476,7 +458,7 @@ let do_abort t c cause =
       Clear.Crt.insert c.crt line
   | Some _ | None -> ());
   c.pending_abort <- None;
-  end_attempt t c;
+  end_attempt t c (Check.Lock_safety.Aborted cause);
   if c.attempt = 0 then begin
     let fp = attempt_footprint c in
     c.footprint0 <- (if Array.length fp = 0 then None else Some fp)
@@ -547,10 +529,7 @@ let end_of_discovery_decision t c =
   c.planned <-
     (match decision with
     | Clear.Decision.Speculative_retry -> None
-    | (Clear.Decision.Ns_cl | Clear.Decision.S_cl) as m -> Some m);
-  match c.planned with
-  | Some m -> trace_ev t c (Trace.Converted (Clear.Decision.mode_name m))
-  | None -> ()
+    | (Clear.Decision.Ns_cl | Clear.Decision.S_cl) as m -> Some m)
 
 (* ------------------------------------------------------------------ *)
 (* Memory-instruction semantics                                        *)
@@ -759,7 +738,6 @@ let step_lock t c =
              conflicting request it cannot win). *)
           let line = entry.Clear.Alt.line in
           resolve t c line (holders t c line ~write:true) Abort.Memory_conflict ~nack:false;
-          if tracing t then trace_ev t c (Trace.Locked line);
           if capturing t then
             lock_ev t
               (Check.Lock_safety.Lock
@@ -787,7 +765,7 @@ let abort_or_discover t c cause =
     c.mode = Speculative && c.discovery && (not c.failed_mode) && cause = Abort.Memory_conflict
     && t.cfg.failed_mode_discovery && not c.alt_overflow
   then begin
-    trace_ev t c Trace.Enter_failed_mode;
+    if capturing t then lock_ev t (Check.Lock_safety.Failed_mode { time = t.now; core = c.id });
     c.failed_mode <- true;
     c.failed_cause <- cause;
     Txn.iter_lines c.txn (fun line -> Conflict_map.remove_line t.conflicts ~core:c.id line);

@@ -26,9 +26,10 @@
     conflict detection (plain speculation always, S-CL off its locked
     lines, NS-CL and fallback never), and whether writes are buffered until
     commit ({!Check.Witness.mode_buffered}). Every attempt, in every mode,
-    opens at one site and ends at one site shared by commit and abort; the
-    trace's [Begin_attempt] and the checker's [Attempt_begin]/[Attempt_end]
-    are emitted there, so each attempt has a begin and an end record.
+    opens at one site and ends at one site shared by commit and abort, which
+    emit its [Attempt_begin] and its [Attempt_end] with the outcome; so each
+    attempt has a begin and an end record. Each lifecycle event
+    ({!Check.Lock_safety.event}) has exactly one emission site.
 
     When the configuration carries an {!Config.open_queue}, the fixed
     per-core op count is replaced by the open-system frontend: an idle core
@@ -38,16 +39,16 @@
 
 type t
 
-val create : ?trace:Trace.t -> ?check:Check.Collector.t -> Config.t -> Workload.t -> t
+val create : ?check:Check.Collector.t -> Config.t -> Workload.t -> t
 (** Builds the machine, allocates the backing store and runs the workload's
-    [setup]. When [trace] is given, per-core lifecycle events are recorded
-    into it. When [check] is given, the engine captures the material the
+    [setup]. When [check] is given, the engine captures the material the
     execution oracle needs: the store after setup, one witness per
     committed attempt (read/write footprint with first-access cycles plus
     the drained store log — O(footprint) per commit, lent to the collector
-    as the core's {!Check.Capbuf.t}), non-transactional driver writes, and
-    the complete lock/release event stream. Capture has no effect on
-    simulated behaviour: results are bit-identical with and without it. *)
+    as the core's {!Check.Capbuf.t}), non-transactional driver writes, the
+    end-of-discovery decisions, and the complete attempt-lifecycle stream.
+    A {!Trace.collector} consumes the same emissions. Capture has no effect
+    on simulated behaviour: results are bit-identical with and without it. *)
 
 val run : ?max_cycles:int -> t -> Stats.t
 (** Simulate until every thread finished its operations. Raises [Failure] if

@@ -92,8 +92,6 @@ let next_arrival t =
 
 let exhausted t = t.next_idx >= Array.length t.arrival_t && Queue.is_empty t.backlog
 
-let total t = Array.length t.arrival_t
-
 let admitted t = t.admitted
 
 let dropped t = t.n_dropped

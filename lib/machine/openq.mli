@@ -53,8 +53,6 @@ val next_arrival : t -> int
 val exhausted : t -> bool
 (** No future arrivals and nothing waiting: dispatchers can park. *)
 
-val total : t -> int
-
 val admitted : t -> int
 
 val dropped : t -> int

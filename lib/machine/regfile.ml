@@ -16,11 +16,7 @@ let load_initial t inits =
 
 let get t r = t.values.(r)
 
-let set t r v = t.values.(r) <- v
-
 let operand t = function Isa.Instr.Reg r -> t.values.(r) | Isa.Instr.Imm i -> i
-
-let indirection t = t.indirection
 
 let operand_tainted t = function
   | Isa.Instr.Reg r -> Clear.Indirection.get t.indirection r

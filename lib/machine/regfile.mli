@@ -14,14 +14,7 @@ val load_initial : t -> (Isa.Instr.reg * int) list -> unit
 
 val get : t -> Isa.Instr.reg -> int
 
-val set : t -> Isa.Instr.reg -> int -> unit
-(** Raw write; does not touch indirection bits (use the [define_*]
-    helpers). *)
-
 val operand : t -> Isa.Instr.operand -> int
-
-val indirection : t -> Clear.Indirection.t
-(** The underlying bit vector, for discovery checks. *)
 
 val define_alu : t -> dst:Isa.Instr.reg -> Isa.Instr.operand -> Isa.Instr.operand -> int -> unit
 (** Write an ALU result from two source operands: indirection = OR of their

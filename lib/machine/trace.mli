@@ -1,28 +1,32 @@
-(** Optional execution tracing.
+(** Execution tracing: a bounded ring over the attempt-lifecycle stream.
 
-    A bounded ring of per-core lifecycle events (attempt begins, mode
-    transitions, commits, aborts, lock activity). Tracing is off unless an
-    engine is created with a trace; recording is O(1) and keeps only the most
-    recent [capacity] events, so it is safe to leave on for long runs when
-    debugging a livelock or an unexpected abort pattern. *)
+    A trace is one more consumer of the stream the engine emits to its
+    check collector ({!Check.Lock_safety.event}: attempt begins, failed-mode
+    entries, line locks and unlocks, attempt ends with their outcome), plus
+    the end-of-discovery decisions that convert a retry to NS-CL or S-CL.
+    It has no event vocabulary of its own. Run an engine with
+    [~check:(collector tr ~cores)] to trace it; a traced run therefore
+    also captures witnesses, which leaves its simulated results unchanged.
+    Recording is O(1) and keeps only the most recent [capacity] events, so
+    it is safe to leave on for long runs when debugging a livelock or an
+    unexpected abort pattern. *)
 
 type kind =
-  | Begin_attempt of { attempt : int; mode : string }
-  | Enter_failed_mode
-  | Converted of string  (** decision-tree outcome for the retry *)
-  | Locked of Mem.Addr.line
-  | Unlocked of Mem.Addr.line  (** released at the holder's commit/abort *)
-  | Commit of { mode : string; retries : int }
-  | Aborted of Abort.cause
+  | Lifecycle of Check.Lock_safety.event
+  | Converted of Clear.Decision.mode  (** a decision to retry as NS-CL or S-CL *)
 
 type event = { time : int; core : int; ar : string; kind : kind }
+(** [ar] is the name of the AR the core's current attempt runs. *)
 
 type t
 
 val create : ?capacity:int -> unit -> t
 (** Default capacity: 4096 events. *)
 
-val record : t -> time:int -> core:int -> ar:string -> kind -> unit
+val collector : t -> cores:int -> Check.Collector.t
+(** A collector for {!Engine.create}'s [?check] that records the run's
+    lifecycle events and locked-mode conversions into [t] and ignores
+    everything else. *)
 
 val events : t -> event list
 (** Chronological (oldest first), at most [capacity]. *)
@@ -31,7 +35,8 @@ val recorded : t -> int
 (** Total events ever recorded (including overwritten ones). *)
 
 val retained : t -> int
-(** Events still in the ring (≤ capacity and ≤ {!recorded}). *)
+(** Events still in the ring (≤ capacity and ≤ {!recorded}). Fewer than
+    {!recorded} means the ring overwrote the oldest events. *)
 
 val dump : ?limit:int -> t -> Format.formatter -> unit
 (** Print the most recent [limit] events (default: everything retained).

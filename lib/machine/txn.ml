@@ -12,7 +12,6 @@ type t = {
   mutable log_val : int array;
   mutable log_len : int;
   mutable active : bool;
-  mutable power : bool;
 }
 
 let create () =
@@ -23,15 +22,13 @@ let create () =
     log_val = Array.make 64 0;
     log_len = 0;
     active = false;
-    power = false;
   }
 
 let reset t =
   Simrt.Lineset.clear t.read_set;
   Simrt.Lineset.clear t.write_set;
   t.log_len <- 0;
-  t.active <- false;
-  t.power <- false
+  t.active <- false
 
 let active t = t.active
 
@@ -97,7 +94,3 @@ let drain t store =
     Mem.Store.write store t.log_addr.(i) t.log_val.(i)
   done;
   t.log_len
-
-let power t = t.power
-
-let set_power t p = t.power <- p

@@ -52,7 +52,3 @@ val store_count : t -> int
 val drain : t -> Mem.Store.t -> int
 (** Write the buffer to memory in program order; returns the number of words
     written. Does not reset the sets. *)
-
-val power : t -> bool
-
-val set_power : t -> bool -> unit

@@ -13,5 +13,3 @@ let line_base l = l lsl line_shift
 let line_offset a = a land (words_per_line - 1)
 
 let same_line a b = line_of a = line_of b
-
-let pp ppf a = Format.fprintf ppf "@w%d" a

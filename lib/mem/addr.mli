@@ -23,5 +23,3 @@ val line_offset : t -> int
 (** Offset of the word within its line, in [\[0, words_per_line)]. *)
 
 val same_line : t -> t -> bool
-
-val pp : Format.formatter -> t -> unit

@@ -66,8 +66,6 @@ let create ~cores ~lines =
     locked = Array.init cores (fun _ -> Simrt.Lineset.create ());
   }
 
-let cores t = t.cores
-
 (* Read access: the page holding [line] (possibly the shared empty page)
    and the line's entry offset in it. Lines off the table read as
    untouched. *)

@@ -22,8 +22,6 @@ val create : cores:int -> lines:int -> t
     [Invalid_argument]; so does [cores] outside [\[1, max_cores\]]. Reading a
     line outside the range sees an untouched line. *)
 
-val cores : t -> int
-
 type coherence = private int
 (** Outcome of a coherence request, used for latency/energy accounting,
     packed into an immediate. *)

@@ -56,8 +56,6 @@ let create ?(numa = Numa.flat) params ~cores ~store ~counters =
 
 let params t = t.params
 
-let store t = t.store
-
 let directory t = t.directory
 
 let l1 t ~core = t.l1s.(core)
@@ -65,8 +63,6 @@ let l1 t ~core = t.l1s.(core)
 let l2 t ~core = t.l2s.(core)
 
 let locked_by t line = Directory.locked_by t.directory line
-
-let numa t = t.numa
 
 (* The extra cycles [core] pays to consult [line]'s home directory slice.
    Zero on the symmetric machine ([Numa.flat]); charged only when an access

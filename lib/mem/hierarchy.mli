@@ -25,13 +25,9 @@ val create :
 
 val params : t -> Params.t
 
-val numa : t -> Numa.t
-
 val numa_adder : t -> core:int -> Addr.line -> int
 (** The asymmetry cycles [core] would pay to consult [line]'s home directory
     slice; zero on a flat matrix. Pure query — charges nothing. *)
-
-val store : t -> Store.t
 
 val directory : t -> Directory.t
 

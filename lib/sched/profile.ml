@@ -98,14 +98,3 @@ let dist_name = function
   | Const c -> Printf.sprintf "const(%d)" c
   | Uniform { lo; hi } -> Printf.sprintf "uniform(%d..%d)" lo hi
   | Burst { lo; hi; heat } -> Printf.sprintf "burst(%d..%d,h%.1f)" lo hi heat
-
-let pp ppf t =
-  Format.fprintf ppf
-    "@[<v>%s: %s@,think %s%s; stride %d; sockets %d%s@]" t.name t.description
-    (dist_name t.think)
-    (if t.hot_cores > 0 then
-       Printf.sprintf "; %d hot core(s) think %s x%d ops" t.hot_cores (dist_name t.hot_think)
-         t.hot_op_mult
-     else "")
-    t.phase_stride t.numa.Mem.Numa.sockets
-    (if Mem.Numa.is_flat t.numa then "" else " (asymmetric)")

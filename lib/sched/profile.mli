@@ -80,5 +80,3 @@ val validate : t -> string list
 
 val dist_name : think_dist -> string
 (** Short human form, e.g. ["const(20)"], ["burst(30..600,h1.5)"]. *)
-
-val pp : Format.formatter -> t -> unit

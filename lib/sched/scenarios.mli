@@ -13,17 +13,9 @@ val hot_core : Profile.t
 (** One core pinned hot: near-zero think and twice the operations, so it
     collides with everyone and stresses the bounded-retry path. *)
 
-val skewed_think : Profile.t
-(** All cores draw think times from a heavy-tailed burst distribution:
-    long quiet gaps punctuated by tight op bursts. *)
-
 val numa2x : Profile.t
 (** Two sockets; remote-slice accesses pay a 2x-ish latency adder, widening
     conflict windows for the far socket. *)
-
-val phased_start : Profile.t
-(** Cores arrive staggered by a fixed stride, so contention builds up as a
-    wave instead of a stampede. *)
 
 val all : (string * Profile.t) list
 (** Every scenario, baseline first, in presentation order. *)

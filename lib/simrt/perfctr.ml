@@ -35,23 +35,6 @@ let create () =
     check_retired = 0;
   }
 
-let reset t =
-  t.sims <- 0;
-  t.events_popped <- 0;
-  t.conflict_checks <- 0;
-  t.conflict_hits <- 0;
-  t.footprint_inserts <- 0;
-  t.store_forward_scans <- 0;
-  t.aborts <- 0;
-  t.commits <- 0;
-  t.allocated_words <- 0;
-  t.open_arrivals <- 0;
-  t.open_dropped <- 0;
-  t.open_completed <- 0;
-  t.open_qdepth_hw <- 0;
-  t.check_live_lines <- 0;
-  t.check_retired <- 0
-
 let merge_into ~dst src =
   dst.sims <- dst.sims + src.sims;
   dst.events_popped <- dst.events_popped + src.events_popped;
@@ -68,22 +51,3 @@ let merge_into ~dst src =
   dst.open_qdepth_hw <- max dst.open_qdepth_hw src.open_qdepth_hw;
   dst.check_live_lines <- max dst.check_live_lines src.check_live_lines;
   dst.check_retired <- dst.check_retired + src.check_retired
-
-let to_list t =
-  [
-    ("sims", t.sims);
-    ("events_popped", t.events_popped);
-    ("conflict_checks", t.conflict_checks);
-    ("conflict_hits", t.conflict_hits);
-    ("footprint_inserts", t.footprint_inserts);
-    ("store_forward_scans", t.store_forward_scans);
-    ("aborts", t.aborts);
-    ("commits", t.commits);
-    ("allocated_words", t.allocated_words);
-    ("open_arrivals", t.open_arrivals);
-    ("open_dropped", t.open_dropped);
-    ("open_completed", t.open_completed);
-    ("open_qdepth_hw", t.open_qdepth_hw);
-    ("check_live_lines", t.check_live_lines);
-    ("check_retired", t.check_retired);
-  ]

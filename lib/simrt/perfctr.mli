@@ -37,11 +37,6 @@ type t = {
 
 val create : unit -> t
 
-val reset : t -> unit
-
 val merge_into : dst:t -> t -> unit
 (** Counters add; [open_qdepth_hw] and [check_live_lines] take the
     maximum. *)
-
-val to_list : t -> (string * int) list
-(** Stable name/value pairs for reporting. *)

@@ -34,8 +34,6 @@ let union a b =
   | Top, _ | _, Top -> Top
   | Spans xs, Spans ys -> normalize (Array.to_list xs @ Array.to_list ys)
 
-let is_empty = function Top -> false | Spans s -> Array.length s = 0
-
 let mem cover line =
   match cover with
   | Top -> true

@@ -22,9 +22,6 @@ type cover =
   | Top  (** any line — the analysis could not bound the pair *)
   | Spans of (int * int) array  (** sorted, disjoint, inclusive line intervals *)
 
-val union : cover -> cover -> cover
-val is_empty : cover -> bool
-
 val mem : cover -> int -> bool
 (** Is [line] inside the cover? *)
 

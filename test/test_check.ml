@@ -18,6 +18,14 @@ let witness ?(seq = 0) ?(time = 0) ?(core = 0) ?(mode = Check.Witness.Speculativ
     ?(writes = []) ?(stores = []) ?(ar = halt_ar) () =
   { Check.Witness.seq; time; core; ar; init_regs = []; mode; retries = 0; reads; writes; stores }
 
+(* Lifecycle events with the fields lock safety ignores filled in. *)
+let attempt_begin ~time ~core =
+  Check.Lock_safety.Attempt_begin { time; core; ar = halt_ar; mode = Check.Witness.Speculative; attempt = 0 }
+
+let attempt_end ~time ~core =
+  Check.Lock_safety.Attempt_end
+    { time; core; outcome = Committed { mode = Check.Witness.Speculative; retries = 0 } }
+
 let contains_sub haystack needle =
   let nh = String.length haystack and nn = String.length needle in
   let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
@@ -118,12 +126,12 @@ let ls = Check.Lock_safety.check ~cores:4
 let test_locks_clean_sequence () =
   let events =
     [
-      Check.Lock_safety.Attempt_begin { time = 0; core = 0 };
+      attempt_begin ~time:0 ~core:0;
       Check.Lock_safety.Lock { time = 1; core = 0; line = 10; key = 1 };
       Check.Lock_safety.Lock { time = 2; core = 0; line = 20; key = 5 };
       Check.Lock_safety.Unlock { time = 9; core = 0; line = 10 };
       Check.Lock_safety.Unlock { time = 9; core = 0; line = 20 };
-      Check.Lock_safety.Attempt_end { time = 9; core = 0 };
+      attempt_end ~time:9 ~core:0;
     ]
   in
   Alcotest.(check bool) "clean sequence passes" true (Result.is_ok (ls events))
@@ -131,8 +139,8 @@ let test_locks_clean_sequence () =
 let test_locks_mutual_exclusion () =
   let events =
     [
-      Check.Lock_safety.Attempt_begin { time = 0; core = 0 };
-      Check.Lock_safety.Attempt_begin { time = 0; core = 1 };
+      attempt_begin ~time:0 ~core:0;
+      attempt_begin ~time:0 ~core:1;
       Check.Lock_safety.Lock { time = 1; core = 0; line = 10; key = 1 };
       Check.Lock_safety.Lock { time = 2; core = 1; line = 10; key = 1 };
     ]
@@ -142,7 +150,7 @@ let test_locks_mutual_exclusion () =
 let test_locks_lexicographic_order () =
   let events =
     [
-      Check.Lock_safety.Attempt_begin { time = 0; core = 0 };
+      attempt_begin ~time:0 ~core:0;
       Check.Lock_safety.Lock { time = 1; core = 0; line = 10; key = 5 };
       Check.Lock_safety.Lock { time = 2; core = 0; line = 20; key = 1 };
     ]
@@ -151,14 +159,14 @@ let test_locks_lexicographic_order () =
   (* ...but the order resets between attempts. *)
   let events =
     [
-      Check.Lock_safety.Attempt_begin { time = 0; core = 0 };
+      attempt_begin ~time:0 ~core:0;
       Check.Lock_safety.Lock { time = 1; core = 0; line = 10; key = 5 };
       Check.Lock_safety.Unlock { time = 2; core = 0; line = 10 };
-      Check.Lock_safety.Attempt_end { time = 2; core = 0 };
-      Check.Lock_safety.Attempt_begin { time = 3; core = 0 };
+      attempt_end ~time:2 ~core:0;
+      attempt_begin ~time:3 ~core:0;
       Check.Lock_safety.Lock { time = 4; core = 0; line = 20; key = 1 };
       Check.Lock_safety.Unlock { time = 5; core = 0; line = 20 };
-      Check.Lock_safety.Attempt_end { time = 5; core = 0 };
+      attempt_end ~time:5 ~core:0;
     ]
   in
   Alcotest.(check bool) "key order resets per attempt" true (Result.is_ok (ls events))
@@ -166,15 +174,15 @@ let test_locks_lexicographic_order () =
 let test_locks_leak_detected () =
   let leak_past_attempt =
     [
-      Check.Lock_safety.Attempt_begin { time = 0; core = 2 };
+      attempt_begin ~time:0 ~core:2;
       Check.Lock_safety.Lock { time = 1; core = 2; line = 10; key = 1 };
-      Check.Lock_safety.Attempt_end { time = 5; core = 2 };
+      attempt_end ~time:5 ~core:2;
     ]
   in
   Alcotest.(check bool) "leak past attempt end rejected" true (Result.is_error (ls leak_past_attempt));
   let leak_past_run =
     [
-      Check.Lock_safety.Attempt_begin { time = 0; core = 2 };
+      attempt_begin ~time:0 ~core:2;
       Check.Lock_safety.Lock { time = 1; core = 2; line = 10; key = 1 };
     ]
   in
@@ -410,11 +418,11 @@ let stream_over ?(sweep_every = 1) ws =
       match e with
       | `Begin (w : Check.Witness.t) ->
           Check.Stream.add_lock_event str
-            (Check.Lock_safety.Attempt_begin { time = t; core = w.Check.Witness.core })
+            (attempt_begin ~time:t ~core:w.Check.Witness.core)
       | `Commit w -> Check.Stream.add_witness str w
       | `End (w : Check.Witness.t) ->
           Check.Stream.add_lock_event str
-            (Check.Lock_safety.Attempt_end { time = t; core = w.Check.Witness.core }))
+            (attempt_end ~time:t ~core:w.Check.Witness.core))
     events;
   (Check.Stream.finish str ~final:(image_of (Array.make 16 0)), Check.Stream.stats str)
 
@@ -632,7 +640,8 @@ let test_stream_suite_smoke () =
 
 let traced_run cfg workload =
   let trace = Trace.create ~capacity:(1 lsl 18) () in
-  let engine = Engine.create ~trace (small cfg) workload in
+  let cfg = small cfg in
+  let engine = Engine.create ~check:(Trace.collector trace ~cores:cfg.Config.cores) cfg workload in
   let _ = Engine.run engine in
   trace
 
@@ -644,15 +653,15 @@ let test_trace_unlock_balance () =
     List.fold_left
       (fun (l, u) (e : Trace.event) ->
         match e.Trace.kind with
-        | Trace.Locked _ -> (l + 1, u)
-        | Trace.Unlocked _ -> (l, u + 1)
+        | Trace.Lifecycle (Check.Lock_safety.Lock _) -> (l + 1, u)
+        | Trace.Lifecycle (Unlock _) -> (l, u + 1)
         | _ -> (l, u))
       (0, 0) (Trace.events trace)
   in
   Alcotest.(check int) "locks balance unlocks" locked unlocked
 
-(* Every attempt opens with a Begin_attempt and closes with a Commit or an
-   Aborted, in every mode — the cacheline-locked ones included — so a trace
+(* Every attempt opens with an Attempt_begin and closes with an Attempt_end
+   (a commit or an abort), in every mode — the cacheline-locked ones included — so a trace
    reader can pair them into spans. *)
 let test_trace_attempts_balance () =
   List.iter
@@ -661,14 +670,15 @@ let test_trace_attempts_balance () =
         Config.with_seed { preset with Config.cores = 8; ops_per_thread = 60; max_retries = 2 } 7
       in
       let trace = Trace.create ~capacity:(1 lsl 18) () in
-      ignore (Engine.run (Engine.create ~trace cfg Workloads.Arrayswap.workload) : Machine.Stats.t);
+      let check = Trace.collector trace ~cores:cfg.Config.cores in
+      ignore (Engine.run (Engine.create ~check cfg Workloads.Arrayswap.workload) : Machine.Stats.t);
       Alcotest.(check int) (letter ^ ": trace untruncated") (Trace.recorded trace) (Trace.retained trace);
       let begins, ends =
         List.fold_left
           (fun (b, e) (ev : Trace.event) ->
             match ev.Trace.kind with
-            | Trace.Begin_attempt _ -> (b + 1, e)
-            | Trace.Commit _ | Trace.Aborted _ -> (b, e + 1)
+            | Trace.Lifecycle (Check.Lock_safety.Attempt_begin _) -> (b + 1, e)
+            | Trace.Lifecycle (Attempt_end _) -> (b, e + 1)
             | _ -> (b, e))
           (0, 0) (Trace.events trace)
       in

@@ -273,6 +273,14 @@ let test_numa_blind_fault_caught () =
 
 let noop_ar = P.make_ar ~id:77 ~name:"noop" [| I.Halt |]
 
+(* Lifecycle events with the fields lock safety ignores filled in. *)
+let attempt_begin ~time ~core =
+  Check.Lock_safety.Attempt_begin { time; core; ar = noop_ar; mode = Check.Witness.Speculative; attempt = 0 }
+
+let attempt_end ~time ~core =
+  Check.Lock_safety.Attempt_end
+    { time; core; outcome = Committed { mode = Check.Witness.Speculative; retries = 0 } }
+
 type gen_attempt = {
   g_core : int;
   g_begin : int;
@@ -372,12 +380,10 @@ let prop_stream_matches_serial =
             (fun (t, e) ->
               match e with
               | `Begin a ->
-                  Check.Stream.add_lock_event str
-                    (Check.Lock_safety.Attempt_begin { time = t; core = a.g_core })
+                  Check.Stream.add_lock_event str (attempt_begin ~time:t ~core:a.g_core)
               | `Witness w -> Check.Stream.add_witness str w
               | `End a ->
-                  Check.Stream.add_lock_event str
-                    (Check.Lock_safety.Attempt_end { time = t; core = a.g_core }))
+                  Check.Stream.add_lock_event str (attempt_end ~time:t ~core:a.g_core))
             events;
           let results = Check.Stream.finish str ~final:zero in
           Result.is_ok results.Check.Stream.replay
@@ -401,7 +407,7 @@ module Lock_model = struct
   let check ~cores events =
     let holders = ref [] and held = Array.make cores [] and last_key = Array.make cores min_int in
     let add = function
-      | Attempt_begin { time; core } ->
+      | Attempt_begin { time; core; _ } ->
           if held.(core) <> [] then
             err time core "attempt begins while still holding %d line lock(s) from a previous attempt"
               (List.length held.(core))
@@ -431,7 +437,8 @@ module Lock_model = struct
               Ok ()
           | Some h -> err time core "unlocked line %d held by core %d" line h
           | None -> err time core "unlocked line %d that is not locked" line)
-      | Attempt_end { time; core } -> (
+      | Failed_mode _ -> Ok ()
+      | Attempt_end { time; core; _ } -> (
           match held.(core) with
           | [] -> Ok ()
           | first :: _ ->
@@ -466,12 +473,13 @@ let gen_lock_events rng =
     ( cores,
       List.init (1 + gi 30) (fun time ->
           let core = gi (cores - 1) in
-          match gi 4 with
+          match gi 5 with
           | 0 ->
               key.(core) <- 0;
-              L.Attempt_begin { time; core }
-          | 1 -> L.Attempt_end { time; core }
+              attempt_begin ~time ~core
+          | 1 -> attempt_end ~time ~core
           | 2 -> L.Unlock { time; core; line = gi 3 }
+          | 3 -> L.Failed_mode { time; core }
           | _ ->
               (* keys mostly ascend within an attempt, sometimes not *)
               if gi 9 > 0 then key.(core) <- key.(core) + gi 2 else key.(core) <- key.(core) - 1;
@@ -484,8 +492,9 @@ let gen_lock_events rng =
       List.init (50 + gi 400) (fun time ->
           let core = gi (cores - 1) in
           match (gi 9, held.(core)) with
-          | 0, [] -> L.Attempt_begin { time; core }
-          | 1, [] -> L.Attempt_end { time; core }
+          | 0, [] -> attempt_begin ~time ~core
+          | 1, [] -> attempt_end ~time ~core
+          | 2, [] -> L.Failed_mode { time; core }
           | (0 | 1 | 2 | 3), (_ :: _ as hs) ->
               let line = if gi 199 > 0 then List.nth hs (gi (List.length hs - 1)) else gi 9_999 in
               held.(core) <- List.filter (( <> ) line) hs;

@@ -291,8 +291,9 @@ let test_stats_aborts () =
 
 let test_trace_ring () =
   let t = Machine.Trace.create ~capacity:3 () in
+  let col = Machine.Trace.collector t ~cores:1 in
   for i = 1 to 5 do
-    Machine.Trace.record t ~time:i ~core:0 ~ar:"x" (Machine.Trace.Locked i)
+    Check.Collector.add_lock_event col (Check.Lock_safety.Lock { time = i; core = 0; line = i; key = i })
   done;
   Alcotest.(check int) "total recorded" 5 (Machine.Trace.recorded t);
   let kept = Machine.Trace.events t in
@@ -303,19 +304,28 @@ let test_trace_ring () =
 let test_trace_engine_integration () =
   let trace = Machine.Trace.create () in
   let cfg = { Config.clear_rw with Config.cores = 4; ops_per_thread = 20; memory_words = 1 lsl 20 } in
-  let engine = Machine.Engine.create ~trace cfg Workloads.Arrayswap.workload in
+  let check = Machine.Trace.collector trace ~cores:cfg.Config.cores in
+  let engine = Machine.Engine.create ~check cfg Workloads.Arrayswap.workload in
   let _ = Machine.Engine.run engine in
   let events = Machine.Trace.events trace in
   Alcotest.(check bool) "events recorded" true (events <> []);
   let has p = List.exists p events in
   Alcotest.(check bool) "commits traced" true
-    (has (fun e -> match e.Machine.Trace.kind with Machine.Trace.Commit _ -> true | _ -> false));
+    (has (fun e ->
+         match e.Machine.Trace.kind with
+         | Machine.Trace.Lifecycle (Attempt_end { outcome = Committed _; _ }) -> true
+         | _ -> false));
   Alcotest.(check bool) "begins traced" true
-    (has (fun e -> match e.Machine.Trace.kind with Machine.Trace.Begin_attempt _ -> true | _ -> false))
+    (has (fun e ->
+         match e.Machine.Trace.kind with
+         | Machine.Trace.Lifecycle (Attempt_begin _) -> true
+         | _ -> false))
 
 let test_trace_dump_renders () =
   let t = Machine.Trace.create () in
-  Machine.Trace.record t ~time:7 ~core:2 ~ar:"swap" (Machine.Trace.Aborted Abort.Nacked);
+  Check.Collector.add_lock_event
+    (Machine.Trace.collector t ~cores:4)
+    (Check.Lock_safety.Attempt_end { time = 7; core = 2; outcome = Aborted Abort.Nacked });
   let buf = Buffer.create 64 in
   let ppf = Format.formatter_of_buffer buf in
   Machine.Trace.dump t ppf;
