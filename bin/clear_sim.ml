@@ -184,7 +184,7 @@ let run_cmd =
     | Some _ | None -> ());
     match (trace, trace_oc, trace_out) with
     | Some tr, Some oc, Some file ->
-        Out_channel.output_string oc (Machine.Trace.to_chrome_json tr);
+        Machine.Trace.output_chrome_json tr oc;
         close_out oc;
         let kept = Machine.Trace.retained tr and recorded = Machine.Trace.recorded tr in
         if kept = recorded then Printf.printf "trace written   %s (%d events)\n" file kept
@@ -490,8 +490,9 @@ let list_cmd =
    both the plain-HTM and CLEAR gates see traffic) and the soundness gate
    asserts every observed conflict event's line lies inside the static
    cover for its AR pair. Exit 1 on any gate failure. *)
-let analyze_conflicts ws json =
+let analyze_conflicts models json =
   let module C = Staticcheck.Conflict in
+  let name (i : C.ar_info) = i.C.ar.Isa.Program.name in
   let module J = Report.Json in
   let failures = ref 0 in
   let validate (w : Machine.Workload.t) =
@@ -509,13 +510,7 @@ let analyze_conflicts ws json =
         (letter, verdict))
       [ "B"; "W" ]
   in
-  let per_workload =
-    List.map
-      (fun (w : Machine.Workload.t) ->
-        let m = C.of_ars w.Machine.Workload.ars in
-        (w, m, validate w))
-      ws
-  in
+  let per_workload = List.map (fun (w, m) -> (w, m, validate w)) models in
   let cover_json c =
     match (c : C.cover) with
     | C.Top -> J.Str "top"
@@ -539,7 +534,7 @@ let analyze_conflicts ws json =
                                (fun (i : C.ar_info) ->
                                  J.Obj
                                    [
-                                     ("name", J.Str i.C.name);
+                                     ("name", J.Str (name i));
                                      ("cl_capable", J.Bool i.C.cl_capable);
                                      ("rw", cover_json i.C.rw);
                                      ("w", cover_json i.C.w);
@@ -558,8 +553,8 @@ let analyze_conflicts ws json =
                                            let c = C.may_conflict m ia ib in
                                            J.Obj
                                              [
-                                               ("a", J.Str a.C.name);
-                                               ("b", J.Str b.C.name);
+                                               ("a", J.Str (name a));
+                                               ("b", J.Str (name b));
                                                ("cover", cover_json c);
                                                ( "lines",
                                                  match C.cover_lines c with
@@ -589,12 +584,12 @@ let analyze_conflicts ws json =
           Report.Table.create ~title:(Printf.sprintf "%s: AR may-conflict matrix" w.name)
             ~columns:
               ("AR" :: "CL?" :: "X-set"
-              :: Array.to_list (Array.map (fun (i : C.ar_info) -> i.C.name) infos))
+              :: Array.to_list (Array.map name infos))
         in
         Array.iteri
           (fun ia (a : C.ar_info) ->
             Report.Table.add_row t
-              (a.C.name
+              (name a
               :: (if a.C.cl_capable then "yes" else "no")
               :: C.cover_to_string a.C.x
               :: Array.to_list
@@ -623,6 +618,7 @@ let analyze_conflicts ws json =
 
 let analyze_cmd =
   let module A = Staticcheck.Absint in
+  let module C = Staticcheck.Conflict in
   let module P = Staticcheck.Predict in
   let json_of_prediction (p : P.t) =
     let module J = Report.Json in
@@ -650,15 +646,13 @@ let analyze_cmd =
   in
   let analyze workload json conflicts =
     let ws = match workload with None -> Workloads.Registry.all | Some w -> [ w ] in
-    if conflicts then analyze_conflicts ws json
+    let models = List.map (fun (w : Machine.Workload.t) -> (w, C.of_ars w.ars)) ws in
+    if conflicts then analyze_conflicts models json
     else
-    let per_workload =
-      List.map
-        (fun (w : Machine.Workload.t) ->
-          let written_regions = List.concat_map Isa.Program.regions_written w.ars in
-          (w, List.map (fun ar -> P.predict ~written_regions (A.analyze_ar ar)) w.ars))
-        ws
+    let predictions m =
+      Array.to_list (Array.map (fun (i : C.ar_info) -> i.C.prediction) (C.ars m))
     in
+    let per_workload = List.map (fun (w, m) -> (w, predictions m)) models in
     if json then
       print_endline
         (Report.Json.to_string_pretty

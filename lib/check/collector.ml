@@ -25,11 +25,9 @@ type sink = {
   sink_stats : unit -> int * int;
 }
 
-type t = { n_cores : int; sink : sink; mutable next_seq : int }
+type t = { sink : sink; mutable next_seq : int }
 
-let create_streaming ~cores sink = { n_cores = cores; sink; next_seq = 0 }
-
-let cores t = t.n_cores
+let create_streaming ~cores:_ sink = { sink; next_seq = 0 }
 
 let stream_stats t = t.sink.sink_stats ()
 

@@ -61,9 +61,8 @@ type sink = {
 type t
 
 val create_streaming : cores:int -> sink -> t
-(** A collector forwarding every emission to [sink] in emission order. *)
-
-val cores : t -> int
+(** A collector forwarding every emission to [sink] in emission order.
+    [cores] is not read. *)
 
 val stream_stats : t -> int * int
 (** [sink_stats] passthrough. The engine folds this into its perf counters
@@ -97,7 +96,7 @@ val add_decision :
 
 val set_ars : t -> Isa.Program.ar list -> unit
 (** The workload's full static AR list, fed once at engine creation — the
-    universe the may-conflict matrix is built over. *)
+    list the static gate builds its model from ({!Stream.create}). *)
 
 val add_conflict :
   t ->

@@ -85,6 +85,8 @@ let initial_slots = 1024
 type t = {
   sweep_every : int;
   static_gate : Staticcheck.Gate.t option;
+  mutable model : Staticcheck.Gate.model option;
+      (* [static_gate]'s model over no regions until [set_ars] *)
   mutable tab : int array;  (* slots * stride *)
   mutable spare : int array;  (* same size, rebuilt into by [sweep] *)
   mutable n_live : int;  (* occupied slots *)
@@ -121,7 +123,6 @@ type t = {
   mutable gate_commit_err : Staticcheck.Gate.violation option;
   mutable gate_decision_err : Staticcheck.Gate.violation option;
   mutable gate_conflict_err : Staticcheck.Gate.violation option;
-  mutable ars : Isa.Program.ar list;
   mutable live_entries : int;
   mutable peak_live_lines : int;
   mutable peak_live_entries : int;
@@ -133,6 +134,7 @@ let create ?static_gate ?(sweep_every = 512) ~cores () =
   {
     sweep_every;
     static_gate;
+    model = Option.map (fun g -> Staticcheck.Gate.model g []) static_gate;
     tab = Array.make (initial_slots * stride) (-1);
     spare = Array.make (initial_slots * stride) (-1);
     n_live = 0;
@@ -160,7 +162,6 @@ let create ?static_gate ?(sweep_every = 512) ~cores () =
     gate_commit_err = None;
     gate_decision_err = None;
     gate_conflict_err = None;
-    ars = [];
     live_entries = 0;
     peak_live_lines = 0;
     peak_live_entries = 0;
@@ -483,12 +484,12 @@ let add_commit t buf =
   | Some _, _ | _, None -> ()
   | None, Some cur -> (
       match Replay.step cur buf with Ok () -> () | Error d -> t.replay_err <- Some d));
-  (match (t.static_gate, t.gate_commit_err) with
+  (match (t.model, t.gate_commit_err) with
   | None, _ | _, Some _ -> ()
-  | Some gate, None -> (
+  | Some model, None -> (
       match
         Capbuf.fill_regs buf t.gate_regs;
-        Staticcheck.Gate.check_footprint gate ~ar:(Capbuf.ar buf) ~regs:t.gate_regs
+        Staticcheck.Gate.check_footprint model ~ar:(Capbuf.ar buf) ~regs:t.gate_regs
           ~reads:(Capbuf.read_lines buf) ~n_reads:(Capbuf.n_reads buf)
           ~writes:(Capbuf.write_lines buf) ~n_writes:(Capbuf.n_writes buf)
       with
@@ -528,15 +529,15 @@ let add_lock_event t (ev : Lock_safety.event) =
   | None -> (
       match Lock_safety.add t.locks ev with Ok () -> () | Error v -> t.lock_err <- Some v)
 
-let set_ars t ars = t.ars <- ars
+let set_ars t ars = t.model <- Option.map (fun g -> Staticcheck.Gate.model g ars) t.static_gate
 
 let add_conflict t (c : Collector.conflict) =
   note_time t c.Collector.time;
-  match (t.static_gate, t.gate_conflict_err) with
+  match (t.model, t.gate_conflict_err) with
   | None, _ | _, Some _ -> ()
-  | Some gate, None -> (
+  | Some model, None -> (
       match
-        Staticcheck.Gate.check_conflict gate ~ars:t.ars ~aggressor:c.Collector.aggressor_ar
+        Staticcheck.Gate.check_conflict model ~aggressor:c.Collector.aggressor_ar
           ~victim:c.Collector.victim_ar ~line:c.Collector.line
       with
       | Ok () -> ()
@@ -544,11 +545,11 @@ let add_conflict t (c : Collector.conflict) =
 
 let add_decision t (d : Collector.decision) =
   note_time t d.Collector.time;
-  match (t.static_gate, t.gate_decision_err) with
+  match (t.model, t.gate_decision_err) with
   | None, _ | _, Some _ -> ()
-  | Some gate, None -> (
+  | Some model, None -> (
       match
-        Staticcheck.Gate.check_decision gate ~ar:d.Collector.ar ~decision:d.Collector.decision
+        Staticcheck.Gate.check_decision model ~ar:d.Collector.ar ~decision:d.Collector.decision
       with
       | Ok () -> ()
       | Error v -> t.gate_decision_err <- Some v)
@@ -569,7 +570,7 @@ let finish t ~final =
   in
   let static_ =
     Option.map
-      (fun (_ : Staticcheck.Gate.t) ->
+      (fun (_ : Staticcheck.Gate.model) ->
         (* Witness violations outrank decision violations, which outrank
            conflict violations: the witnesses-then-decisions-then-conflicts
            order of a gate run over the whole history. *)
@@ -578,7 +579,7 @@ let finish t ~final =
         | None, Some v, _ -> Error v
         | None, None, Some v -> Error v
         | None, None, None -> Ok ())
-      t.static_gate
+      t.model
   in
   { commits = t.n_commits; serial; replay; locks; static_ }
 

@@ -59,8 +59,11 @@ type t
 val create : ?static_gate:Staticcheck.Gate.t -> ?sweep_every:int -> cores:int -> unit -> t
 (** [sweep_every] (default 512) is the retirement cadence in commits: peak
     live state is bounded by the live lines plus one sweep window. Raises
-    [Invalid_argument] when it is < 1. Allocates a few KiB; the per-AR
-    static-gate work happens on each AR's first commit, not here. *)
+    [Invalid_argument] when it is < 1. Allocates a few KiB. The gate's
+    static model ({!Staticcheck.Gate.model}) is built once, when {!sink}'s
+    [sink_ars] receives the workload's region list ([Engine.create] hands
+    it over before the first cycle); a region checked before that, or
+    missing from the list, is reported as a static-gate violation. *)
 
 val set_initial : t -> Mem.Store.image -> unit
 (** Replay from this initial image ({!Replay.start}) — for hand-fed

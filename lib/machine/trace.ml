@@ -47,15 +47,17 @@ let collector t ~cores =
       sink_stats = (fun () -> (0, 0));
     }
 
-let events t =
+(* The retained events, oldest first. *)
+let iter t f =
   let n = Array.length t.ring in
-  let rec collect i acc =
-    if i = n then List.rev acc
-    else
-      let idx = (t.next + i) mod n in
-      collect (i + 1) (match t.ring.(idx) with Some e -> e :: acc | None -> acc)
-  in
-  collect 0 []
+  for i = 0 to n - 1 do
+    match t.ring.((t.next + i) mod n) with Some e -> f e | None -> ()
+  done
+
+let events t =
+  let acc = ref [] in
+  iter t (fun e -> acc := e :: !acc);
+  List.rev !acc
 
 let recorded t = t.total
 
@@ -97,43 +99,46 @@ let category = function
   | Lifecycle (Attempt_end { outcome = Committed _; _ }) -> "commit"
   | Lifecycle (Attempt_end { outcome = Aborted _; _ }) -> "abort"
 
-let to_chrome_json t =
+module Cores = Set.Make (Int)
+
+let output_chrome_json t oc =
   (* One Chrome "process" per simulated core; events are instants on the
      simulated-cycle timeline (chrome://tracing interprets ts as µs — here
-     1 µs = 1 cycle). Each element is rendered on its own, so a full ring
-     never holds a document tree of a million events. *)
+     1 µs = 1 cycle). Each element is rendered on its own and written
+     straight to [oc], so the export never holds more than one element. *)
   let module J = Report.Json in
-  let all = events t in
-  let process core =
-    J.Obj
-      [
-        ("name", J.Str "process_name");
-        ("ph", J.Str "M");
-        ("pid", J.Int core);
-        ("tid", J.Int 0);
-        ("args", J.Obj [ ("name", J.Str (Printf.sprintf "core %d" core)) ]);
-      ]
+  let first = ref true in
+  let emit j =
+    if not !first then output_char oc ',';
+    first := false;
+    output_string oc (J.to_string j)
   in
-  let instant e =
-    J.Obj
-      [
-        ("name", J.Str (kind_to_string e.kind));
-        ("cat", J.Str (category e.kind));
-        ("ph", J.Str "i");
-        ("s", J.Str "t");
-        ("ts", J.Int e.time);
-        ("pid", J.Int e.core);
-        ("tid", J.Int 0);
-        ("args", J.Obj [ ("ar", J.Str e.ar) ]);
-      ]
-  in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\"traceEvents\":[";
-  Seq.append
-    (Seq.map process (List.to_seq (List.sort_uniq compare (List.map (fun e -> e.core) all))))
-    (Seq.map instant (List.to_seq all))
-  |> Seq.iteri (fun i j ->
-         if i > 0 then Buffer.add_char buf ',';
-         Buffer.add_string buf (J.to_string j));
-  Buffer.add_string buf "],\"displayTimeUnit\":\"ns\"}";
-  Buffer.contents buf
+  output_string oc "{\"traceEvents\":[";
+  let cores = ref Cores.empty in
+  iter t (fun e -> cores := Cores.add e.core !cores);
+  Cores.iter
+    (fun core ->
+      emit
+        (J.Obj
+           [
+             ("name", J.Str "process_name");
+             ("ph", J.Str "M");
+             ("pid", J.Int core);
+             ("tid", J.Int 0);
+             ("args", J.Obj [ ("name", J.Str (Printf.sprintf "core %d" core)) ]);
+           ]))
+    !cores;
+  iter t (fun e ->
+      emit
+        (J.Obj
+           [
+             ("name", J.Str (kind_to_string e.kind));
+             ("cat", J.Str (category e.kind));
+             ("ph", J.Str "i");
+             ("s", J.Str "t");
+             ("ts", J.Int e.time);
+             ("pid", J.Int e.core);
+             ("tid", J.Int 0);
+             ("args", J.Obj [ ("ar", J.Str e.ar) ]);
+           ]));
+  output_string oc "],\"displayTimeUnit\":\"ns\"}"

@@ -42,7 +42,8 @@ val dump : ?limit:int -> t -> Format.formatter -> unit
 (** Print the most recent [limit] events (default: everything retained).
     [limit] is clamped to the retained count. *)
 
-val to_chrome_json : t -> string
-(** Export the retained events in Chrome's trace_event JSON format (load in
-    [chrome://tracing] or Perfetto). One Chrome process per simulated core;
-    each event is an instant at its simulated cycle. *)
+val output_chrome_json : t -> out_channel -> unit
+(** Write the retained events to the channel in Chrome's trace_event JSON
+    format (load in [chrome://tracing] or Perfetto), one element at a time.
+    One Chrome process per simulated core; each event is an instant at its
+    simulated cycle. *)

@@ -72,15 +72,20 @@ let cover_of ~regions sites =
   if List.length spans <> List.length sites then Top else normalize spans
 
 type ar_info = {
-  id : int;
-  name : string;
+  ar : Isa.Program.ar;
+  summary : A.summary;
+  prediction : Predict.t;
   rw : cover;  (** lines any attempt may read or write *)
   w : cover;  (** lines any attempt may write *)
   x : cover;  (** exclusive set: [rw] when CL-capable, else [w] *)
   cl_capable : bool;
 }
 
-type t = { ars : ar_info array; pairs : cover array array }
+type t = {
+  ars : ar_info array;
+  by_id : int array;  (* AR id -> index in [ars], -1 when absent *)
+  pairs : cover array array;
+}
 
 let info_of ~params ~written_regions (ar : Isa.Program.ar) =
   let s = Absint.analyze_ar ar in
@@ -93,14 +98,7 @@ let info_of ~params ~written_regions (ar : Isa.Program.ar) =
      acquisition dooms / NACKs target reads too), so its exclusive set is
      the full footprint, not just the writes. *)
   let cl_capable = p.Predict.envelope.Predict.ns_cl || p.Predict.envelope.Predict.s_cl in
-  {
-    id = ar.Isa.Program.id;
-    name = ar.Isa.Program.name;
-    rw;
-    w;
-    x = (if cl_capable then rw else w);
-    cl_capable;
-  }
+  { ar; summary = s; prediction = p; rw; w; x = (if cl_capable then rw else w); cl_capable }
 
 (* may_conflict(a, b): lines where simultaneous attempts of [a] and [b] can
    produce a doom / NACK. One side must hold the line exclusively (a
@@ -112,22 +110,27 @@ let of_ars ?(params = Predict.default_params) ars =
   let written_regions = List.concat_map Isa.Program.regions_written ars in
   let infos = Array.of_list (List.map (info_of ~params ~written_regions) ars) in
   let n = Array.length infos in
+  let by_id =
+    Array.make (Array.fold_left (fun m i -> max m (i.ar.Isa.Program.id + 1)) 0 infos) (-1)
+  in
+  (* The first AR with an id owns it, in input order. *)
+  for k = n - 1 downto 0 do
+    let id = infos.(k).ar.Isa.Program.id in
+    if id >= 0 then by_id.(id) <- k
+  done;
   let pairs = Array.init n (fun i -> Array.init n (fun j -> pair_cover infos.(i) infos.(j))) in
-  { ars = infos; pairs }
+  { ars = infos; by_id; pairs }
 
 let ars t = t.ars
 
-let find_index t ~ar_id =
-  let r = ref None in
-  Array.iteri (fun i info -> if info.id = ar_id && !r = None then r := Some i) t.ars;
-  !r
+let index t (ar : Isa.Program.ar) =
+  let id = ar.Isa.Program.id in
+  if id < 0 || id >= Array.length t.by_id then -1
+  else
+    let k = t.by_id.(id) in
+    if k >= 0 && String.equal t.ars.(k).ar.Isa.Program.name ar.Isa.Program.name then k else -1
 
 let may_conflict t i j = t.pairs.(i).(j)
-
-let may_conflict_ids t ~ida ~idb =
-  match (find_index t ~ar_id:ida, find_index t ~ar_id:idb) with
-  | Some i, Some j -> Some t.pairs.(i).(j)
-  | _ -> None
 
 let pp_cover ppf = function
   | Top -> Format.fprintf ppf "T"

@@ -29,8 +29,9 @@ val cover_lines : cover -> int option
 (** Total lines covered; [None] for [Top]. *)
 
 type ar_info = {
-  id : int;
-  name : string;
+  ar : Isa.Program.ar;
+  summary : Absint.summary;
+  prediction : Predict.t;  (** with the workload's written regions *)
   rw : cover;  (** lines any attempt may read or write *)
   w : cover;  (** lines any attempt may write *)
   x : cover;  (** exclusive set: [rw] when CL-capable, else [w] *)
@@ -38,17 +39,25 @@ type ar_info = {
 }
 
 type t
+(** A workload's static model: every region's summary and prediction, and
+    the matrix over them. Immutable. *)
 
 val of_ars : ?params:Predict.params -> Isa.Program.ar list -> t
-(** Analyze each region and build the full matrix. [params] feeds the
-    decision-envelope prediction that decides CL-capability. *)
+(** Analyze each region once ({!Absint.analyze_ar}), predict it once with
+    [params] and the written regions of the whole list, and build the full
+    matrix from those summaries. The prediction's envelope decides
+    CL-capability. This is the only place the verifier analyses a
+    workload's regions: [clear_sim analyze] prints from it and the gate
+    ({!Gate.model}) checks against it. *)
 
 val ars : t -> ar_info array
 (** In input order. *)
 
-val may_conflict : t -> int -> int -> cover
+val index : t -> Isa.Program.ar -> int
+(** Position of [ar] in {!ars}, found by id and checked by name; [-1] when
+    the list held no such region. Allocates nothing. *)
 
-val may_conflict_ids : t -> ida:int -> idb:int -> cover option
-(** Matrix lookup by AR ids; [None] when either id is unknown. *)
+val may_conflict : t -> int -> int -> cover
+(** By positions in {!ars}. *)
 
 val cover_to_string : cover -> string

@@ -17,96 +17,47 @@ type violation =
    an absolute extent) and the word extent [lo, hi] relative to it. *)
 type sites = int array
 
-(* Per-AR facts, built on the AR's first commit: the summary, its sites
-   split once into the may-read and may-write sets, and the decision
-   prediction on first use. *)
-type entry = {
-  ar : Isa.Program.ar;
-  summary : Absint.summary;
-  read_sites : sites;
-  write_sites : sites;
-  mutable prediction : Predict.t option;
-}
+type t = { params : Predict.params; fault_drop_store : bool }
 
-type t = {
-  params : Predict.params;
-  fault_drop_store : bool;
-  memo : entry list array;  (* buckets by [id land (length - 1)] *)
-  mutable conflicts : Conflict.t option;  (* built lazily from the first workload seen *)
-}
+(* The workload's static model, and each region's sites split once into the
+   may-read and may-write sets, by position in the model. *)
+type model = { matrix : Conflict.t; read_sites : sites array; write_sites : sites array }
 
-let create ?(fault_drop_store = false) params =
-  { params; fault_drop_store; memo = Array.make 64 []; conflicts = None }
+let create ?(fault_drop_store = false) params = { params; fault_drop_store }
 
-let analyze t ar =
-  let s = Absint.analyze_ar ar in
-  if not t.fault_drop_store then s
-  else begin
-    (* Fault injection for the gate's own tests: pretend the analyzer
-       missed the first store site, so a real write escapes the
-       may-write set and the gate must catch it. *)
-    let dropped = ref false in
-    let sites =
-      List.filter
-        (fun (site : Absint.site) ->
-          if site.Absint.written && not !dropped then begin
-            dropped := true;
-            false
-          end
-          else true)
-        s.Absint.sites
-    in
-    { s with Absint.sites }
-  end
-
-let flatten written (s : Absint.summary) =
+let flatten sites =
   List.concat_map
     (fun (site : Absint.site) ->
-      if site.Absint.written <> written then []
-      else
-        match site.Absint.component with
-        | Absint.Cany -> [ -1; min_int; max_int ]
-        | Absint.Cwords { lo; hi } | Absint.Cregion { lo; hi; _ } -> [ -1; lo; hi ]
-        | Absint.Crel { reg; lo; hi } -> [ reg; lo; hi ])
-    s.Absint.sites
+      match site.Absint.component with
+      | Absint.Cany -> [ -1; min_int; max_int ]
+      | Absint.Cwords { lo; hi } | Absint.Cregion { lo; hi; _ } -> [ -1; lo; hi ]
+      | Absint.Crel { reg; lo; hi } -> [ reg; lo; hi ])
+    sites
   |> Array.of_list
 
-let same (a : Isa.Program.ar) (b : Isa.Program.ar) =
-  a == b || (a.Isa.Program.id = b.Isa.Program.id && String.equal a.Isa.Program.name b.Isa.Program.name)
+let model t ars =
+  let matrix = Conflict.of_ars ~params:t.params ars in
+  let sites written (info : Conflict.ar_info) =
+    List.filter
+      (fun (site : Absint.site) -> site.Absint.written = written)
+      info.Conflict.summary.Absint.sites
+  in
+  let write_sites info =
+    match sites true info with
+    (* Fault injection for the gate's own tests: pretend the analyzer
+       missed the first store site, so a real write escapes the may-write
+       set and the gate must catch it. *)
+    | _ :: rest when t.fault_drop_store -> flatten rest
+    | ws -> flatten ws
+  in
+  let infos = Conflict.ars matrix in
+  {
+    matrix;
+    read_sites = Array.map (fun info -> flatten (sites false info)) infos;
+    write_sites = Array.map write_sites infos;
+  }
 
-let rec lookup ar = function
-  | [] -> raise Not_found
-  | e :: rest -> if same e.ar ar then e else lookup ar rest
-
-(* Memoised per (ar id, name); a hit allocates nothing. *)
-let entry t (ar : Isa.Program.ar) =
-  let b = ar.Isa.Program.id land (Array.length t.memo - 1) in
-  match lookup ar t.memo.(b) with
-  | e -> e
-  | exception Not_found ->
-      let summary = analyze t ar in
-      let e =
-        {
-          ar;
-          summary;
-          read_sites = flatten false summary;
-          write_sites = flatten true summary;
-          prediction = None;
-        }
-      in
-      t.memo.(b) <- e :: t.memo.(b);
-      e
-
-let summary t ar = (entry t ar).summary
-
-let prediction t ar =
-  let e = entry t ar in
-  match e.prediction with
-  | Some p -> p
-  | None ->
-      let p = Predict.predict ~params:t.params ~written_regions:[] e.summary in
-      e.prediction <- Some p;
-      p
+let missing = "AR not in the workload's list"
 
 (* Is [line] within some site's extent, given the initial register file
    [regs]? *)
@@ -124,69 +75,61 @@ let rec first_escape sites ~regs lines n i =
   else if covered sites ~regs lines.(i) 0 then first_escape sites ~regs lines n (i + 1)
   else i
 
-let escape e (ar : Isa.Program.ar) access sites line =
-  Error
-    (Footprint_escape
-       {
-         ar = ar.Isa.Program.name;
-         access;
-         line;
-         bound =
-           Printf.sprintf "%d site(s), %s line bound" (Array.length sites)
-             (Absint.bound_to_string
-                (if access = `Read then e.summary.Absint.read_lines else e.summary.Absint.write_lines));
-       })
+(* A region missing from the model has empty may-sets. *)
+let sites_at all i = if i < 0 then [||] else all.(i)
 
-let check_footprint t ~ar ~regs ~reads ~n_reads ~writes ~n_writes =
-  let e = entry t ar in
-  let r = first_escape e.read_sites ~regs reads n_reads 0 in
-  if r >= 0 then escape e ar `Read e.read_sites reads.(r)
+let escape m i (ar : Isa.Program.ar) access line =
+  let bound =
+    if i < 0 then missing
+    else
+      let s = (Conflict.ars m.matrix).(i).Conflict.summary in
+      Printf.sprintf "%d site(s), %s line bound"
+        (Array.length (if access = `Read then m.read_sites.(i) else m.write_sites.(i)) / 3)
+        (Absint.bound_to_string
+           (if access = `Read then s.Absint.read_lines else s.Absint.write_lines))
+  in
+  Error (Footprint_escape { ar = ar.Isa.Program.name; access; line; bound })
+
+let check_footprint m ~ar ~regs ~reads ~n_reads ~writes ~n_writes =
+  let i = Conflict.index m.matrix ar in
+  let r = first_escape (sites_at m.read_sites i) ~regs reads n_reads 0 in
+  if r >= 0 then escape m i ar `Read reads.(r)
   else
-    let w = first_escape e.write_sites ~regs writes n_writes 0 in
-    if w >= 0 then escape e ar `Write e.write_sites writes.(w) else Ok ()
+    let w = first_escape (sites_at m.write_sites i) ~regs writes n_writes 0 in
+    if w >= 0 then escape m i ar `Write writes.(w) else Ok ()
 
-let check_commit t ~ar ~init_regs ~reads ~writes =
+let check_commit m ~ar ~init_regs ~reads ~writes =
   let regs = Array.make Isa.Instr.num_regs 0 in
   List.iter (fun (r, v) -> regs.(r) <- v) init_regs;
-  check_footprint t ~ar ~regs ~reads:(Array.of_list reads) ~n_reads:(List.length reads)
+  check_footprint m ~ar ~regs ~reads:(Array.of_list reads) ~n_reads:(List.length reads)
     ~writes:(Array.of_list writes) ~n_writes:(List.length writes)
 
-let conflict_matrix t ~ars =
-  match t.conflicts with
-  | Some c -> c
-  | None ->
-      let c = Conflict.of_ars ~params:t.params ars in
-      t.conflicts <- Some c;
-      c
-
-let check_conflict t ~ars ~(aggressor : Isa.Program.ar) ~(victim : Isa.Program.ar) ~line =
-  let c = conflict_matrix t ~ars in
-  let escape cover =
+let check_conflict m ~(aggressor : Isa.Program.ar) ~(victim : Isa.Program.ar) ~line =
+  let i = Conflict.index m.matrix aggressor and j = Conflict.index m.matrix victim in
+  if i >= 0 && j >= 0 && Conflict.mem (Conflict.may_conflict m.matrix i j) line then Ok ()
+  else
     Error
       (Conflict_escape
          {
            aggressor = aggressor.Isa.Program.name;
            victim = victim.Isa.Program.name;
            line;
-           cover;
+           cover =
+             (if i < 0 || j < 0 then missing
+              else Conflict.cover_to_string (Conflict.may_conflict m.matrix i j));
          })
-  in
-  match
-    Conflict.may_conflict_ids c ~ida:aggressor.Isa.Program.id ~idb:victim.Isa.Program.id
-  with
-  | Some cover -> if Conflict.mem cover line then Ok () else escape (Conflict.cover_to_string cover)
-  | None -> escape "<pair not in matrix>"
 
-let check_decision t ~(ar : Isa.Program.ar) ~decision =
-  let p = prediction t ar in
-  if Predict.decision_in_envelope p.Predict.envelope decision then Ok ()
+let check_decision m ~(ar : Isa.Program.ar) ~decision =
+  let i = Conflict.index m.matrix ar in
+  let envelope () = (Conflict.ars m.matrix).(i).Conflict.prediction.Predict.envelope in
+  if i >= 0 && Predict.decision_in_envelope (envelope ()) decision then Ok ()
   else
     Error
       (Decision_escape
          {
            ar = ar.Isa.Program.name;
            decision;
-           envelope = Predict.envelope_name p.Predict.envelope;
+           envelope = (if i < 0 then missing else Predict.envelope_name (envelope ()));
          })
 
 let pp_violation ppf = function

@@ -1,10 +1,16 @@
 (** Static-vs-dynamic soundness gate.
 
-    Created once per checked run from the run's configuration, then fed
-    every commit witness and every end-of-discovery decision the engine
-    emitted ({!Check.Verdict} drives this). A violation means the abstract
+    A {!t} holds the run's table geometry. When the engine hands over the
+    workload's region list, {!model} analyses each region once into one
+    immutable {!model}; the checked run then feeds every commit witness,
+    end-of-discovery decision and conflict event through it
+    ({!Check.Stream} drives this). A violation means the abstract
     interpreter under-approximated a real execution — a bug in either the
-    analyzer or the engine — and is reported as its own verdict class. *)
+    analyzer or the engine — and is reported as its own verdict class. A
+    region missing from the model's list has empty may-sets, an empty
+    envelope and no matrix row: each line of its footprint, each of its
+    decisions and each conflict it takes part in is a violation whose
+    bound, envelope or cover reads "AR not in the workload's list". *)
 
 type violation =
   | Footprint_escape of {
@@ -28,13 +34,16 @@ val create : ?fault_drop_store:bool -> Predict.params -> t
     every AR is dropped from the may-write set) so tests can prove the gate
     actually fires. *)
 
-val summary : t -> Isa.Program.ar -> Absint.summary
-(** Memoised per (ar id, name). *)
+type model
+(** One workload's static model ({!Conflict.t}) and each region's sites,
+    split once into the may-read and may-write sets. Immutable. *)
 
-val prediction : t -> Isa.Program.ar -> Predict.t
+val model : t -> Isa.Program.ar list -> model
+(** {!Conflict.of_ars} over the workload's full region list, with [t]'s
+    geometry. *)
 
 val check_footprint :
-  t ->
+  model ->
   ar:Isa.Program.ar ->
   regs:int array ->
   reads:Mem.Addr.line array ->
@@ -46,11 +55,10 @@ val check_footprint :
     initial register file [regs] ([Isa.Instr.num_regs] slots; registers
     the operation did not set hold 0, as in the engine). The footprint is
     the first [n_reads] / [n_writes] lines of the arrays, checked in order,
-    reads first. The AR's sites are split into the two sets once per AR; a
-    passing check allocates nothing. *)
+    reads first. A passing check allocates nothing. *)
 
 val check_commit :
-  t ->
+  model ->
   ar:Isa.Program.ar ->
   init_regs:(Isa.Instr.reg * int) list ->
   reads:Mem.Addr.line list ->
@@ -60,18 +68,17 @@ val check_commit :
     order. *)
 
 val check_decision :
-  t -> ar:Isa.Program.ar -> decision:Clear.Decision.mode -> (unit, violation) result
+  model -> ar:Isa.Program.ar -> decision:Clear.Decision.mode -> (unit, violation) result
+(** The decision lies in the region's predicted envelope. *)
 
 val check_conflict :
-  t ->
-  ars:Isa.Program.ar list ->
+  model ->
   aggressor:Isa.Program.ar ->
   victim:Isa.Program.ar ->
   line:Mem.Addr.line ->
   (unit, violation) result
 (** Every engine-observed conflict event (a doom or a cacheline-lock NACK
     with a known line) must land inside the static may-conflict cover for
-    the aggressor/victim AR pair. The {!Conflict.t} matrix is built lazily
-    from [ars] (the workload's full region list) on first use and cached. *)
+    the aggressor/victim AR pair. *)
 
 val pp_violation : Format.formatter -> violation -> unit

@@ -6,6 +6,7 @@
 # values themselves must still be accepted. An unknown suite
 # artefact or size is a command-line error too; an uncreatable suite --csv
 # directory is an error naming it, reported before anything is simulated;
+# an accepted run --trace-out writes a whole Chrome trace document;
 # and bench/main.exe, which only runs the gate, points anything else at
 # `clear_sim suite`.
 #
@@ -73,6 +74,18 @@ if [ "$code" -eq 0 ] || [ "$code" -eq 125 ]; then
   fail=1
 elif ! printf '%s\n' "$err" | grep -q -- "$trace_out"; then
   echo "FAIL: clear_sim run --trace-out $trace_out: error message does not name the file"
+  fail=1
+fi
+
+# A writable --trace-out file receives one whole Chrome trace document.
+trace_out=$(mktemp) || exit 1
+"$bin" run --cores 2 --ops 5 --trace-out "$trace_out" >/dev/null 2>&1
+code=$?
+head=$(head -c 16 "$trace_out")
+tail=$(tail -c 23 "$trace_out")
+rm -f "$trace_out"
+if [ "$code" -ne 0 ] || [ "$head" != '{"traceEvents":[' ] || [ "$tail" != '"displayTimeUnit":"ns"}' ]; then
+  echo "FAIL: clear_sim run --trace-out: exit $code, document starts '$head', ends '$tail'"
   fail=1
 fi
 

@@ -69,19 +69,20 @@ let rec first_error f = function
    observed conflict line inside the static may-conflict cover. *)
 let static_gate gate t ws =
   let module G = Staticcheck.Gate in
+  let model = G.model gate t.ars in
   let buf = Check.Capbuf.create () and regs = Array.make Isa.Instr.num_regs 0 in
   let check_witness (w : Check.Witness.t) =
     Check.Capbuf.load buf w;
     Check.Capbuf.fill_regs buf regs;
-    G.check_footprint gate ~ar:w.Check.Witness.ar ~regs ~reads:(Check.Capbuf.read_lines buf)
+    G.check_footprint model ~ar:w.Check.Witness.ar ~regs ~reads:(Check.Capbuf.read_lines buf)
       ~n_reads:(Check.Capbuf.n_reads buf) ~writes:(Check.Capbuf.write_lines buf)
       ~n_writes:(Check.Capbuf.n_writes buf)
   in
   let check_decision (d : Check.Collector.decision) =
-    G.check_decision gate ~ar:d.Check.Collector.ar ~decision:d.Check.Collector.decision
+    G.check_decision model ~ar:d.Check.Collector.ar ~decision:d.Check.Collector.decision
   in
   let check_conflict (c : Check.Collector.conflict) =
-    G.check_conflict gate ~ars:t.ars ~aggressor:c.Check.Collector.aggressor_ar
+    G.check_conflict model ~aggressor:c.Check.Collector.aggressor_ar
       ~victim:c.Check.Collector.victim_ar ~line:c.Check.Collector.line
   in
   match first_error check_witness ws with

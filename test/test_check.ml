@@ -704,8 +704,15 @@ let test_trace_dump_clamps_limit () =
 
 let test_trace_chrome_json () =
   let trace = traced_run Config.clear_power Workloads.Bitcoin.workload in
-  let json = Trace.to_chrome_json trace in
+  let file = Filename.temp_file "trace" ".json" in
+  Out_channel.with_open_bin file (Trace.output_chrome_json trace);
+  let json = In_channel.with_open_bin file In_channel.input_all in
+  Sys.remove file;
   let contains needle = contains_sub json needle in
+  Alcotest.(check bool) "opens the document" true
+    (String.starts_with ~prefix:"{\"traceEvents\":[" json);
+  Alcotest.(check bool) "closes the document" true
+    (String.ends_with ~suffix:"],\"displayTimeUnit\":\"ns\"}" json);
   Alcotest.(check bool) "has traceEvents" true (contains "\"traceEvents\"");
   Alcotest.(check bool) "has process metadata" true (contains "process_name");
   Alcotest.(check bool) "has instant events" true (contains "\"ph\":\"i\"");

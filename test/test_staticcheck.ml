@@ -313,15 +313,14 @@ let prop_containment =
     (fun seed ->
       let ar, init_regs = gen_ar seed in
       let reads, writes, store_count, completed = run_recorded ar ~init_regs in
-      let gate = G.create Pr.default_params in
-      (match G.check_commit gate ~ar ~init_regs ~reads ~writes with
+      let model = G.model (G.create Pr.default_params) [ ar ] in
+      (match G.check_commit model ~ar ~init_regs ~reads ~writes with
       | Ok () -> ()
       | Error v ->
           QCheck.Test.fail_reportf "seed %d: %s" seed (Format.asprintf "%a" G.pp_violation v));
       (* the per-attempt store bound only applies to completed attempts *)
       (if completed then
-         let s = G.summary gate ar in
-         match s.A.store_execs with
+         match (A.analyze_ar ar).A.store_execs with
          | A.Unbounded -> ()
          | A.Finite k ->
              if store_count > k then
@@ -359,8 +358,8 @@ let test_gate_injected_bug_fires () =
         Isa.Asm.st b ~base:(I.Imm 64) ~src:(I.Imm 1) ~region:"a" ();
         Isa.Asm.halt b)
   in
-  let healthy = G.create Pr.default_params in
-  let faulty = G.create ~fault_drop_store:true Pr.default_params in
+  let healthy = G.model (G.create Pr.default_params) [ ar ] in
+  let faulty = G.model (G.create ~fault_drop_store:true Pr.default_params) [ ar ] in
   let writes = [ Mem.Addr.line_of 64 ] in
   (match G.check_commit healthy ~ar ~init_regs:[] ~reads:[] ~writes with
   | Ok () -> ()
@@ -369,6 +368,70 @@ let test_gate_injected_bug_fires () =
   | Error (G.Footprint_escape { access = `Write; _ }) -> ()
   | Error v -> Alcotest.failf "wrong violation: %a" G.pp_violation v
   | Ok () -> Alcotest.fail "faulty gate did not fire"
+
+(* A region the model was not built from escapes every check with a
+   typed violation naming it, never an exception or a pass; so does one
+   that reuses a listed region's id under another name. Through the
+   streaming checker the same conflict surfaces as the run's static_
+   verdict. *)
+let test_gate_missing_ar_escapes () =
+  let store_at ~id name addr =
+    build ~id name (fun b ->
+        Isa.Asm.st b ~base:(I.Imm addr) ~src:(I.Imm 1) ~region:"a" ();
+        Isa.Asm.halt b)
+  in
+  let ar0 = store_at ~id:0 "zero" 64 and ar1 = store_at ~id:1 "one" 128 in
+  let imposter = store_at ~id:0 "imposter" 64 in
+  let model = G.model (G.create Pr.default_params) [ ar0 ] in
+  let missing = "AR not in the workload's list" in
+  (match G.check_commit model ~ar:ar0 ~init_regs:[] ~reads:[] ~writes:[ Mem.Addr.line_of 64 ] with
+  | Ok () -> ()
+  | Error v -> Alcotest.failf "listed AR escaped: %a" G.pp_violation v);
+  List.iter
+    (fun (ar : P.ar) ->
+      (match G.check_commit model ~ar ~init_regs:[] ~reads:[] ~writes:[ Mem.Addr.line_of 64 ] with
+      | Error (G.Footprint_escape { ar = name; access = `Write; bound; _ }) ->
+          Alcotest.(check string) "footprint names the AR" ar.P.name name;
+          Alcotest.(check string) "footprint bound" missing bound
+      | Error v -> Alcotest.failf "wrong footprint violation: %a" G.pp_violation v
+      | Ok () -> Alcotest.failf "%s: footprint passed" ar.P.name);
+      List.iter
+        (fun decision ->
+          match G.check_decision model ~ar ~decision with
+          | Error (G.Decision_escape { ar = name; envelope; _ }) ->
+              Alcotest.(check string) "decision names the AR" ar.P.name name;
+              Alcotest.(check string) "decision envelope" missing envelope
+          | Error v -> Alcotest.failf "wrong decision violation: %a" G.pp_violation v
+          | Ok () -> Alcotest.failf "%s: decision passed" ar.P.name)
+        Clear.Decision.[ Ns_cl; S_cl; Speculative_retry ];
+      List.iter
+        (fun (aggressor, victim) ->
+          match G.check_conflict model ~aggressor ~victim ~line:(Mem.Addr.line_of 64) with
+          | Error (G.Conflict_escape { cover; _ }) -> Alcotest.(check string) "cover" missing cover
+          | Error v -> Alcotest.failf "wrong conflict violation: %a" G.pp_violation v
+          | Ok () -> Alcotest.failf "%s: conflict passed" ar.P.name)
+        [ (ar0, ar); (ar, ar0); (ar, ar) ])
+    [ ar1; imposter ];
+  let str = Check.Stream.create ~static_gate:(G.create Pr.default_params) ~cores:2 () in
+  let sink = Check.Stream.sink str in
+  sink.Check.Collector.sink_ars [ ar0 ];
+  Check.Stream.set_initial str (Mem.Store.image_of_array (Array.make 32 0));
+  sink.Check.Collector.sink_conflict
+    {
+      Check.Collector.time = 1;
+      aggressor_core = 0;
+      victim_core = 1;
+      aggressor_ar = ar0;
+      victim_ar = ar1;
+      line = Mem.Addr.line_of 64;
+    };
+  let v = Check.Stream.finish str ~final:(Mem.Store.image_of_array (Array.make 32 0)) in
+  match v.Check.Stream.static_ with
+  | Some (Error (G.Conflict_escape { victim = "one"; cover; _ })) ->
+      Alcotest.(check string) "streamed cover" missing cover
+  | Some (Error v') -> Alcotest.failf "wrong streamed violation: %a" G.pp_violation v'
+  | Some (Ok ()) -> Alcotest.fail "streamed conflict passed"
+  | None -> Alcotest.fail "no static verdict"
 
 (* The injected bug must surface as its own verdict class on a real engine
    run, with the other three oracles still passing. *)
@@ -440,6 +503,7 @@ let () =
       ( "gate",
         [
           Alcotest.test_case "injected bug fires" `Quick test_gate_injected_bug_fires;
+          Alcotest.test_case "missing AR escapes" `Quick test_gate_missing_ar_escapes;
           Alcotest.test_case "injected bug as distinct verdict" `Quick
             test_gate_injected_bug_distinct_verdict;
           Alcotest.test_case "checked run passes" `Quick test_gate_checked_run_passes;
