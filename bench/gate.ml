@@ -25,6 +25,11 @@
    domain while the other in-process gates run: their cost is child CPU
    time, which those gates do not enter.
 
+   One row needs no gate: gc.allocated_words on startup, the words the
+   program's modules allocated before main ran (their initialisation lays
+   out every registry workload; bench/main.ml), exact because that work is
+   deterministic.
+
    Stdout gets the results: a host block and one name/workload/value/unit
    row per metric. Stderr gets progress and drift against the committed
    BENCH_gate.json in the working directory. A deterministic row warns on
@@ -180,12 +185,14 @@ let values_of key s =
   in
   go 0 []
 
-(* bench/main.exe and bin/clear_sim.exe share one build tree. *)
-let clear_sim =
-  Filename.concat (Filename.dirname (Filename.dirname Sys.executable_name)) "bin/clear_sim.exe"
-
-(* Run clear_sim in a fresh process: its stdout and its CPU milliseconds. *)
+(* Run clear_sim in a fresh process: its stdout and its CPU milliseconds.
+   bench/main.exe and bin/clear_sim.exe share one build tree. The path is
+   built here, not when the module initialises, so the startup row does
+   not depend on where the tree is. *)
 let child args =
+  let clear_sim =
+    Filename.concat (Filename.dirname (Filename.dirname Sys.executable_name)) "bin/clear_sim.exe"
+  in
   let out = Filename.temp_file "gate" ".json" in
   let fd = Unix.openfile out [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
   let null = Unix.openfile Filename.null [ Unix.O_WRONLY ] 0 in
@@ -320,7 +327,7 @@ let drift rows =
         (String.concat "" (values_of "cores" text))
         !warnings
 
-let run () =
+let run ~startup_words () =
   log "%d job(s); the overhead pairs run in child processes after the smoke gate" jobs;
   let smoke = guard "smoke" smoke in
   let overhead = Domain.spawn (fun () -> guard "overhead" overhead) in
@@ -330,7 +337,10 @@ let run () =
       [ ("sched", sched); ("openloop", openloop); ("paper", paper) ]
   in
   let results = (smoke :: results) @ [ Domain.join overhead ] in
-  let rows = List.concat_map (function Ok rows -> rows | Error _ -> []) results in
+  let rows =
+    row ~drift:Exact "gc.allocated_words" "startup" "words" startup_words
+    :: List.concat_map (function Ok rows -> rows | Error _ -> []) results
+  in
   let host =
     J.Obj
       [

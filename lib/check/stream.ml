@@ -80,7 +80,12 @@ let f_max_tr = 5
 
 let stride = 6
 
-let initial_slots = 1024
+(* Both tables start small and double as a run needs: the live set of a
+   short simulation fits, and a long one reaches its size in a few
+   doublings. *)
+let initial_slots = 64
+
+let initial_readers = 64
 
 type t = {
   sweep_every : int;
@@ -138,13 +143,13 @@ let create ?static_gate ?(sweep_every = 512) ~cores () =
     tab = Array.make (initial_slots * stride) (-1);
     spare = Array.make (initial_slots * stride) (-1);
     n_live = 0;
-    r_ord = Array.make 1024 0;
-    r_tr = Array.make 1024 0;
-    r_next = Array.make 1024 0;
+    r_ord = Array.make initial_readers 0;
+    r_tr = Array.make initial_readers 0;
+    r_next = Array.make initial_readers 0;
     r_top = 0;
-    s_ord = Array.make 1024 0;
-    s_tr = Array.make 1024 0;
-    s_next = Array.make 1024 0;
+    s_ord = Array.make initial_readers 0;
+    s_tr = Array.make initial_readers 0;
+    s_next = Array.make initial_readers 0;
     hdr = [||];
     hdr_ar = [||];
     h_lo = 0;

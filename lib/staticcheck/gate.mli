@@ -40,7 +40,17 @@ type model
 
 val model : t -> Isa.Program.ar list -> model
 (** {!Conflict.of_ars} over the workload's full region list, with [t]'s
-    geometry. *)
+    geometry.
+
+    Each domain keeps one entry: the last model it built, with its region
+    list and geometry. A call with the physically same list and a
+    structurally equal geometry gets that model back, so the checked
+    simulations of one workload on one domain build it once. A
+    [fault_drop_store] gate's model is never cached, and such a gate is
+    never served a cached one. Nor is the empty list, which a checker holds
+    until the engine hands over the real one: caching it would evict the
+    workload's entry. Workloads built per call cannot grow the cache, which
+    holds one entry per domain. *)
 
 val check_footprint :
   model ->

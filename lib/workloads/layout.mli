@@ -15,7 +15,14 @@
     the resulting table to {!Isa.Program.build_ar} so the static verifier can
     bound indirection-lost sites by their region's extent (DESIGN.md §15).
     The extent is the convex hull of the tagged allocations — a sound
-    over-approximation even when other data is interleaved between them. *)
+    over-approximation even when other data is interleaved between them.
+
+    Cost: every workload is laid out when the program starts, so an
+    allocation must be cheap. Each one bumps a pointer. A tagged one then
+    widens its region's extent in place: under the same tag as the span
+    widened just before it, that is an [Int.min] and an [Int.max] with no
+    hashing and no allocation; under another tag it adds one table lookup,
+    and a region's first span one small record. *)
 
 type t
 

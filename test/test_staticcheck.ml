@@ -433,14 +433,14 @@ let test_gate_missing_ar_escapes () =
   | Some (Ok ()) -> Alcotest.fail "streamed conflict passed"
   | None -> Alcotest.fail "no static verdict"
 
-(* The injected bug must surface as its own verdict class on a real engine
-   run, with the other three oracles still passing. *)
-let test_gate_injected_bug_distinct_verdict () =
-  let cfg =
-    Machine.Config.with_seed
-      { Machine.Config.clear_rw with Machine.Config.cores = 2; ops_per_thread = 10 }
-      7
-  in
+let arrayswap_cfg =
+  Machine.Config.with_seed
+    { Machine.Config.clear_rw with Machine.Config.cores = 2; ops_per_thread = 10 }
+    7
+
+(* A checked arrayswap run whose gate drops every AR's first store site. *)
+let arrayswap_faulty_verdict () =
+  let cfg = arrayswap_cfg in
   let w = Workloads.Registry.find "arrayswap" in
   let params =
     Pr.params_of ~alt_capacity:cfg.Machine.Config.alt_capacity ~sq_entries:cfg.sq_entries
@@ -454,7 +454,12 @@ let test_gate_injected_bug_distinct_verdict () =
   let engine = Machine.Engine.create ~check:collector cfg w in
   let _stats = Machine.Engine.run engine in
   let final = Mem.Store.snapshot (Machine.Engine.store engine) in
-  let v = Check.Verdict.of_stream str ~final in
+  Check.Verdict.of_stream str ~final
+
+(* The injected bug must surface as its own verdict class on a real engine
+   run, with the other three oracles still passing. *)
+let test_gate_injected_bug_distinct_verdict () =
+  let v = arrayswap_faulty_verdict () in
   Alcotest.(check bool) "verdict fails" false (Check.Verdict.ok v);
   Alcotest.(check bool) "serial still ok" true (Result.is_ok v.Check.Verdict.serial);
   Alcotest.(check bool) "replay still ok" true (Result.is_ok v.Check.Verdict.replay);
@@ -464,6 +469,73 @@ let test_gate_injected_bug_distinct_verdict () =
   | Some (Error v') -> Alcotest.failf "wrong violation class: %a" G.pp_violation v'
   | Some (Ok ()) -> Alcotest.fail "static gate passed despite injected bug"
   | None -> Alcotest.fail "no static gate in verdict"
+
+(* ------------------------------------------------------------------ *)
+(* Soundness gate: the per-domain model cache *)
+
+let one_store ~id name addr =
+  build ~id name (fun b ->
+      Isa.Asm.st b ~base:(I.Imm addr) ~src:(I.Imm 1) ~region:"a" ();
+      Isa.Asm.halt b)
+
+(* A model is served again only for the physically same list under an
+   equal geometry, and never to or from a fault-injecting gate. *)
+let test_gate_cache_keys () =
+  let ar0 = one_store ~id:0 "zero" 64 and ar1 = one_store ~id:1 "one" 128 in
+  let ars = [ ar0 ] in
+  let m0 = G.model (G.create Pr.default_params) ars in
+  let equal_copy = { Pr.default_params with Pr.sq_entries = Pr.default_params.Pr.sq_entries } in
+  Alcotest.(check bool) "same list, equal geometry: served" true
+    (G.model (G.create equal_copy) ars == m0);
+  Alcotest.(check bool) "other geometry: built" true
+    (G.model (G.create { Pr.default_params with Pr.sq_entries = 1 }) ars != m0);
+  (* That build took the domain's one entry. *)
+  let m0 = G.model (G.create Pr.default_params) ars in
+  Alcotest.(check bool) "fault gate: built" true
+    (G.model (G.create ~fault_drop_store:true Pr.default_params) ars != m0);
+  Alcotest.(check bool) "fault gate did not evict" true
+    (G.model (G.create Pr.default_params) ars == m0);
+  let m1 = G.model (G.create Pr.default_params) [ ar1 ] in
+  Alcotest.(check bool) "other list: built" true (m1 != m0);
+  let write ar addr = G.check_commit m1 ~ar ~init_regs:[] ~reads:[] ~writes:[ Mem.Addr.line_of addr ] in
+  (match write ar1 128 with
+  | Ok () -> ()
+  | Error v -> Alcotest.failf "listed AR escaped: %a" G.pp_violation v);
+  match write ar0 64 with
+  | Error (G.Footprint_escape { ar = "zero"; _ }) -> ()
+  | Error v -> Alcotest.failf "wrong violation: %a" G.pp_violation v
+  | Ok () -> Alcotest.fail "a model for [ar0] was served for [ar1]"
+
+(* A healthy run caches arrayswap's model; the faulty gate that follows on
+   the same domain, with the same geometry, must still catch its bug. *)
+let test_gate_fault_after_cached_model () =
+  let w = Workloads.Registry.find "arrayswap" in
+  let _stats, healthy =
+    Clear_repro.Run.run_sim_checked { Clear_repro.Run.cfg = arrayswap_cfg; workload = w; seed = 7 }
+  in
+  Alcotest.(check bool) "healthy verdict ok" true (Check.Verdict.ok healthy);
+  match (arrayswap_faulty_verdict ()).Check.Verdict.static_ with
+  | Some (Error (G.Footprint_escape _)) -> ()
+  | Some (Error v') -> Alcotest.failf "wrong violation class: %a" G.pp_violation v'
+  | Some (Ok ()) -> Alcotest.fail "faulty gate passed after a healthy run"
+  | None -> Alcotest.fail "no static gate in verdict"
+
+(* A run served a cached model gives the verdict, field for field, of a
+   run that built its own. *)
+let test_gate_cached_verdict_equal () =
+  let cfg = { Machine.Config.clear_power with Machine.Config.cores = 4; ops_per_thread = 20 } in
+  let w = Workloads.Registry.find "hashmap" in
+  let sim = { Clear_repro.Run.cfg; workload = w; seed = 3 } in
+  let gate = Clear_repro.Run.static_gate_of_config (Machine.Config.with_seed cfg 3) in
+  (* Another list's model evicts hashmap's, so the next run builds. *)
+  let evicted = G.model gate (Workloads.Registry.find "bst").Machine.Workload.ars in
+  let _, fresh = Clear_repro.Run.run_sim_checked sim in
+  let built = G.model gate w.Machine.Workload.ars in
+  Alcotest.(check bool) "the fresh run built and cached a model" true (built != evicted);
+  let _, cached = Clear_repro.Run.run_sim_checked sim in
+  Alcotest.(check bool) "the second run was served it" true (G.model gate w.Machine.Workload.ars == built);
+  Alcotest.(check string) "report" (Check.Verdict.to_string fresh) (Check.Verdict.to_string cached);
+  Alcotest.(check bool) "verdict equal field for field" true (fresh = cached)
 
 (* And the healthy gate passes a full checked run end to end. *)
 let test_gate_checked_run_passes () =
@@ -507,6 +579,10 @@ let () =
           Alcotest.test_case "injected bug as distinct verdict" `Quick
             test_gate_injected_bug_distinct_verdict;
           Alcotest.test_case "checked run passes" `Quick test_gate_checked_run_passes;
+          Alcotest.test_case "model cache keys" `Quick test_gate_cache_keys;
+          Alcotest.test_case "fault gate after a cached model" `Quick
+            test_gate_fault_after_cached_model;
+          Alcotest.test_case "cached model keeps the verdict" `Quick test_gate_cached_verdict_equal;
         ]
         @ qsuite [ prop_containment; prop_dynamic_in_cover ] );
     ]
