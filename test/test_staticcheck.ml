@@ -374,12 +374,12 @@ let test_gate_injected_bug_fires () =
    that reuses a listed region's id under another name. Through the
    streaming checker the same conflict surfaces as the run's static_
    verdict. *)
+let store_at ~id name addr =
+  build ~id name (fun b ->
+      Isa.Asm.st b ~base:(I.Imm addr) ~src:(I.Imm 1) ~region:"a" ();
+      Isa.Asm.halt b)
+
 let test_gate_missing_ar_escapes () =
-  let store_at ~id name addr =
-    build ~id name (fun b ->
-        Isa.Asm.st b ~base:(I.Imm addr) ~src:(I.Imm 1) ~region:"a" ();
-        Isa.Asm.halt b)
-  in
   let ar0 = store_at ~id:0 "zero" 64 and ar1 = store_at ~id:1 "one" 128 in
   let imposter = store_at ~id:0 "imposter" 64 in
   let model = G.model (G.create Pr.default_params) [ ar0 ] in
@@ -473,15 +473,10 @@ let test_gate_injected_bug_distinct_verdict () =
 (* ------------------------------------------------------------------ *)
 (* Soundness gate: the per-domain model cache *)
 
-let one_store ~id name addr =
-  build ~id name (fun b ->
-      Isa.Asm.st b ~base:(I.Imm addr) ~src:(I.Imm 1) ~region:"a" ();
-      Isa.Asm.halt b)
-
 (* A model is served again only for the physically same list under an
    equal geometry, and never to or from a fault-injecting gate. *)
 let test_gate_cache_keys () =
-  let ar0 = one_store ~id:0 "zero" 64 and ar1 = one_store ~id:1 "one" 128 in
+  let ar0 = store_at ~id:0 "zero" 64 and ar1 = store_at ~id:1 "one" 128 in
   let ars = [ ar0 ] in
   let m0 = G.model (G.create Pr.default_params) ars in
   let equal_copy = { Pr.default_params with Pr.sq_entries = Pr.default_params.Pr.sq_entries } in
