@@ -63,6 +63,12 @@ let config_of_letter opts letter =
   | Some cfg -> cfg
   | None -> invalid_arg ("config_of_letter: unknown preset " ^ letter)
 
+(* [xs] cut into consecutive lists of [n]: the shape of a batch built with
+   [List.concat_map] over [n] cells per item. *)
+let rec chunks n = function
+  | [] -> []
+  | xs -> List.filteri (fun i _ -> i < n) xs :: chunks n (List.filteri (fun i _ -> i >= n) xs)
+
 (* The whole suite is one [Run.best_of_retries] batch over workload x preset
    pairs, so its task order is workload -> preset -> retry -> seed. *)
 let run_suite ?jobs ?check ?cache ?(workloads = Workloads.Registry.all) ?progress opts =
@@ -71,307 +77,175 @@ let run_suite ?jobs ?check ?cache ?(workloads = Workloads.Registry.all) ?progres
       ~seeds:opts.seeds ~trim:opts.trim
       (List.concat_map (fun w -> List.map (fun (_, cfg) -> (cfg, w)) (presets opts)) workloads)
   in
-  let row (w : Machine.Workload.t) =
-    ( w.name,
-      List.filter_map
-        (fun (m : Run.t) -> if m.workload = w.name then Some (m.preset, m) else None)
-        measured )
+  let row (w : Machine.Workload.t) runs = (w.name, List.map (fun (m : Run.t) -> (m.preset, m)) runs) in
+  { options = opts; rows = List.map2 row workloads (chunks (List.length letters) measured) }
+
+(* One workload's run under [letter]. *)
+let pick runs letter =
+  match List.assoc_opt letter runs with
+  | Some r -> r
+  | None -> invalid_arg ("suite: unknown preset " ^ letter)
+
+(* [fold] over values given in workload order, taking them last workload
+   first: float sums depend on order, and every closing row but Figure 1's
+   has always folded this way. *)
+let last_first fold values = fold (List.rev values)
+
+(* The two shapes of a suite-derived table. A column is a header and the
+   value a cell reads; every cell is rendered by [fmt]. *)
+
+(* One row per workload, whose columns read its runs keyed by preset letter;
+   [close] adds a closing row: its label and the fold over each column's
+   values in workload order. *)
+let by_workload ~title ~columns ~fmt ?close suite =
+  let t = Table.create ~title ~columns:("Benchmark" :: List.map fst columns) in
+  let row label cell = Table.add_row t (label :: List.map (fun (_, value) -> fmt (cell value)) columns) in
+  List.iter (fun (name, runs) -> row name (fun value -> value runs)) suite.rows;
+  Option.iter
+    (fun (label, fold) ->
+      Table.add_separator t;
+      row label (fun value -> fold (List.map (fun (_, runs) -> value runs) suite.rows)))
+    close;
+  t
+
+(* One row per (workload, preset), whose columns read that run, with a
+   separator after each workload; [~average:true] adds an average row per
+   preset. *)
+let by_run ~title ~columns ~fmt ?(average = false) suite =
+  let t = Table.create ~title ~columns:("Benchmark" :: "Cfg" :: List.map fst columns) in
+  let row label letter cell =
+    Table.add_row t (label :: letter :: List.map (fun (_, value) -> fmt (cell value)) columns)
   in
-  { options = opts; rows = List.map row workloads }
+  List.iter
+    (fun (name, runs) ->
+      List.iter (fun letter -> row name letter (fun value -> value (pick runs letter))) letters;
+      Table.add_separator t)
+    suite.rows;
+  if average then
+    List.iter
+      (fun letter ->
+        row "average" letter (fun value ->
+            last_first Summary.mean (List.map (fun (_, runs) -> value (pick runs letter)) suite.rows)))
+      letters;
+  t
 
-let get suite workload letter =
-  match List.assoc_opt workload suite.rows with
-  | None -> invalid_arg ("suite: unknown workload " ^ workload)
-  | Some per -> (
-      match List.assoc_opt letter per with
-      | Some r -> r
-      | None -> invalid_arg ("suite: unknown preset " ^ letter))
+(* One column per preset, reading [value] of that preset's run. *)
+let per_preset value = List.map (fun letter -> (letter, fun runs -> value (pick runs letter))) letters
 
-let workload_names suite = List.map fst suite.rows
+(* [per_preset], normalised to the baseline's value. *)
+let normalised value =
+  List.map
+    (fun letter ->
+      ( letter,
+        fun runs ->
+          let base = value (pick runs "B") in
+          if base > 0.0 then value (pick runs letter) /. base else 0.0 ))
+    letters
 
-(* Append a geomean row computed from per-workload values. *)
-let geo values = Summary.geomean values
+let first_retry (r : Run.t) = let one, _, _ = r.retry_breakdown in one
+let fallback_share (r : Run.t) = let _, _, fb = r.retry_breakdown in fb
 
-(* Accumulate per-key value lists while walking the suite. *)
-let add_to_bucket tbl key v =
-  Hashtbl.replace tbl key (v :: Option.value (Hashtbl.find_opt tbl key) ~default:[])
+let cycles (r : Run.t) = Printf.sprintf "%.0f" r.cycles
 
-let bucket tbl key = Option.value (Hashtbl.find_opt tbl key) ~default:[]
+let table ~title ~columns rows =
+  let t = Table.create ~title ~columns in
+  List.iter (Table.add_row t) rows;
+  t
 
 (* ------------------------------------------------------------------ *)
 
 let table1 () =
-  let t =
-    Table.create ~title:"Table 1: Characterization of ARs (static analysis)"
-      ~columns:[ "Benchmark"; "# of ARs"; "Immutable"; "Likely immutable"; "Mutable" ]
-  in
-  List.iter
-    (fun (w : Machine.Workload.t) ->
-      let classified = Clear.Analysis.classify_workload w.ars in
-      let im, li, mu = Clear.Analysis.count classified in
-      Table.add_row t
-        [ w.name; string_of_int (List.length w.ars); string_of_int im; string_of_int li; string_of_int mu ])
-    Workloads.Registry.all;
-  t
+  table ~title:"Table 1: Characterization of ARs (static analysis)"
+    ~columns:[ "Benchmark"; "# of ARs"; "Immutable"; "Likely immutable"; "Mutable" ]
+    (List.map
+       (fun (w : Machine.Workload.t) ->
+         let im, li, mu = Clear.Analysis.count (Clear.Analysis.classify_workload w.ars) in
+         w.name :: List.map string_of_int [ List.length w.ars; im; li; mu ])
+       Workloads.Registry.all)
 
 let table2 opts =
-  let t = Table.create ~title:"Table 2: Baseline system configuration" ~columns:[ "Setting" ] in
-  let cfg = config_of_letter opts "B" in
-  String.split_on_char '\n' (Format.asprintf "%a" Machine.Config.pp cfg)
-  |> List.iter (fun line -> Table.add_row t [ line ]);
-  t
+  table ~title:"Table 2: Baseline system configuration" ~columns:[ "Setting" ]
+    (String.split_on_char '\n' (Format.asprintf "%a" Machine.Config.pp (config_of_letter opts "B"))
+    |> List.map (fun line -> [ line ]))
 
 let fig1 suite =
-  let t =
-    Table.create ~title:"Figure 1: ARs that keep their footprint on the first retry (baseline)"
-      ~columns:[ "Benchmark"; "stable-footprint ratio" ]
-  in
-  let values =
-    List.map
-      (fun name ->
-        let r = get suite name "B" in
-        Table.add_row t [ name; Table.f2 r.Run.fig1_ratio ];
-        r.Run.fig1_ratio)
-      (workload_names suite)
-  in
-  Table.add_separator t;
-  Table.add_row t [ "average"; Table.f2 (Summary.mean values) ];
-  t
-
-let normalised_table suite ~title ~value =
-  let t = Table.create ~title ~columns:("Benchmark" :: letters) in
-  let per_letter = Hashtbl.create 4 in
-  List.iter
-    (fun name ->
-      let base = value (get suite name "B") in
-      let cells =
-        List.map
-          (fun letter ->
-            let v = value (get suite name letter) in
-            let norm = if base > 0.0 then v /. base else 0.0 in
-            add_to_bucket per_letter letter norm;
-            Table.f3 norm)
-          letters
-      in
-      Table.add_row t (name :: cells))
-    (workload_names suite);
-  Table.add_separator t;
-  Table.add_row t
-    ("geomean" :: List.map (fun letter -> Table.f3 (geo (bucket per_letter letter))) letters);
-  t
+  by_workload ~title:"Figure 1: ARs that keep their footprint on the first retry (baseline)"
+    ~columns:[ ("stable-footprint ratio", fun runs -> (pick runs "B").Run.fig1_ratio) ]
+    ~fmt:Table.f2 ~close:("average", Summary.mean) suite
 
 let fig8 suite =
-  normalised_table suite ~title:"Figure 8: Normalized execution time (lower is better)"
-    ~value:(fun r -> r.Run.cycles)
+  by_workload ~title:"Figure 8: Normalized execution time (lower is better)"
+    ~columns:(normalised (fun r -> r.Run.cycles))
+    ~fmt:Table.f3 ~close:("geomean", last_first Summary.geomean) suite
 
 let fig8_discovery suite =
-  let d =
-    Table.create ~title:"Figure 8 (companion): time running aborted in discovery"
-      ~columns:("Benchmark" :: letters)
-  in
-  List.iter
-    (fun name ->
-      Table.add_row d
-        (name :: List.map (fun letter -> Table.pct (get suite name letter).Run.discovery_fraction) letters))
-    (workload_names suite);
-  d
+  by_workload ~title:"Figure 8 (companion): time running aborted in discovery"
+    ~columns:(per_preset (fun r -> r.Run.discovery_fraction))
+    ~fmt:Table.pct suite
 
 let fig9 suite =
-  let t =
-    Table.create ~title:"Figure 9: Aborts per committed transaction" ~columns:("Benchmark" :: letters)
-  in
-  let per_letter = Hashtbl.create 4 in
-  List.iter
-    (fun name ->
-      Table.add_row t
-        (name
-        :: List.map
-             (fun letter ->
-               let v = (get suite name letter).Run.aborts_per_commit in
-               add_to_bucket per_letter letter v;
-               Table.f2 v)
-             letters))
-    (workload_names suite);
-  Table.add_separator t;
-  Table.add_row t
-    ("average"
-    :: List.map (fun letter -> Table.f2 (Summary.mean (bucket per_letter letter))) letters);
-  t
+  by_workload ~title:"Figure 9: Aborts per committed transaction"
+    ~columns:(per_preset (fun r -> r.Run.aborts_per_commit))
+    ~fmt:Table.f2 ~close:("average", last_first Summary.mean) suite
 
 let fig10 suite =
-  normalised_table suite ~title:"Figure 10: Normalized energy consumption (lower is better)"
-    ~value:(fun r -> r.Run.energy)
+  by_workload ~title:"Figure 10: Normalized energy consumption (lower is better)"
+    ~columns:(normalised (fun r -> r.Run.energy))
+    ~fmt:Table.f3 ~close:("geomean", last_first Summary.geomean) suite
 
 let fig11 suite =
-  let t =
-    Table.create ~title:"Figure 11: Abort breakdown per type (aborts per commit)"
-      ~columns:[ "Benchmark"; "Cfg"; "MemConflict"; "ExplicitFB"; "OtherFB"; "Others" ]
-  in
-  List.iter
-    (fun name ->
-      List.iter
-        (fun letter ->
-          let r = get suite name letter in
-          let cat c = List.assoc c r.Run.abort_categories in
-          Table.add_row t
-            [
-              name;
-              letter;
-              Table.f2 (cat Machine.Abort.Cat_memory_conflict);
-              Table.f2 (cat Machine.Abort.Cat_explicit_fallback);
-              Table.f2 (cat Machine.Abort.Cat_other_fallback);
-              Table.f2 (cat Machine.Abort.Cat_others);
-            ])
-        letters;
-      Table.add_separator t)
-    (workload_names suite);
-  t
+  by_run ~title:"Figure 11: Abort breakdown per type (aborts per commit)"
+    ~columns:
+      (List.map
+         (fun (header, cat) -> (header, fun r -> List.assoc cat r.Run.abort_categories))
+         Machine.Abort.
+           [
+             ("MemConflict", Cat_memory_conflict);
+             ("ExplicitFB", Cat_explicit_fallback);
+             ("OtherFB", Cat_other_fallback);
+             ("Others", Cat_others);
+           ])
+    ~fmt:Table.f2 suite
 
 let fig12 suite =
-  let t =
-    Table.create ~title:"Figure 12: Commit breakdown per mode"
-      ~columns:[ "Benchmark"; "Cfg"; "Speculative"; "S-CL"; "NS-CL"; "Fallback" ]
-  in
-  let totals = Hashtbl.create 16 in
-  List.iter
-    (fun name ->
-      List.iter
-        (fun letter ->
-          let r = get suite name letter in
-          let m mode = List.assoc mode r.Run.commit_mode_fractions in
-          List.iter
-            (fun mode -> add_to_bucket totals (letter, mode) (m mode))
-            Machine.Stats.all_commit_modes;
-          Table.add_row t
-            [
-              name;
-              letter;
-              Table.pct (m Machine.Stats.Speculative);
-              Table.pct (m Machine.Stats.Scl);
-              Table.pct (m Machine.Stats.Nscl);
-              Table.pct (m Machine.Stats.Fallback);
-            ])
-        letters;
-      Table.add_separator t)
-    (workload_names suite);
-  List.iter
-    (fun letter ->
-      let avg mode = Summary.mean (bucket totals (letter, mode)) in
-      Table.add_row t
-        [
-          "average";
-          letter;
-          Table.pct (avg Machine.Stats.Speculative);
-          Table.pct (avg Machine.Stats.Scl);
-          Table.pct (avg Machine.Stats.Nscl);
-          Table.pct (avg Machine.Stats.Fallback);
-        ])
-    letters;
-  t
+  by_run ~title:"Figure 12: Commit breakdown per mode"
+    ~columns:
+      (List.map
+         (fun (header, mode) -> (header, fun r -> List.assoc mode r.Run.commit_mode_fractions))
+         Machine.Stats.
+           [ ("Speculative", Speculative); ("S-CL", Scl); ("NS-CL", Nscl); ("Fallback", Fallback) ])
+    ~fmt:Table.pct ~average:true suite
 
 let fig13 suite =
-  let t =
-    Table.create ~title:"Figure 13: Commit breakdown per retries (excluding 0-retry commits)"
-      ~columns:[ "Benchmark"; "Cfg"; "1-retry"; "n-retry"; "Fallback" ]
-  in
-  let totals = Hashtbl.create 16 in
-  List.iter
-    (fun name ->
-      List.iter
-        (fun letter ->
-          let r = get suite name letter in
-          let one, many, fb = r.Run.retry_breakdown in
-          add_to_bucket totals letter (one, many, fb);
-          Table.add_row t [ name; letter; Table.pct one; Table.pct many; Table.pct fb ])
-        letters;
-      Table.add_separator t)
-    (workload_names suite);
-  List.iter
-    (fun letter ->
-      let rows = bucket totals letter in
-      let avg f = Summary.mean (List.map f rows) in
-      Table.add_row t
-        [
-          "average";
-          letter;
-          Table.pct (avg (fun (a, _, _) -> a));
-          Table.pct (avg (fun (_, b, _) -> b));
-          Table.pct (avg (fun (_, _, c) -> c));
-        ])
-    letters;
-  t
+  by_run ~title:"Figure 13: Commit breakdown per retries (excluding 0-retry commits)"
+    ~columns:
+      [
+        ("1-retry", first_retry);
+        ("n-retry", fun r -> let _, many, _ = r.Run.retry_breakdown in many);
+        ("Fallback", fallback_share);
+      ]
+    ~fmt:Table.pct ~average:true suite
 
 let headline suite =
-  let names = workload_names suite in
-  let mean_over letter f = Summary.mean (List.map (fun n -> f (get suite n letter)) names) in
-  let norm_geo letter f =
-    geo
-      (List.map
-         (fun n ->
-           let b = f (get suite n "B") in
-           let v = f (get suite n letter) in
-           if b > 0.0 then v /. b else 1.0)
-         names)
+  let over letter f = List.map (fun (_, runs) -> f (pick runs letter)) suite.rows in
+  let mean letter f = Summary.mean (over letter f) in
+  let change letter f =
+    let ratio = List.map2 (fun b v -> if b > 0.0 then v /. b else 1.0) (over "B" f) (over letter f) in
+    Printf.sprintf "%+.1f%%" (100.0 *. (Summary.geomean ratio -. 1.0))
   in
-  let t =
-    Table.create ~title:"Headline numbers: paper vs. measured"
-      ~columns:[ "Metric"; "Paper"; "Measured" ]
-  in
-  Table.add_row t
+  table ~title:"Headline numbers: paper vs. measured" ~columns:[ "Metric"; "Paper"; "Measured" ]
     [
-      "single-retry commits, baseline";
-      "35.4%";
-      Table.pct (mean_over "B" (fun r -> let a, _, _ = r.Run.retry_breakdown in a));
-    ];
-  Table.add_row t
-    [
-      "single-retry commits, CLEAR+PowerTM";
-      "64.4%";
-      Table.pct (mean_over "W" (fun r -> let a, _, _ = r.Run.retry_breakdown in a));
-    ];
-  Table.add_row t
-    [
-      "fallback share, baseline";
-      "37.2%";
-      Table.pct (mean_over "B" (fun r -> let _, _, c = r.Run.retry_breakdown in c));
-    ];
-  Table.add_row t
-    [
-      "fallback share, CLEAR+PowerTM";
-      "15.4%";
-      Table.pct (mean_over "W" (fun r -> let _, _, c = r.Run.retry_breakdown in c));
-    ];
-  Table.add_row t
-    [ "aborts/commit, baseline"; "7.9"; Table.f2 (mean_over "B" (fun r -> r.Run.aborts_per_commit)) ];
-  Table.add_row t
-    [
-      "aborts/commit, CLEAR(rw)"; "1.6"; Table.f2 (mean_over "C" (fun r -> r.Run.aborts_per_commit));
-    ];
-  Table.add_row t
-    [
-      "exec time vs baseline, CLEAR+PowerTM";
-      "-35.0%";
-      Printf.sprintf "%+.1f%%" (100.0 *. (norm_geo "W" (fun r -> r.Run.cycles) -. 1.0));
-    ];
-  Table.add_row t
-    [
-      "exec time vs baseline, PowerTM";
-      "-12.7%";
-      Printf.sprintf "%+.1f%%" (100.0 *. (norm_geo "P" (fun r -> r.Run.cycles) -. 1.0));
-    ];
-  Table.add_row t
-    [
-      "energy vs baseline, CLEAR(rw)";
-      "-26.4%";
-      Printf.sprintf "%+.1f%%" (100.0 *. (norm_geo "C" (fun r -> r.Run.energy) -. 1.0));
-    ];
-  Table.add_row t
-    [
-      "energy vs baseline, CLEAR+PowerTM";
-      "-30.6%";
-      Printf.sprintf "%+.1f%%" (100.0 *. (norm_geo "W" (fun r -> r.Run.energy) -. 1.0));
-    ];
-  t
+      [ "single-retry commits, baseline"; "35.4%"; Table.pct (mean "B" first_retry) ];
+      [ "single-retry commits, CLEAR+PowerTM"; "64.4%"; Table.pct (mean "W" first_retry) ];
+      [ "fallback share, baseline"; "37.2%"; Table.pct (mean "B" fallback_share) ];
+      [ "fallback share, CLEAR+PowerTM"; "15.4%"; Table.pct (mean "W" fallback_share) ];
+      [ "aborts/commit, baseline"; "7.9"; Table.f2 (mean "B" (fun r -> r.Run.aborts_per_commit)) ];
+      [ "aborts/commit, CLEAR(rw)"; "1.6"; Table.f2 (mean "C" (fun r -> r.Run.aborts_per_commit)) ];
+      [ "exec time vs baseline, CLEAR+PowerTM"; "-35.0%"; change "W" (fun r -> r.Run.cycles) ];
+      [ "exec time vs baseline, PowerTM"; "-12.7%"; change "P" (fun r -> r.Run.cycles) ];
+      [ "energy vs baseline, CLEAR(rw)"; "-26.4%"; change "C" (fun r -> r.Run.energy) ];
+      [ "energy vs baseline, CLEAR+PowerTM"; "-30.6%"; change "W" (fun r -> r.Run.energy) ];
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Ablations (DESIGN.md section 5) *)
@@ -390,35 +264,32 @@ let ablation ?jobs ?check ?cache ?progress opts =
   let workloads =
     [ Workloads.Mwobject.workload; Workloads.Bitcoin.workload; Workloads.Bst.workload ]
   in
-  let cells =
-    List.concat_map (fun w -> List.map (fun (label, cfg) -> (label, (cfg, w))) variants) workloads
-  in
   let measured =
     Run.best_of_retries ?jobs ?check ?cache ?progress ~seeds:opts.seeds ~trim:opts.trim
-      (List.map snd cells)
+      (List.concat_map (fun w -> List.map (fun (_, cfg) -> (cfg, w)) variants) workloads)
   in
   let t =
     Table.create ~title:"Ablation: CLEAR design choices (cycles, conversions)"
       ~columns:[ "Benchmark"; "Variant"; "Cycles"; "Aborts/commit"; "NS-CL+S-CL share"; "Fallback share" ]
   in
-  List.iter
-    (fun (w : Machine.Workload.t) ->
+  List.iter2
+    (fun (w : Machine.Workload.t) runs ->
       List.iter2
         (fun (label, _) (m : Run.t) ->
           let mode m' = List.assoc m' m.commit_mode_fractions in
-          if m.workload = w.name then
-            Table.add_row t
-              [
-                w.name;
-                label;
-                Printf.sprintf "%.0f" m.cycles;
-                Table.f2 m.aborts_per_commit;
-                Table.pct (mode Machine.Stats.Scl +. mode Machine.Stats.Nscl);
-                Table.pct (mode Machine.Stats.Fallback);
-              ])
-        cells measured;
+          Table.add_row t
+            [
+              w.name;
+              label;
+              cycles m;
+              Table.f2 m.aborts_per_commit;
+              Table.pct (mode Machine.Stats.Scl +. mode Machine.Stats.Nscl);
+              Table.pct (mode Machine.Stats.Fallback);
+            ])
+        variants runs;
       Table.add_separator t)
-    workloads;
+    workloads
+    (chunks (List.length variants) measured);
   t
 
 (* Extension: HTM vs SLE front-ends (paper S4.1/S4.3 describe CLEAR for
@@ -439,21 +310,9 @@ let sle ?jobs ?check ?cache ?progress opts =
            ])
          names)
   in
-  let t =
-    Table.create
-      ~title:"Extension: speculation front-ends (cycles; SLE fallback takes the region's own lock)"
-      ~columns:[ "Benchmark"; "B/HTM"; "B/SLE"; "W/HTM"; "W/SLE" ]
-  in
-  List.iter
-    (fun name ->
-      Table.add_row t
-        (name
-        :: List.filter_map
-             (fun (m : Run.t) ->
-               if m.workload = name then Some (Printf.sprintf "%.0f" m.cycles) else None)
-             measured))
-    names;
-  t
+  table ~title:"Extension: speculation front-ends (cycles; SLE fallback takes the region's own lock)"
+    ~columns:[ "Benchmark"; "B/HTM"; "B/SLE"; "W/HTM"; "W/SLE" ]
+    (List.map2 (fun name runs -> name :: List.map cycles runs) names (chunks 4 measured))
 
 let storage () =
   let t =
