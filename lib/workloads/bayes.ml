@@ -181,7 +181,11 @@ let build_touch_family ~id ~regions =
       A.place b done_;
       A.halt b)
 
-let make ?(vars = 24) ?(ring_capacity = 48) ?(pool_per_thread = 256) () =
+let vars = 24
+let ring_capacity = 48
+let pool_per_thread = 256
+
+let workload =
   let layout = Layout.create () in
   let ring_head = Layout.alloc_line ~region:"bay.idx" layout in
   let ring_tail = Layout.alloc_line ~region:"bay.idx" layout in
@@ -302,5 +306,3 @@ let make ?(vars = 24) ?(ring_capacity = 48) ?(pool_per_thread = 256) () =
     setup;
     make_driver;
   }
-
-let workload = make ()

@@ -6,6 +6,4 @@
     directories (five likely-immutable ARs); everything touching the parent
     lists or the ring is mutable (nine ARs) — paper Table 1's 0/5/9 split. *)
 
-val make : ?vars:int -> ?ring_capacity:int -> ?pool_per_thread:int -> unit -> Machine.Workload.t
-
 val workload : Machine.Workload.t

@@ -99,7 +99,11 @@ let build_delete ~id ~regions =
           A.st b ~base:(reg 8) ~off:o_alive ~src:(imm 0) ~region:"bst.node" ();
           A.st b ~base:(reg 3) ~src:(imm 1) ~region:"mailbox" ()))
 
-let make ?(initial = 96) ?(key_range = 1024) ?(pool_per_thread = 512) () =
+let initial = 96
+let key_range = 1024
+let pool_per_thread = 512
+
+let workload =
   let layout = Layout.create () in
   let root = Layout.alloc_line ~region:"bst.root" layout in
   let mail = mailboxes layout ~threads:max_threads in
@@ -167,5 +171,3 @@ let make ?(initial = 96) ?(key_range = 1024) ?(pool_per_thread = 512) () =
     setup;
     make_driver;
   }
-
-let workload = make ()

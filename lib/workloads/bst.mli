@@ -8,9 +8,6 @@
     unlinks would turn the left spine into a global hotspot. Node layout:
     one line per node, [\[key; left; right; alive\]]. *)
 
-val make : ?initial:int -> ?key_range:int -> ?pool_per_thread:int -> unit -> Machine.Workload.t
-(** [initial] keys preloaded (default 96), [key_range] key universe
-    (default 1024), [pool_per_thread] pre-allocated nodes per thread
-    (default 512; inserts beyond that degrade to lookups). *)
-
 val workload : Machine.Workload.t
+(** 96 preloaded keys from a universe of 1024, and 512 pre-allocated nodes
+    per thread (inserts beyond that degrade to lookups). *)

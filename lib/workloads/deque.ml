@@ -36,7 +36,9 @@ let build_pop_front ~id ~regions =
       A.place b done_;
       A.halt b)
 
-let make ?(capacity = 64) () =
+let capacity = 64
+
+let workload =
   let layout = Layout.create () in
   let head = Layout.alloc_line ~region:"dq.idx" layout in
   let tail = Layout.alloc_line ~region:"dq.idx" layout in
@@ -67,5 +69,3 @@ let make ?(capacity = 64) () =
     setup;
     make_driver;
   }
-
-let workload = make ()

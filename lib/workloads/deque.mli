@@ -5,7 +5,5 @@
     addresses from a loaded index that other ARs increment, so both
     footprints are mutable. *)
 
-val make : ?capacity:int -> unit -> Machine.Workload.t
-(** [capacity] slots (default 64, one per line). *)
-
 val workload : Machine.Workload.t
+(** 64 slots, one per line. *)

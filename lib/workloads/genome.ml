@@ -119,7 +119,11 @@ let build_bump_tail ~id ~regions =
       A.st b ~base:(reg 8) ~off:s_weight ~src:(reg 10) ~region:"gen.seg" ();
       A.halt b)
 
-let make ?(buckets = 16) ?(segment_range = 192) ?(pool_per_thread = 512) () =
+let buckets = 16
+let segment_range = 192
+let pool_per_thread = 512
+
+let workload =
   let layout = Layout.create () in
   let hs_heads = Array.init buckets (fun _ -> Layout.alloc_line ~region:"gen.hs" layout) in
   let chains = 24 in
@@ -179,5 +183,3 @@ let make ?(buckets = 16) ?(segment_range = 192) ?(pool_per_thread = 512) () =
     setup;
     make_driver;
   }
-
-let workload = make ()

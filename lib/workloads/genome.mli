@@ -4,6 +4,4 @@
     unique segments into chains. Every AR chases pointers that other ARs
     rewrite — five mutable ARs, matching paper Table 1 (0/0/5). *)
 
-val make : ?buckets:int -> ?segment_range:int -> ?pool_per_thread:int -> unit -> Machine.Workload.t
-
 val workload : Machine.Workload.t

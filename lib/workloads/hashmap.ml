@@ -86,7 +86,11 @@ let build_remove ~id ~regions =
       A.place b done_;
       A.halt b)
 
-let make ?(buckets = 8) ?(key_range = 160) ?(pool_per_thread = 512) () =
+let buckets = 8
+let key_range = 160
+let pool_per_thread = 512
+
+let workload =
   let layout = Layout.create () in
   let heads = Array.init buckets (fun _ -> Layout.alloc_line ~region:"hm.head" layout) in
   let mail = mailboxes layout ~threads:max_threads in
@@ -129,5 +133,3 @@ let make ?(buckets = 8) ?(key_range = 160) ?(pool_per_thread = 512) () =
     setup;
     make_driver;
   }
-
-let workload = make ()

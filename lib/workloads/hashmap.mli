@@ -4,6 +4,4 @@
     paper Table 1. Node layout: [\[key; value; next\]], one line per node;
     one bucket head per line. *)
 
-val make : ?buckets:int -> ?key_range:int -> ?pool_per_thread:int -> unit -> Machine.Workload.t
-
 val workload : Machine.Workload.t

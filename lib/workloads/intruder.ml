@@ -29,7 +29,10 @@ let build_pop_fragment ~id ~regions =
       A.st b ~base:(reg 0) ~src:(reg 8) ~region:"intr.idx" ();
       A.halt b)
 
-let make ?(ring_capacity = 32) ?(flows = 24) () =
+let ring_capacity = 32
+let flows = 24
+
+let workload =
   let layout = Layout.create () in
   let head = Layout.alloc_line ~region:"intr.idx" layout in
   let tail = Layout.alloc_line ~region:"intr.idx" layout in
@@ -85,5 +88,3 @@ let make ?(ring_capacity = 32) ?(flows = 24) () =
     setup;
     make_driver;
   }
-
-let workload = make ()

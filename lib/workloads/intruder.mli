@@ -6,6 +6,4 @@
     regions); the flow and detector updates go through read-only directories
     (likely immutable). Table 1 split: 0/2/1. *)
 
-val make : ?ring_capacity:int -> ?flows:int -> unit -> Machine.Workload.t
-
 val workload : Machine.Workload.t

@@ -3,7 +3,7 @@ open Common
 
 let dims = 4
 
-let make ?(clusters = 8) ~name () =
+let make ~clusters ~name =
   let layout = Layout.create () in
   let dir = Layout.alloc_words ~region:"km.dir" layout clusters in
   let centers = Array.init clusters (fun _ -> Layout.alloc_line ~region:"km.center" layout) in
@@ -58,6 +58,6 @@ let make ?(clusters = 8) ~name () =
     make_driver;
   }
 
-let high = make ~clusters:6 ~name:"kmeans-h" ()
+let high = make ~clusters:6 ~name:"kmeans-h"
 
-let low = make ~clusters:48 ~name:"kmeans-l" ()
+let low = make ~clusters:48 ~name:"kmeans-l"

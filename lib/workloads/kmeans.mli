@@ -7,8 +7,6 @@
 
     [high_contention] (kmeans-h) uses few clusters; kmeans-l uses many. *)
 
-val make : ?clusters:int -> name:string -> unit -> Machine.Workload.t
-
 val high : Machine.Workload.t
 (** kmeans-h: 6 clusters. *)
 

@@ -77,7 +77,10 @@ let build_validate ~id ~regions =
       A.st b ~base:(reg 5) ~src:(reg 13) ~region:"mailbox" ();
       A.halt b)
 
-let make ?(grid = 24) ?(path_len = 18) () =
+let grid = 24
+let path_len = 18
+
+let workload =
   let layout = Layout.create () in
   let cells = grid * grid in
   let grid_base =
@@ -132,5 +135,3 @@ let make ?(grid = 24) ?(path_len = 18) () =
     setup;
     make_driver;
   }
-
-let workload = make ()

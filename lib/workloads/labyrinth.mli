@@ -7,8 +7,5 @@
     ALT, so labyrinth runs mostly speculatively or in fallback — the paper's
     observed behaviour. Three ARs: claim, erase, validate. *)
 
-val make : ?grid:int -> ?path_len:int -> unit -> Machine.Workload.t
-(** [grid] side length (default 24); [path_len] cells per route
-    (default 18). *)
-
 val workload : Machine.Workload.t
+(** A 24x24 grid and routes of 18 cells. *)

@@ -35,7 +35,9 @@ let build_dequeue ~id ~regions =
       A.place b done_;
       A.halt b)
 
-let make ?(pool_per_thread = 512) () =
+let pool_per_thread = 512
+
+let workload =
   let layout = Layout.create () in
   let head = Layout.alloc_line ~region:"q.head" layout in
   let tail = Layout.alloc_line ~region:"q.tail" layout in
@@ -73,5 +75,3 @@ let make ?(pool_per_thread = 512) () =
     setup;
     make_driver;
   }
-
-let workload = make ()

@@ -3,6 +3,4 @@
     Enqueue chases the tail pointer, dequeue advances the head pointer; both
     ARs dereference pointers that other ARs rewrite — mutable footprints. *)
 
-val make : ?pool_per_thread:int -> unit -> Machine.Workload.t
-
 val workload : Machine.Workload.t

@@ -51,7 +51,11 @@ let build_insert ~id ~regions =
       A.place b done_;
       A.halt b)
 
-let make ?(initial = 10) ?(key_range = 24) ?(pool_per_thread = 512) () =
+let initial = 10
+let key_range = 24
+let pool_per_thread = 512
+
+let workload =
   let layout = Layout.create () in
   let head = Layout.alloc_line ~region:"list.head" layout in
   let stats = Layout.alloc_line ~region:"list.stats" layout in
@@ -108,5 +112,3 @@ let make ?(initial = 10) ?(key_range = 24) ?(pool_per_thread = 512) () =
     setup;
     make_driver;
   }
-
-let workload = make ()

@@ -5,9 +5,7 @@
     the immutable third AR: a plain counter update at a pre-computed
     address. *)
 
-val make : ?initial:int -> ?key_range:int -> ?pool_per_thread:int -> unit -> Machine.Workload.t
-(** [initial] preloaded keys (default 10), [key_range] key universe and thus
-    maximum list length (default 24 — traversal footprints hover around the
-    ALT capacity, so conversion eligibility is exercised both ways). *)
-
 val workload : Machine.Workload.t
+(** 10 preloaded keys from a universe of 24, which bounds the list length:
+    traversal footprints hover around the ALT capacity, so conversion
+    eligibility is exercised both ways. *)

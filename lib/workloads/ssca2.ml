@@ -3,7 +3,10 @@ module P = Isa.Program
 module W = Machine.Workload
 open Common
 
-let make ?(nodes = 96) ?(slots_per_node = 16) () =
+let nodes = 96
+let slots_per_node = 16
+
+let workload =
   let layout = Layout.create () in
   let degrees = Array.init nodes (fun _ -> Layout.alloc_line ~region:"g.degree" layout) in
   let edges =
@@ -50,5 +53,3 @@ let make ?(nodes = 96) ?(slots_per_node = 16) () =
     setup;
     make_driver;
   }
-
-let workload = make ()

@@ -5,6 +5,4 @@
     (immutable), and the global statistics update goes through the read-only
     graph descriptor (likely immutable) — paper Table 1's 2/1/0 split. *)
 
-val make : ?nodes:int -> ?slots_per_node:int -> unit -> Machine.Workload.t
-
 val workload : Machine.Workload.t

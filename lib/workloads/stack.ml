@@ -33,7 +33,9 @@ let build_pop ~id ~regions =
       A.place b done_;
       A.halt b)
 
-let make ?(pool_per_thread = 512) () =
+let pool_per_thread = 512
+
+let workload =
   let layout = Layout.create () in
   let top = Layout.alloc_line ~region:"st.top" layout in
   let mail = mailboxes layout ~threads:max_threads in
@@ -64,5 +66,3 @@ let make ?(pool_per_thread = 512) () =
     setup;
     make_driver;
   }
-
-let workload = make ()

@@ -5,6 +5,4 @@
     moves across retries. [pop] dereferences the loaded top pointer, which
     other ARs rewrite: mutable. *)
 
-val make : ?pool_per_thread:int -> unit -> Machine.Workload.t
-
 val workload : Machine.Workload.t

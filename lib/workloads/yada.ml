@@ -103,7 +103,11 @@ let build_check ~id ~regions =
       A.st b ~base:(reg 5) ~src:(reg 12) ~region:"mailbox" ();
       A.halt b)
 
-let make ?(triangles = 48) ?(ring_capacity = 64) ?(pool_per_thread = 256) () =
+let triangles = 48
+let ring_capacity = 64
+let pool_per_thread = 256
+
+let workload =
   let layout = Layout.create () in
   let head = Layout.alloc_line ~region:"yada.idx" layout in
   let tail = Layout.alloc_line ~region:"yada.idx" layout in
@@ -165,5 +169,3 @@ let make ?(triangles = 48) ?(ring_capacity = 64) ?(pool_per_thread = 256) () =
     setup;
     make_driver;
   }
-
-let workload = make ()

@@ -5,6 +5,4 @@
     neighbour-chasing updates) plus one immutable global counter — paper
     Table 1's 1/0/5 split over six ARs. *)
 
-val make : ?triangles:int -> ?ring_capacity:int -> ?pool_per_thread:int -> unit -> Machine.Workload.t
-
 val workload : Machine.Workload.t
