@@ -1,7 +1,7 @@
 exception Error of string
 
 (* Matches the engine's runaway-loop guard (200k dynamic instructions). *)
-let default_fuel = 200_000
+let fuel = 200_000
 
 let operand regs = function Instr.Reg r -> regs.(r) | Instr.Imm i -> i
 
@@ -11,7 +11,7 @@ let rec install regs = function
       regs.(r) <- v;
       install regs rest
 
-let exec ?(fuel = default_fuel) ~regs (ar : Program.ar) ~load ~store =
+let exec ~regs (ar : Program.ar) ~load ~store =
   let body = ar.Program.body in
   let pc = ref 0 in
   let steps = ref 0 in
@@ -42,7 +42,7 @@ let exec ?(fuel = default_fuel) ~regs (ar : Program.ar) ~load ~store =
         incr pc
   done
 
-let run ?fuel ar ~init_regs ~load ~store =
+let run ar ~init_regs ~load ~store =
   let regs = Array.make Instr.num_regs 0 in
   install regs init_regs;
-  exec ?fuel ~regs ar ~load ~store
+  exec ~regs ar ~load ~store

@@ -8,10 +8,10 @@
     concurrent simulation's final memory image bit for bit. *)
 
 exception Error of string
-(** Raised on a runaway body (fuel exhausted) or a PC out of range. *)
+(** Raised on a runaway body (more than 200k dynamic instructions, the
+    engine's own guard) or a PC out of range. *)
 
 val run :
-  ?fuel:int ->
   Program.ar ->
   init_regs:(Instr.reg * int) list ->
   load:(int -> int) ->
@@ -21,7 +21,6 @@ val run :
     [init_regs] installed, mirroring [Regfile.load_initial]. *)
 
 val exec :
-  ?fuel:int ->
   regs:int array ->
   Program.ar ->
   load:(int -> int) ->

@@ -899,19 +899,8 @@ let step t c =
    major heap and are not counted. *)
 let gc_words () = Gc.minor_words ()
 
-(* Fold the request queue's end-of-run totals into the perf record — off the
-   per-event datapath, so the open counters cost nothing when unused. *)
-let sync_open_perf t =
-  match t.openq with
-  | None -> ()
-  | Some oq ->
-      t.perf.open_arrivals <- t.perf.open_arrivals + Openq.admitted oq;
-      t.perf.open_dropped <- t.perf.open_dropped + Openq.dropped oq;
-      t.perf.open_completed <- t.perf.open_completed + Openq.completed oq;
-      t.perf.open_qdepth_hw <- max t.perf.open_qdepth_hw (Openq.qdepth_hw oq)
-
-(* Streaming-oracle memory counters, synced once at end of run like the
-   open-queue totals above. *)
+(* Streaming-oracle memory counters, synced once at end of run — off the
+   per-event datapath. *)
 let sync_check_perf t =
   match t.check with
   | None -> ()
@@ -951,7 +940,10 @@ let livelock_fail t =
        (String.concat "," (List.map string_of_int (Fallback_lock.readers t.lock0)))
        dump)
 
-let run ?(max_cycles = 4_000_000_000) t =
+(* The livelock guard: no run of this simulator legitimately gets near it. *)
+let max_cycles = 4_000_000_000
+
+let run t =
   let words_before = gc_words () in
   let remaining = ref (Array.length t.cores) in
   let last_time = ref 0 in
@@ -987,9 +979,7 @@ let run ?(max_cycles = 4_000_000_000) t =
     if !remaining = 0 then continue := false
   done;
   Stats.set_total_cycles t.stats !last_time;
-  t.perf.sims <- t.perf.sims + 1;
   t.perf.allocated_words <- t.perf.allocated_words + int_of_float (gc_words () -. words_before);
-  sync_open_perf t;
   sync_check_perf t;
   t.stats
 

@@ -50,9 +50,9 @@ val create : ?check:Check.Collector.t -> Config.t -> Workload.t -> t
     A {!Trace.collector} consumes the same emissions. Capture has no effect
     on simulated behaviour: results are bit-identical with and without it. *)
 
-val run : ?max_cycles:int -> t -> Stats.t
+val run : t -> Stats.t
 (** Simulate until every thread finished its operations. Raises [Failure] if
-    [max_cycles] (default 4e9) elapse first — a livelock guard, not an
+    4e9 cycles elapse first — a livelock guard, not an
     expected outcome. The returned statistics include the total cycle count
     of the parallel phase. *)
 

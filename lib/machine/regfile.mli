@@ -5,8 +5,6 @@ type t
 val create : unit -> t
 (** [Isa.Instr.num_regs] registers, zeroed, no indirection bits. *)
 
-val reset : t -> unit
-
 val load_initial : t -> (Isa.Instr.reg * int) list -> unit
 (** Reset then install the operation's initial register values. Initial
     values come from outside the atomic region, so they carry no indirection

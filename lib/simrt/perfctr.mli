@@ -9,7 +9,6 @@
     [engine.events]) to keep the datapath costs measured across changes. *)
 
 type t = {
-  mutable sims : int;  (** simulations aggregated into this record *)
   mutable events_popped : int;
       (** simulated events stepped: one per core, also when the engine
           main loop re-parks a run of idle cores in one iteration *)
@@ -22,11 +21,6 @@ type t = {
   mutable allocated_words : int;
       (** OCaml words allocated on the minor heap during [Engine.run] (blocks
           too large for it, such as page copies, are not counted) *)
-  mutable open_arrivals : int;
-      (** open-system requests admitted to the queue (excludes drops) *)
-  mutable open_dropped : int;  (** requests dropped at saturation (queue cap hit) *)
-  mutable open_completed : int;  (** requests that committed their AR *)
-  mutable open_qdepth_hw : int;  (** queue-depth high-water mark *)
   mutable check_live_lines : int;
       (** streaming-oracle live-line high-water mark (lines still holding
           checker state; 0 for unchecked or post hoc-checked runs) *)
@@ -38,5 +32,4 @@ type t = {
 val create : unit -> t
 
 val merge_into : dst:t -> t -> unit
-(** Counters add; [open_qdepth_hw] and [check_live_lines] take the
-    maximum. *)
+(** Counters add; [check_live_lines] takes the maximum. *)
