@@ -7,6 +7,7 @@
 # artefact or size is a command-line error too; an uncreatable suite --csv
 # directory is an error naming it, reported before anything is simulated;
 # an accepted run --trace-out writes a whole Chrome trace document;
+# `suite --size smoke all` prints every artefact's title in canonical order;
 # and bench/main.exe, which only runs the gate, points anything else at
 # `clear_sim suite`.
 #
@@ -108,6 +109,31 @@ err=$("$bin" suite --size smoke table1 table2 storage 2>&1 >/dev/null)
 code=$?
 if [ "$code" -ne 0 ] || printf '%s\n' "$err" | grep -q "running full suite"; then
   echo "FAIL: clear_sim suite table1 table2 storage: exit $code or ran the sweep"
+  fail=1
+fi
+
+# The `all` path renders every artefact once, in canonical order, with the
+# Figure 8 companion right after Figure 8.
+out=$("$bin" suite --size smoke --no-cache all 2>/dev/null)
+code=$?
+titles=$(printf '%s\n' "$out" | grep '^== .* ==$')
+expected='== Table 1: Characterization of ARs (static analysis) ==
+== Table 2: Baseline system configuration ==
+== Figure 1: ARs that keep their footprint on the first retry (baseline) ==
+== Figure 8: Normalized execution time (lower is better) ==
+== Figure 8 (companion): time running aborted in discovery ==
+== Figure 9: Aborts per committed transaction ==
+== Figure 10: Normalized energy consumption (lower is better) ==
+== Figure 11: Abort breakdown per type (aborts per commit) ==
+== Figure 12: Commit breakdown per mode ==
+== Figure 13: Commit breakdown per retries (excluding 0-retry commits) ==
+== Headline numbers: paper vs. measured ==
+== Ablation: CLEAR design choices (cycles, conversions) ==
+== Extension: speculation front-ends (cycles; SLE fallback takes the region'"'"'s own lock) ==
+== Storage overhead per core (paper S5: 988.5 bytes) =='
+if [ "$code" -ne 0 ] || [ "$titles" != "$expected" ]; then
+  echo "FAIL: clear_sim suite --size smoke --no-cache all: exit $code or titles differ:"
+  printf '%s\n' "$titles"
   fail=1
 fi
 
