@@ -87,8 +87,8 @@ let pick runs letter =
   | None -> invalid_arg ("suite: unknown preset " ^ letter)
 
 (* [fold] over values given in workload order, taking them last workload
-   first: float sums depend on order, and every closing row but Figure 1's
-   has always folded this way. *)
+   first. Float sums depend on order: every closing row except Figure 1's
+   folds this way, and the recorded figures were printed from that order. *)
 let last_first fold values = fold (List.rev values)
 
 (* The two shapes of a suite-derived table. A column is a header and the

@@ -940,7 +940,7 @@ let livelock_fail t =
        (String.concat "," (List.map string_of_int (Fallback_lock.readers t.lock0)))
        dump)
 
-(* The livelock guard: no run of this simulator legitimately gets near it. *)
+(* Livelock guard: [run] fails once simulated time passes it. *)
 let max_cycles = 4_000_000_000
 
 let run t =
