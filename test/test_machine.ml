@@ -249,11 +249,31 @@ let test_config_presets () =
   Alcotest.(check int) "with_cores" 8 (Config.with_cores c 8).Config.cores;
   Alcotest.(check int) "with_seed" 3 (Config.with_seed c 3).Config.seed
 
+(* Table 2 as [Config.pp] prints it for the four presets and for W under
+   SLE, pinned line for line: the machine numbers must not move. *)
 let test_config_pp () =
-  let s = Format.asprintf "%a" Config.pp Config.clear_power in
-  Alcotest.(check bool) "mentions CLEAR" true
-    (String.split_on_char '\n' s |> List.exists (fun l -> String.length l > 0));
-  Alcotest.(check bool) "non-empty" true (String.length s > 100)
+  let table2 htm =
+    String.concat "\n"
+      [
+        "Core      | 32-core out-of-order Icelake-like. ROB: 352 uops; LQ: 128 entries; SQ: 72 entries";
+        "L1 Cache  | Data: 64 sets x 12 ways (48KiB), 1-cycle access latency";
+        "L2 Cache  | 1024 sets x 8 ways (512KiB), 10-cycle access latency";
+        "L3 Cache  | 4096 sets x 16 ways (4MiB), 45-cycle access latency";
+        "Memory    | 80-cycle access latency";
+        "Coherence | MESI directory, 32768 sets; 12-cycle message hop";
+        "HTM       | " ^ htm ^ "; 4 retries before taking the fallback lock";
+      ]
+  in
+  List.iter
+    (fun (name, cfg, htm) ->
+      Alcotest.(check string) name (table2 htm) (Format.asprintf "%a" Config.pp cfg))
+    [
+      ("B", Config.baseline, "requester-wins, out-of-core (HTM)");
+      ("P", Config.power_tm, "PowerTM, out-of-core (HTM)");
+      ("C", Config.clear_rw, "requester-wins, out-of-core (HTM) + CLEAR");
+      ("W", Config.clear_power, "PowerTM, out-of-core (HTM) + CLEAR");
+      ("W/SLE", Config.with_frontend Config.clear_power Config.Sle, "PowerTM, in-core (SLE) + CLEAR");
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Stats *)
