@@ -47,7 +47,11 @@ let to_string t =
   rule ();
   line t.columns;
   rule ();
-  List.iter (function Separator -> rule () | Cells cells -> line cells) (List.rev t.rows);
+  (* A separator with no row after it would double the closing rule. *)
+  let rec drop_trailing = function Separator :: rest -> drop_trailing rest | rows -> rows in
+  List.iter
+    (function Separator -> rule () | Cells cells -> line cells)
+    (List.rev (drop_trailing t.rows));
   rule ();
   Buffer.contents buf
 

@@ -12,6 +12,7 @@ val add_row : t -> string list -> unit
 (** Must match the column count; raises [Invalid_argument] otherwise. *)
 
 val add_separator : t -> unit
+(** A rule between rows; one with no row after it prints nothing. *)
 
 val print : t -> unit
 (** To stdout, with aligned columns. *)

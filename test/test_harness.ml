@@ -136,7 +136,7 @@ let golden_figures =
     ("fig8_discovery", Experiments.fig8_discovery, "b2d547ff29f52cc30099c22e5f3fa4db");
     ("fig9", Experiments.fig9, "beee92f8bedb765af7eade195ee0b23c");
     ("fig10", Experiments.fig10, "c6f113c7c0b95c44ebc8150e0b6c8cef");
-    ("fig11", Experiments.fig11, "76d81f9842380aaff2566c4a8bbf5ed6");
+    ("fig11", Experiments.fig11, "7150259ce15b07c45b05087a5771ac4e");
     ("fig12", Experiments.fig12, "c9a977e3484369e9fe26e764b2a8b91a");
     ("fig13", Experiments.fig13, "95c32fc9e864b418ead26b48af1a82ac");
     ("headline", Experiments.headline, "9cfec6a98a33716c2e8c4bf318a0524c");

@@ -46,6 +46,23 @@ let test_rows_preserve_order () =
   in
   Alcotest.(check bool) "order kept" true (idx "first" < idx "second" && idx "second" < idx "third")
 
+let test_trailing_separator () =
+  let render ~trailing =
+    let t = Table.create ~title:"s" ~columns:[ "v" ] in
+    Table.add_row t [ "1" ];
+    Table.add_separator t;
+    Table.add_row t [ "2" ];
+    if trailing then begin
+      Table.add_separator t;
+      Table.add_separator t
+    end;
+    Table.to_string t
+  in
+  Alcotest.(check string) "one closing rule" (render ~trailing:false) (render ~trailing:true);
+  Alcotest.(check string) "inner separator kept"
+    "== s ==\n+---+\n| v |\n+---+\n| 1 |\n+---+\n| 2 |\n+---+\n"
+    (render ~trailing:false)
+
 (* ------------------------------------------------------------------ *)
 (* CSV *)
 
@@ -78,6 +95,7 @@ let () =
           Alcotest.test_case "widths" `Quick test_column_width_adapts;
           Alcotest.test_case "formatters" `Quick test_formatters;
           Alcotest.test_case "row order" `Quick test_rows_preserve_order;
+          Alcotest.test_case "trailing separator" `Quick test_trailing_separator;
         ] );
       ( "csv",
         [
