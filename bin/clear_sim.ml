@@ -646,7 +646,8 @@ let analyze_cmd =
   in
   let analyze workload json conflicts =
     let ws = match workload with None -> Workloads.Registry.all | Some w -> [ w ] in
-    let models = List.map (fun (w : Machine.Workload.t) -> (w, C.of_ars w.ars)) ws in
+    let params = Clear_repro.Run.predict_params Machine.Config.default in
+    let models = List.map (fun (w : Machine.Workload.t) -> (w, C.of_ars ~params w.ars)) ws in
     if conflicts then analyze_conflicts models json
     else
     let predictions m =

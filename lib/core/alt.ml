@@ -15,7 +15,9 @@ type t = {
   mutable count : int;
 }
 
-let create ?(capacity = 32) ~dir_set_of () =
+let default_capacity = 32
+
+let create ?(capacity = default_capacity) ~dir_set_of () =
   if capacity <= 0 then invalid_arg "Alt.create: capacity must be positive";
   { capacity; dir_set_of; rows = []; count = 0 }
 

@@ -8,8 +8,8 @@
     carry the [conflict] bit, and the group is acquired with the combined
     probe-then-lock-the-set mechanism of the paper.
 
-    Capacity is 32 entries; recording a 33rd distinct line overflows, which
-    marks the region non-convertible. *)
+    Capacity is {!default_capacity} entries; recording one more distinct
+    line overflows, which marks the region non-convertible. *)
 
 type entry = private {
   line : Mem.Addr.line;
@@ -23,7 +23,11 @@ type entry = private {
 
 type t
 
+val default_capacity : int
+(** 32 entries, the paper's ALT (Table 2). *)
+
 val create : ?capacity:int -> dir_set_of:(Mem.Addr.line -> int) -> unit -> t
+(** [capacity] defaults to {!default_capacity}. *)
 
 val size : t -> int
 

@@ -6,7 +6,11 @@ type t = {
   mutable tick : int;
 }
 
-let create ?(entries = 64) ?(ways = 8) () =
+let default_entries = 64
+
+let default_ways = 8
+
+let create ?(entries = default_entries) ?(ways = default_ways) () =
   if entries <= 0 || ways <= 0 || entries mod ways <> 0 then
     invalid_arg "Crt.create: entries must be a positive multiple of ways";
   let sets = entries / ways in

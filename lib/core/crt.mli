@@ -2,13 +2,21 @@
 
     Remembers cachelines that the atomic region only read, yet whose
     invalidation by another core caused an abort. On the next S-CL execution
-    these lines are locked too, so the same conflict cannot recur. 64
-    entries, 8-way set associative, LRU within each set. *)
+    these lines are locked too, so the same conflict cannot recur.
+    {!default_entries} entries, {!default_ways}-way set associative, LRU
+    within each set. *)
 
 type t
 
+val default_entries : int
+(** 64 entries, the paper's CRT (Table 2). *)
+
+val default_ways : int
+(** 8 ways. *)
+
 val create : ?entries:int -> ?ways:int -> unit -> t
-(** Defaults: 64 entries, 8 ways. [entries] must be a multiple of [ways]. *)
+(** Defaults: {!default_entries} entries, {!default_ways} ways. [entries]
+    must be a multiple of [ways]. *)
 
 val insert : t -> Mem.Addr.line -> unit
 (** Idempotent; refreshes LRU. *)

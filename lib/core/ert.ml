@@ -11,7 +11,9 @@ type t = { slots : slot array; mutable tick : int }
 
 let sq_full_max = 3 (* 2-bit saturating counter *)
 
-let create ?(entries = 16) () =
+let default_entries = 16
+
+let create ?(entries = default_entries) () =
   if entries <= 0 then invalid_arg "Ert.create: entries must be positive";
   { slots = Array.init entries (fun _ -> { e = None; age = 0 }); tick = 0 }
 

@@ -1,8 +1,8 @@
 (** Explored Region Table (paper §5, Figure 7).
 
     One entry per atomic region, keyed by the region's program counter (here:
-    the AR id). Fully associative with LRU replacement, 16 entries by
-    default. Each entry records whether the region is still a candidate for
+    the AR id). Fully associative with LRU replacement, {!default_entries}
+    entries by default. Each entry records whether the region is still a candidate for
     cacheline-locked re-execution ([is_convertible]), whether a retry may
     start non-speculatively ([is_immutable]) and a 2-bit saturating counter of
     discoveries that ran out of store-queue resources; when that counter
@@ -17,8 +17,11 @@ type entry = private {
 
 type t
 
+val default_entries : int
+(** 16 entries, the paper's ERT (Table 2). *)
+
 val create : ?entries:int -> unit -> t
-(** Default 16 entries. *)
+(** [entries] defaults to {!default_entries}. *)
 
 val lookup : t -> pc:int -> entry option
 (** Find without allocating; refreshes LRU on hit. *)

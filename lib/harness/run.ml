@@ -27,14 +27,14 @@ let run_sim { cfg; workload; seed } =
 
 exception Check_failed of string
 
-(* The static verifier's view of the run's table geometry; every checked
+(* The static verifier's view of the run's machine; every checked
    simulation also asserts dynamic-footprint ⊆ static-may-set and
    dynamic-decision ∈ static-envelope (DESIGN.md §10). *)
-let static_gate_of_config (cfg : Machine.Config.t) =
-  Staticcheck.Gate.create
-    (Staticcheck.Predict.params_of ~alt_capacity:cfg.Machine.Config.alt_capacity
-       ~sq_entries:cfg.sq_entries ~rob_entries:cfg.rob_entries ~crt_entries:cfg.crt_entries
-       ~crt_ways:cfg.crt_ways cfg.mem_params)
+let predict_params (cfg : Machine.Config.t) =
+  Staticcheck.Predict.params_of ~sq_entries:Machine.Config.sq_entries
+    ~rob_entries:cfg.Machine.Config.rob_entries cfg.mem_params
+
+let static_gate_of_config cfg = Staticcheck.Gate.create (predict_params cfg)
 
 (* The collector forwards every emission into the online oracles and
    retains nothing (DESIGN.md §14). *)

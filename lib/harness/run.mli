@@ -47,9 +47,12 @@ exception Check_failed of string
 (** Raised by checked runs when an oracle fails; the payload identifies the
     (workload, preset, seed) triple and contains the full verdict report. *)
 
+val predict_params : Machine.Config.t -> Staticcheck.Predict.params
+(** The static verifier's view of the configuration's machine: the SQ and
+    ROB sizes and the cache parameters. *)
+
 val static_gate_of_config : Machine.Config.t -> Staticcheck.Gate.t
-(** A static soundness gate matching the configuration's table geometry
-    (ALT/SQ/ROB/CRT sizes and cache parameters). *)
+(** A static soundness gate over {!predict_params}. *)
 
 val checked_engine :
   Machine.Config.t -> Machine.Workload.t -> Machine.Engine.t * (unit -> Check.Verdict.t)

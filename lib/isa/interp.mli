@@ -7,9 +7,13 @@
     committed AR in commit order on a fresh store must reproduce the
     concurrent simulation's final memory image bit for bit. *)
 
+val fuel : int
+(** 200,000: the most dynamic instructions one execution of an AR body may
+    run, here and in the simulator's runaway-loop guard. *)
+
 exception Error of string
-(** Raised on a runaway body (more than 200k dynamic instructions, the
-    engine's own guard) or a PC out of range. *)
+(** Raised on a runaway body (more than {!fuel} dynamic instructions) or a
+    PC out of range. *)
 
 val run :
   Program.ar ->

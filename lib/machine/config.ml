@@ -1,3 +1,17 @@
+let lq_entries = 128
+
+let sq_entries = 72
+
+let xbegin_cost = 12
+
+let xend_cost = 12
+
+let abort_penalty = 30
+
+let spin_cycles = 60
+
+let think_cycles = 150
+
 type htm_policy = Requester_wins | Power_tm
 
 type frontend = Htm | Sle
@@ -16,24 +30,13 @@ type t = {
   mem_params : Mem.Params.t;
   memory_words : int;
   rob_entries : int;
-  lq_entries : int;
-  sq_entries : int;
   frontend : frontend;
   policy : htm_policy;
   max_retries : int;
-  xbegin_cost : int;
-  xend_cost : int;
-  abort_penalty : int;
-  spin_cycles : int;
   clear_enabled : bool;
-  ert_entries : int;
-  alt_capacity : int;
-  crt_entries : int;
-  crt_ways : int;
   failed_mode_discovery : bool;
   use_crt : bool;
   crt_decay : bool;
-  think_cycles : int;
   ops_per_thread : int;
   seed : int;
   sched : Sched.Profile.t;
@@ -48,24 +51,13 @@ let default =
     mem_params = Mem.Params.icelake_like;
     memory_words = 1 lsl 22 (* 4 M words = 32 MiB *);
     rob_entries = 352;
-    lq_entries = 128;
-    sq_entries = 72;
     frontend = Htm;
     policy = Requester_wins;
     max_retries = 4;
-    xbegin_cost = 12;
-    xend_cost = 12;
-    abort_penalty = 30;
-    spin_cycles = 60;
     clear_enabled = false;
-    ert_entries = 16;
-    alt_capacity = 32;
-    crt_entries = 64;
-    crt_ways = 8;
     failed_mode_discovery = true;
     use_crt = true;
     crt_decay = true;
-    think_cycles = 150;
     ops_per_thread = 400;
     seed = 42;
     sched = Sched.Profile.symmetric;
@@ -92,8 +84,6 @@ let preset_letter t =
   | Power_tm, true -> "W"
 
 let with_retries t n = { t with max_retries = n }
-
-let with_cores t n = { t with cores = n }
 
 let with_seed t s = { t with seed = s }
 
@@ -137,7 +127,7 @@ let pp ppf t =
      Memory    | %d-cycle access latency@,\
      Coherence | MESI directory, %d sets; %d-cycle message hop@,\
      HTM       | %s, %s%s; %d retries before taking the fallback lock@]"
-    t.cores t.rob_entries t.lq_entries t.sq_entries p.Mem.Params.l1_sets p.Mem.Params.l1_ways
+    t.cores t.rob_entries lq_entries sq_entries p.Mem.Params.l1_sets p.Mem.Params.l1_ways
     p.Mem.Params.l1_hit p.Mem.Params.l2_sets p.Mem.Params.l2_ways p.Mem.Params.l2_hit
     p.Mem.Params.l3_sets p.Mem.Params.l3_ways p.Mem.Params.l3_hit p.Mem.Params.memory
     p.Mem.Params.dir_sets p.Mem.Params.coherence_msg (policy_name t.policy)

@@ -3,7 +3,40 @@
     The four named presets correspond to the paper's evaluated
     configurations: requester-wins ([baseline], "B"), PowerTM ([power_tm],
     "P"), CLEAR over requester-wins ([clear_rw], "C") and CLEAR over PowerTM
-    ([clear_power], "W"). *)
+    ([clear_power], "W").
+
+    Each Table 2 number has one home. The record {!t} holds what a caller
+    sets: the core count, the cache hierarchy ({!Mem.Params}), the ROB size
+    and the speculation and pacing knobs. The values below are the fixed
+    core and HTM parameters. The CLEAR table sizes live with their tables:
+    {!Clear.Ert.default_entries}, {!Clear.Alt.default_capacity},
+    {!Clear.Crt.default_entries} and {!Clear.Crt.default_ways}. *)
+
+(** {1 Fixed machine parameters} *)
+
+val lq_entries : int
+(** 128-entry load queue (printed in Table 2; no model reads it). *)
+
+val sq_entries : int
+(** 72-entry store queue: the most buffered stores an attempt holds. *)
+
+val xbegin_cost : int
+(** 12 cycles to begin an attempt. *)
+
+val xend_cost : int
+(** 12 cycles to commit, before draining the store buffer. *)
+
+val abort_penalty : int
+(** 30 cycles of pipeline flush and checkpoint restore. *)
+
+val spin_cycles : int
+(** 60 cycles between fallback-lock polls. *)
+
+val think_cycles : int
+(** 150 cycles of non-AR work between operations; {!Sched.Profile} draws
+    around this base. *)
+
+(** {1 Configuration} *)
 
 type htm_policy = Requester_wins | Power_tm
 
@@ -35,24 +68,13 @@ type t = {
   cores : int;
   mem_params : Mem.Params.t;
   memory_words : int;
-  (* Core resources (Table 2) *)
   rob_entries : int;
-  lq_entries : int;
-  sq_entries : int;
   (* Speculation *)
   frontend : frontend;
   policy : htm_policy;
   max_retries : int;  (** memory-conflict retries before the fallback path *)
-  xbegin_cost : int;  (** cycles *)
-  xend_cost : int;
-  abort_penalty : int;  (** pipeline flush + checkpoint restore *)
-  spin_cycles : int;  (** fallback-lock polling interval *)
   (* CLEAR *)
   clear_enabled : bool;
-  ert_entries : int;
-  alt_capacity : int;
-  crt_entries : int;
-  crt_ways : int;
   failed_mode_discovery : bool;
       (** continue discovery after a conflict (ablation knob; paper §4.1) *)
   use_crt : bool;  (** lock previously-conflicting reads in S-CL (§4.4.2) *)
@@ -60,14 +82,13 @@ type t = {
       (** drop a CRT entry once an S-CL that locked it commits; prevents hot
           shared read lines from convoying every later S-CL (ablation knob) *)
   (* Workload pacing *)
-  think_cycles : int;  (** non-AR work between operations *)
   ops_per_thread : int;
   seed : int;
   sched : Sched.Profile.t;
       (** Per-core schedule shape: think-time distributions, hot cores,
           phase offsets and the NUMA latency matrix. The default
           {!Sched.Profile.symmetric} reproduces the legacy single
-          [think_cycles] pacing bit-for-bit. *)
+          {!think_cycles} pacing bit-for-bit. *)
   openloop : open_queue option;
       (** [Some q] switches the engine to the open-system frontend: cores
           pull the next queued request when idle instead of looping
@@ -106,8 +127,6 @@ val preset_letter : t -> string
 (** "B", "P", "C" or "W" (best-effort match on policy/clear flags). *)
 
 val with_retries : t -> int -> t
-
-val with_cores : t -> int -> t
 
 val with_seed : t -> int -> t
 

@@ -1,7 +1,7 @@
-(* Cache lines are dense small ints (word address asr 3, bounded by the
-   store size), so the per-line reader/writer core bitmasks live in two flat
-   line-indexed arrays instead of a hashtable: adds, removals and conflict
-   queries are single array accesses with no hashing and no allocation. The
+(* Cache lines are dense small ints (the {!Mem.Addr.line_of} of a word
+   address, bounded by the store size), so the per-line reader/writer core
+   bitmasks live in two flat line-indexed arrays instead of a hashtable:
+   adds, removals and conflict queries are single array accesses with no hashing and no allocation. The
    arrays are sized from the workload's declared memory and grown on demand
    should a line land beyond the hint. Both arrays come from
    {!Simrt.Pagepool}. Capacities are whole multiples of [granule] lines,

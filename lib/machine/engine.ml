@@ -75,8 +75,6 @@ type t = {
   mutable now : int;
 }
 
-let max_ar_instrs = 200_000
-
 let create ?check (cfg : Config.t) (workload : Workload.t) =
   let words = max cfg.memory_words workload.memory_words in
   let store = Mem.Store.create ~words in
@@ -96,9 +94,9 @@ let create ?check (cfg : Config.t) (workload : Workload.t) =
           rng;
           regs = Regfile.create ();
           txn = Txn.create ();
-          ert = Clear.Ert.create ~entries:cfg.ert_entries ();
-          alt = Clear.Alt.create ~capacity:cfg.alt_capacity ~dir_set_of ();
-          crt = Clear.Crt.create ~entries:cfg.crt_entries ~ways:cfg.crt_ways ();
+          ert = Clear.Ert.create ();
+          alt = Clear.Alt.create ~dir_set_of ();
+          crt = Clear.Crt.create ();
           driver = workload.make_driver ~tid:id ~threads:cfg.cores store (Rng.split root_rng (7_919 + id));
           ops_done = 0;
           op = None;
@@ -128,7 +126,7 @@ let create ?check (cfg : Config.t) (workload : Workload.t) =
   let queue = Event_queue.create () in
   Array.iter
     (fun c ->
-      let time = Sched.Profile.start_offset cfg.sched ~core:c.id ~base:cfg.think_cycles c.rng in
+      let time = Sched.Profile.start_offset cfg.sched ~core:c.id ~base:Config.think_cycles c.rng in
       Event_queue.push queue ~time c.id)
     cores;
   (* Hand over the store after setup and driver construction
@@ -158,7 +156,7 @@ let create ?check (cfg : Config.t) (workload : Workload.t) =
     (* Hint from the workload's own memory, not [cfg.memory_words] (whose
        default exists to bound the address space, not to be touched): lines
        are dense from zero and the map grows if an address lands beyond. *)
-    conflicts = Conflict_map.create ~lines:((workload.memory_words asr 3) + 1) ~cores:cfg.cores ();
+    conflicts = Conflict_map.create ~lines:(Mem.Addr.line_of workload.memory_words + 1) ~cores:cfg.cores ();
     lock0 = Fallback_lock.create ();
     locks = Hashtbl.create 16;
     stats;
@@ -364,7 +362,7 @@ let fig1_close t c =
   match c.footprint0 with
   | Some fp0 when c.attempt = 1 ->
       let fp1 = attempt_footprint c in
-      let stable = fp0 = fp1 && Array.length fp0 <= t.cfg.alt_capacity in
+      let stable = fp0 = fp1 && Array.length fp0 <= Clear.Alt.default_capacity in
       Stats.note_first_abort t.stats ~footprint_stable:stable;
       c.footprint0 <- None
   | Some _ | None -> ()
@@ -446,7 +444,7 @@ let do_commit t c =
       c.req <- -1
   | Some _ | None -> ());
   finish_op c;
-  t.cfg.xend_cost + (drained / 4)
+  Config.xend_cost + (drained / 4)
 
 let do_abort t c cause =
   Stats.note_abort t.stats cause;
@@ -479,7 +477,7 @@ let do_abort t c cause =
   c.failed_mode <- false;
   c.discovery <- false;
   c.phase <- P_start;
-  t.cfg.abort_penalty
+  Config.abort_penalty
 
 (* Abort the speculating transactions subscribed to the acquired fallback
    lock: all of them under HTM (single global lock), only the elisions of the
@@ -584,7 +582,7 @@ let write t c addr value =
   let latency =
     if c.failed_mode then begin
       (* Failed mode: stores stay in the SQ, no coherence traffic. *)
-      if Txn.store_count c.txn >= t.cfg.sq_entries then begin
+      if Txn.store_count c.txn >= Config.sq_entries then begin
         c.sq_overflow <- true;
         Clear.Ert.note_sq_full c.ert ~pc:(current_op c).Workload.ar.Isa.Program.id;
         raise (Abort_now c.failed_cause)
@@ -632,8 +630,8 @@ let exec_instr t c =
   if c.pc < 0 || c.pc >= Array.length body then failwith "Engine: PC out of range";
   let instr = body.(c.pc) in
   c.attempt_instrs <- c.attempt_instrs + 1;
-  if c.attempt_instrs > max_ar_instrs then
-    failwith (Printf.sprintf "Engine: AR %s exceeded %d instructions (runaway loop?)" op.Workload.ar.Isa.Program.name max_ar_instrs);
+  if c.attempt_instrs > Isa.Interp.fuel then
+    failwith (Printf.sprintf "Engine: AR %s exceeded %d instructions (runaway loop?)" op.Workload.ar.Isa.Program.name Isa.Interp.fuel);
   Stats.note_instr t.stats;
   let base = I.base_cost instr in
   match instr with
@@ -683,7 +681,7 @@ let start_speculative t c =
      Clear.Ert.discovery_enabled e);
   if c.discovery then Clear.Alt.reset c.alt;
   c.explicit_fb_counted <- false;
-  t.cfg.xbegin_cost
+  Config.xbegin_cost
 
 let start_cl t c (mode : Clear.Decision.mode) =
   (* Read-lock the fallback lock, then queue the cacheline locks. *)
@@ -692,10 +690,10 @@ let start_cl t c (mode : Clear.Decision.mode) =
     Clear.Alt.prepare_locking c.alt ~lock_all ~extra:(fun line -> t.cfg.use_crt && Clear.Crt.mem c.crt line);
     c.lock_queue <- Clear.Alt.to_lock c.alt;
     open_attempt t c (if lock_all then Nscl else Scl);
-    t.cfg.xbegin_cost
+    Config.xbegin_cost
   end
   else (* fallback execution in flight: spin on the read lock *)
-    t.cfg.spin_cycles
+    Config.spin_cycles
 
 let step_start t c =
   if c.retries_counted > t.cfg.max_retries then begin
@@ -706,9 +704,9 @@ let step_start t c =
       doom_all_speculators t ~except:c.id ~lock_id:(current_op c).Workload.lock_id;
       c.planned <- None;
       open_attempt t c Fallback;
-      t.cfg.xbegin_cost
+      Config.xbegin_cost
     end
-    else t.cfg.spin_cycles
+    else Config.spin_cycles
   end
   else
     match c.planned with
@@ -720,7 +718,7 @@ let step_start t c =
             Stats.note_abort t.stats Abort.Explicit_fallback;
             c.explicit_fb_counted <- true
           end;
-          t.cfg.spin_cycles
+          Config.spin_cycles
         end
         else start_speculative t c
 
@@ -752,8 +750,8 @@ let step_lock t c =
       | `Held_by _ ->
           (* Owner will release at its AR end; retry (directory unblocks the
              entry rather than queueing us — paper Figure 6). *)
-          Simrt.Counter.bump t.lock_phase_cycles (t.cfg.spin_cycles / 2);
-          t.cfg.spin_cycles / 2)
+          Simrt.Counter.bump t.lock_phase_cycles (Config.spin_cycles / 2);
+          Config.spin_cycles / 2)
 
 (* A doomed or aborting attempt: a memory conflict during CLEAR discovery
    continues in failed mode to the region's end (when enabled and the
@@ -796,7 +794,7 @@ let step_exec t c =
              and retire freely. *)
           if
             t.cfg.frontend = Config.Sle && buffered c
-            && (c.attempt_instrs > t.cfg.rob_entries || Txn.store_count c.txn > t.cfg.sq_entries)
+            && (c.attempt_instrs > t.cfg.rob_entries || Txn.store_count c.txn > Config.sq_entries)
           then abort_or_discover t c Abort.Capacity
           else begin
             if c.failed_mode then Stats.note_failed_discovery_cycles t.stats latency;
@@ -812,7 +810,7 @@ let step_exec t c =
           (* Re-issue the same instruction once the holder has had time to
              make progress. The PC did not advance. *)
           c.attempt_instrs <- c.attempt_instrs - 1;
-          let latency = t.cfg.spin_cycles / 2 in
+          let latency = Config.spin_cycles / 2 in
           Simrt.Counter.bump t.stall_cycles latency;
           if c.failed_mode then Stats.note_failed_discovery_cycles t.stats latency;
           latency
@@ -849,7 +847,7 @@ let issue_op t c =
      the legacy think_cycles + U[0, think/2] draw, bit-for-bit). The
      workload's own extra_think rides on top regardless of profile. *)
   let think =
-    Sched.Profile.sample_think t.cfg.sched ~core:c.id ~base:t.cfg.think_cycles c.rng
+    Sched.Profile.sample_think t.cfg.sched ~core:c.id ~base:Config.think_cycles c.rng
   in
   think + op.Workload.extra_think
 

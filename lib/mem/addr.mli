@@ -2,7 +2,8 @@
 
     The simulated machine is word-addressed: an address names one 64-bit word
     of the shared memory. Cachelines are 64 bytes, i.e. 8 consecutive words.
-    Lines are identified by [addr lsr 3]. *)
+    Lines are identified by {!line_of}, which shifts the address right by
+    3 bits (arithmetically, so a negative bound rounds down). *)
 
 type t = int
 (** A word address. Non-negative. *)

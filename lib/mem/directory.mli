@@ -13,8 +13,8 @@
 type t
 
 val max_cores : int
-(** The most cores a directory tracks (sharer sets are bitmasks in one
-    immediate int). *)
+(** 62, the most cores a directory tracks and the simulator's core-count
+    ceiling (sharer sets are bitmasks in one immediate int). *)
 
 val create : cores:int -> lines:int -> t
 (** [lines] sizes the page table; lines beyond it are still accepted, up to

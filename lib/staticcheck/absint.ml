@@ -117,7 +117,7 @@ let lines_of_components comps =
   in
   let abs_lines =
     List.fold_left
-      (fun n (lo, hi) -> n + ((hi asr 3) - (lo asr 3)) + 1)
+      (fun n (lo, hi) -> n + (Mem.Addr.line_of hi - Mem.Addr.line_of lo) + 1)
       0 (merge_intervals abs)
   in
   let rel_lines =

@@ -59,7 +59,7 @@ let cover_lines = function
    (the same region-containment contract [Cregion] relies on, and the one
    the dynamic conflict gate verifies), and is Top otherwise. *)
 let site_span ~regions (s : A.site) =
-  let of_words (lo, hi) = if lo < 0 then None else Some (lo asr 3, hi asr 3) in
+  let of_words (lo, hi) = if lo < 0 then None else Some (Mem.Addr.line_of lo, Mem.Addr.line_of hi) in
   match s.A.component with
   | A.Cwords { lo; hi } | A.Cregion { lo; hi; _ } -> of_words (lo, hi)
   | A.Crel _ | A.Cany -> (
@@ -106,7 +106,7 @@ let info_of ~params ~written_regions (ar : Isa.Program.ar) =
    other side touches it at all. *)
 let pair_cover a b = union (inter a.x b.rw) (inter a.rw b.x)
 
-let of_ars ?(params = Predict.default_params) ars =
+let of_ars ~params ars =
   let written_regions = List.concat_map Isa.Program.regions_written ars in
   let infos = Array.of_list (List.map (info_of ~params ~written_regions) ars) in
   let n = Array.length infos in

@@ -42,7 +42,7 @@ type t
 (** A workload's static model: every region's summary and prediction, and
     the matrix over them. Immutable. *)
 
-val of_ars : ?params:Predict.params -> Isa.Program.ar list -> t
+val of_ars : params:Predict.params -> Isa.Program.ar list -> t
 (** Analyze each region once ({!Absint.analyze_ar}), predict it once with
     [params] and the written regions of the whole list, and build the full
     matrix from those summaries. The prediction's envelope decides

@@ -85,7 +85,8 @@ let rec covered sites ~regs line k =
   &&
   let reg = sites.(k) in
   let base = if reg < 0 then 0 else regs.(reg) in
-  ((base + sites.(k + 1)) asr 3 <= line && line <= (base + sites.(k + 2)) asr 3)
+  (Mem.Addr.line_of (base + sites.(k + 1)) <= line
+   && line <= Mem.Addr.line_of (base + sites.(k + 2)))
   || covered sites ~regs line (k + 3)
 
 (* Index of the first of the [n] lines no site covers, or -1. *)

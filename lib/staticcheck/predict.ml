@@ -1,32 +1,15 @@
 module A = Absint
 
-type params = {
-  alt_capacity : int;
-  sq_entries : int;
-  rob_entries : int;
-  l1_sets : int;
-  l1_ways : int;
-  crt_entries : int;
-  crt_ways : int;
-  dir_sets : int;
-}
+type params = { sq_entries : int; rob_entries : int; l1_sets : int; l1_ways : int; dir_sets : int }
 
-let params_of ~alt_capacity ~sq_entries ~rob_entries ~crt_entries ~crt_ways
-    (mp : Mem.Params.t) =
+let params_of ~sq_entries ~rob_entries (mp : Mem.Params.t) =
   {
-    alt_capacity;
     sq_entries;
     rob_entries;
     l1_sets = mp.Mem.Params.l1_sets;
     l1_ways = mp.Mem.Params.l1_ways;
-    crt_entries;
-    crt_ways;
     dir_sets = mp.Mem.Params.dir_sets;
   }
-
-let default_params =
-  params_of ~alt_capacity:32 ~sq_entries:72 ~rob_entries:352 ~crt_entries:64 ~crt_ways:8
-    Mem.Params.icelake_like
 
 type fit = Fits | May_overflow
 
@@ -56,7 +39,7 @@ let concrete_lines ?(cap = 4096) sites =
       (fun (s : A.site) ->
         match s.component with
         | A.Cwords { lo; hi } ->
-            let llo = lo asr 3 and lhi = hi asr 3 in
+            let llo = Mem.Addr.line_of lo and lhi = Mem.Addr.line_of hi in
             if lhi - llo + 1 > cap then raise Exit;
             for l = llo to lhi do
               Hashtbl.replace tbl l ()
@@ -76,14 +59,14 @@ let max_per_set ~set_of lines =
     lines;
   Hashtbl.fold (fun _ c m -> max c m) counts 0
 
-let predict ?(params = default_params) ~written_regions (summary : A.summary) =
+let predict ~params ~written_regions (summary : A.summary) =
   let p = params in
   let writes = List.filter (fun (s : A.site) -> s.written) summary.A.sites in
   let lines = concrete_lines summary.A.sites in
   let write_lines = concrete_lines writes in
   (* ALT: distinct footprint lines vs capacity. *)
   let alt_fit =
-    let cap = p.alt_capacity in
+    let cap = Clear.Alt.default_capacity in
     match lines with
     | Some ls when List.length ls <= cap -> Fits
     | Some _ -> May_overflow
@@ -103,12 +86,13 @@ let predict ?(params = default_params) ~written_regions (summary : A.summary) =
       | None -> if A.bound_le summary.A.footprint_lines p.l1_ways then Fits else May_overflow
     else May_overflow
   in
-  let crt_sets = max 1 (p.crt_entries / max 1 p.crt_ways) in
+  let crt_ways = Clear.Crt.default_ways in
+  let crt_sets = Clear.Crt.default_entries / crt_ways in
   let crt_fit =
     match write_lines with
-    | Some ls when max_per_set ~set_of:(fun l -> l mod crt_sets) ls <= p.crt_ways -> Fits
+    | Some ls when max_per_set ~set_of:(fun l -> l mod crt_sets) ls <= crt_ways -> Fits
     | Some _ -> May_overflow
-    | None -> if A.bound_le summary.A.write_lines p.crt_ways then Fits else May_overflow
+    | None -> if A.bound_le summary.A.write_lines crt_ways then Fits else May_overflow
   in
   let window_fit =
     if A.bound_le summary.A.max_instr_execs p.rob_entries && sq_fit = Fits then Fits

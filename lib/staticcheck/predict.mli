@@ -7,28 +7,18 @@
     soundness gate ({!Gate}) asserts every dynamic decision lies inside it. *)
 
 type params = {
-  alt_capacity : int;
   sq_entries : int;
   rob_entries : int;
   l1_sets : int;
   l1_ways : int;
-  crt_entries : int;
-  crt_ways : int;
   dir_sets : int;
 }
+(** The store-queue and window sizes and the cache geometry a prediction
+    reads. The ALT and CRT sizes are the simulator's own:
+    {!Clear.Alt.default_capacity}, {!Clear.Crt.default_entries} and
+    {!Clear.Crt.default_ways}. *)
 
-val params_of :
-  alt_capacity:int ->
-  sq_entries:int ->
-  rob_entries:int ->
-  crt_entries:int ->
-  crt_ways:int ->
-  Mem.Params.t ->
-  params
-
-val default_params : params
-(** The paper's geometry: 32-entry ALT, 72-entry SQ, 352-entry ROB,
-    64-entry 8-way CRT over icelake-like caches. *)
+val params_of : sq_entries:int -> rob_entries:int -> Mem.Params.t -> params
 
 type fit = Fits | May_overflow
 
@@ -56,7 +46,7 @@ type t = {
   envelope : envelope;
 }
 
-val predict : ?params:params -> written_regions:string list -> Absint.summary -> t
+val predict : params:params -> written_regions:string list -> Absint.summary -> t
 (** [written_regions] is the union over the workload's ARs
     ({!Isa.Program.regions_written}), as in Table 1. *)
 

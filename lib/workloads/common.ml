@@ -5,7 +5,7 @@ let reg r = Isa.Instr.Reg r
 
 let imm i = Isa.Instr.Imm i
 
-let max_threads = 62
+let max_threads = Mem.Directory.max_cores
 
 (* Zipf popularity skews shared by the workload drivers. Values are the
    historical per-workload defaults, hoisted so every driver (and the

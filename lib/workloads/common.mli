@@ -47,8 +47,8 @@ val dir_read_ar :
     [mailbox_reg]. *)
 
 val max_threads : int
-(** Upper bound used when sizing per-thread structures (62, the simulator's
-    core-count ceiling). *)
+(** Upper bound used when sizing per-thread structures: the simulator's
+    core-count ceiling, {!Mem.Directory.max_cores}. *)
 
 (** Zipf popularity skew tiers. One shared vocabulary instead of magic
     floats duplicated per driver; the numeric values are unchanged from the

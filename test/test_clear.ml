@@ -445,12 +445,6 @@ let test_storage_paper_numbers () =
   Alcotest.(check (float 0.01)) "CRT" 544.0 b.Clear.Storage.crt_bytes;
   Alcotest.(check (float 0.01)) "total < 1KiB" 988.5 b.Clear.Storage.total_bytes
 
-let test_storage_scales () =
-  let b = Clear.Storage.compute ~ert_entries:32 () in
-  Alcotest.(check (float 0.01)) "double ERT" 292.0 b.Clear.Storage.ert_bytes;
-  Alcotest.(check bool) "total grows" true
-    (b.Clear.Storage.total_bytes > Clear.Storage.paper.Clear.Storage.total_bytes)
-
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -506,6 +500,5 @@ let () =
       ( "storage",
         [
           Alcotest.test_case "paper numbers" `Quick test_storage_paper_numbers;
-          Alcotest.test_case "scales with entries" `Quick test_storage_scales;
         ] );
     ]

@@ -246,7 +246,6 @@ let test_config_presets () =
   Alcotest.(check bool) "clear on in W" true Config.clear_power.Config.clear_enabled;
   let c = Config.with_retries Config.baseline 7 in
   Alcotest.(check int) "with_retries" 7 c.Config.max_retries;
-  Alcotest.(check int) "with_cores" 8 (Config.with_cores c 8).Config.cores;
   Alcotest.(check int) "with_seed" 3 (Config.with_seed c 3).Config.seed
 
 (* Table 2 as [Config.pp] prints it for the four presets and for W under

@@ -181,7 +181,7 @@ let test_capbuf_growth_boundary () =
    contract must survive the pooling: a checked run's statistics are
    bit-identical to the unchecked run's, closed and open loop alike. *)
 let small_closed preset =
-  Config.with_seed (Config.with_cores (Config.with_retries preset 1) 4) 11
+  { (Config.with_retries preset 1) with Config.cores = 4; seed = 11 }
 
 let test_pooled_capture_bit_identical_closed () =
   List.iter

@@ -11,6 +11,8 @@ module P = Isa.Program
 
 let build ?(id = 0) name f = P.build_ar ~id ~name f
 
+let default_params = Clear_repro.Run.predict_params Machine.Config.default
+
 (* ------------------------------------------------------------------ *)
 (* Registry summaries *)
 
@@ -40,7 +42,7 @@ let test_registry_summaries_sane () =
 let summary_row (w : Machine.Workload.t) (ar : P.ar) =
   let written_regions = List.concat_map P.regions_written w.ars in
   let s = A.analyze_ar ar in
-  let p = Pr.predict ~written_regions s in
+  let p = Pr.predict ~params:default_params ~written_regions s in
   let b = A.bound_to_string and f = Pr.fit_name in
   Printf.sprintf
     "%s/%s r=%s w=%s fp=%s st=%s minst=%d instr=%s must=%b ind=[%s] alt=%s sq=%s lock=%s crt=%s \
@@ -141,7 +143,7 @@ let test_envelope_immutable_fit () =
         Isa.Asm.st b ~base:(I.Imm 64) ~src:(I.Imm 1) ~region:"a" ();
         Isa.Asm.halt b)
   in
-  let p = Pr.predict ~written_regions:[ "a" ] (A.analyze_ar ar) in
+  let p = Pr.predict ~params:default_params ~written_regions:[ "a" ] (A.analyze_ar ar) in
   Alcotest.(check string) "envelope" "NS-CL" (Pr.envelope_name p.Pr.envelope);
   Alcotest.(check bool) "NS-CL in" true
     (Pr.decision_in_envelope p.Pr.envelope Clear.Decision.Ns_cl);
@@ -159,7 +161,7 @@ let test_envelope_fallback_only () =
         Isa.Asm.st b ~base:(I.Imm 72) ~src:(I.Imm 2) ~region:"a" ();
         Isa.Asm.halt b)
   in
-  let params = { Pr.default_params with Pr.sq_entries = 1 } in
+  let params = { default_params with Pr.sq_entries = 1 } in
   let p = Pr.predict ~params ~written_regions:[ "a" ] (A.analyze_ar ar) in
   Alcotest.(check bool) "fallback only" true p.Pr.envelope.Pr.fallback_only;
   Alcotest.(check string) "name" "fallback-only" (Pr.envelope_name p.Pr.envelope)
@@ -313,7 +315,7 @@ let prop_containment =
     (fun seed ->
       let ar, init_regs = gen_ar seed in
       let reads, writes, store_count, completed = run_recorded ar ~init_regs in
-      let model = G.model (G.create Pr.default_params) [ ar ] in
+      let model = G.model (G.create default_params) [ ar ] in
       (match G.check_commit model ~ar ~init_regs ~reads ~writes with
       | Ok () -> ()
       | Error v ->
@@ -337,7 +339,8 @@ let prop_dynamic_in_cover =
     (fun seed ->
       let ar, init_regs = gen_ar seed in
       let reads, writes, _store_count, _completed = run_recorded ar ~init_regs in
-      let info = (Staticcheck.Conflict.ars (Staticcheck.Conflict.of_ars [ ar ])).(0) in
+      let m = Staticcheck.Conflict.of_ars ~params:default_params [ ar ] in
+      let info = (Staticcheck.Conflict.ars m).(0) in
       let within what cover lines =
         List.iter
           (fun l ->
@@ -358,8 +361,8 @@ let test_gate_injected_bug_fires () =
         Isa.Asm.st b ~base:(I.Imm 64) ~src:(I.Imm 1) ~region:"a" ();
         Isa.Asm.halt b)
   in
-  let healthy = G.model (G.create Pr.default_params) [ ar ] in
-  let faulty = G.model (G.create ~fault_drop_store:true Pr.default_params) [ ar ] in
+  let healthy = G.model (G.create default_params) [ ar ] in
+  let faulty = G.model (G.create ~fault_drop_store:true default_params) [ ar ] in
   let writes = [ Mem.Addr.line_of 64 ] in
   (match G.check_commit healthy ~ar ~init_regs:[] ~reads:[] ~writes with
   | Ok () -> ()
@@ -382,7 +385,7 @@ let store_at ~id name addr =
 let test_gate_missing_ar_escapes () =
   let ar0 = store_at ~id:0 "zero" 64 and ar1 = store_at ~id:1 "one" 128 in
   let imposter = store_at ~id:0 "imposter" 64 in
-  let model = G.model (G.create Pr.default_params) [ ar0 ] in
+  let model = G.model (G.create default_params) [ ar0 ] in
   let missing = "AR not in the workload's list" in
   (match G.check_commit model ~ar:ar0 ~init_regs:[] ~reads:[] ~writes:[ Mem.Addr.line_of 64 ] with
   | Ok () -> ()
@@ -412,7 +415,7 @@ let test_gate_missing_ar_escapes () =
           | Ok () -> Alcotest.failf "%s: conflict passed" ar.P.name)
         [ (ar0, ar); (ar, ar0); (ar, ar) ])
     [ ar1; imposter ];
-  let str = Check.Stream.create ~static_gate:(G.create Pr.default_params) ~cores:2 () in
+  let str = Check.Stream.create ~static_gate:(G.create default_params) ~cores:2 () in
   let sink = Check.Stream.sink str in
   sink.Check.Collector.sink_ars [ ar0 ];
   Check.Stream.set_initial str (Mem.Store.image_of_array (Array.make 32 0));
@@ -442,12 +445,7 @@ let arrayswap_cfg =
 let arrayswap_faulty_verdict () =
   let cfg = arrayswap_cfg in
   let w = Workloads.Registry.find "arrayswap" in
-  let params =
-    Pr.params_of ~alt_capacity:cfg.Machine.Config.alt_capacity ~sq_entries:cfg.sq_entries
-      ~rob_entries:cfg.rob_entries ~crt_entries:cfg.crt_entries ~crt_ways:cfg.crt_ways
-      cfg.mem_params
-  in
-  let faulty = G.create ~fault_drop_store:true params in
+  let faulty = G.create ~fault_drop_store:true (Clear_repro.Run.predict_params cfg) in
   let cores = cfg.Machine.Config.cores in
   let str = Check.Stream.create ~static_gate:faulty ~cores () in
   let collector = Check.Collector.create_streaming ~cores (Check.Stream.sink str) in
@@ -478,19 +476,19 @@ let test_gate_injected_bug_distinct_verdict () =
 let test_gate_cache_keys () =
   let ar0 = store_at ~id:0 "zero" 64 and ar1 = store_at ~id:1 "one" 128 in
   let ars = [ ar0 ] in
-  let m0 = G.model (G.create Pr.default_params) ars in
-  let equal_copy = { Pr.default_params with Pr.sq_entries = Pr.default_params.Pr.sq_entries } in
+  let m0 = G.model (G.create default_params) ars in
+  let equal_copy = { default_params with Pr.sq_entries = default_params.Pr.sq_entries } in
   Alcotest.(check bool) "same list, equal geometry: served" true
     (G.model (G.create equal_copy) ars == m0);
   Alcotest.(check bool) "other geometry: built" true
-    (G.model (G.create { Pr.default_params with Pr.sq_entries = 1 }) ars != m0);
+    (G.model (G.create { default_params with Pr.sq_entries = 1 }) ars != m0);
   (* That build took the domain's one entry. *)
-  let m0 = G.model (G.create Pr.default_params) ars in
+  let m0 = G.model (G.create default_params) ars in
   Alcotest.(check bool) "fault gate: built" true
-    (G.model (G.create ~fault_drop_store:true Pr.default_params) ars != m0);
+    (G.model (G.create ~fault_drop_store:true default_params) ars != m0);
   Alcotest.(check bool) "fault gate did not evict" true
-    (G.model (G.create Pr.default_params) ars == m0);
-  let m1 = G.model (G.create Pr.default_params) [ ar1 ] in
+    (G.model (G.create default_params) ars == m0);
+  let m1 = G.model (G.create default_params) [ ar1 ] in
   Alcotest.(check bool) "other list: built" true (m1 != m0);
   let write ar addr = G.check_commit m1 ~ar ~init_regs:[] ~reads:[] ~writes:[ Mem.Addr.line_of addr ] in
   (match write ar1 128 with
