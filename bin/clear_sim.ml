@@ -32,9 +32,8 @@ let workload_conv =
   let print ppf (w : Machine.Workload.t) = Format.pp_print_string ppf w.name in
   Arg.conv (parse, print)
 
-let workload_arg =
-  let doc = "Benchmark name (see `clear_sim list`)." in
-  Arg.(value & opt workload_conv Workloads.Arrayswap.workload & info [ "w"; "workload" ] ~doc)
+let workload_arg ?(doc = "Benchmark name (see `clear_sim list`).") default =
+  Arg.(value & opt workload_conv default & info [ "w"; "workload" ] ~doc)
 
 let preset_arg =
   let doc = "Configuration: B (requester-wins), P (PowerTM), C (CLEAR/rw), W (CLEAR/PowerTM)." in
@@ -65,14 +64,20 @@ let positive_float =
 let non_negative_float =
   bounded Arg.float ~what:"a finite number >= 0" (fun x -> Float.is_finite x && x >= 0.)
 
-let cores_arg = Arg.(value & opt cores_conv 16 & info [ "cores" ] ~doc:"Simulated cores.")
+let cores_arg default =
+  Arg.(value & opt cores_conv default & info [ "cores" ] ~doc:"Simulated cores.")
 
-let ops_arg = Arg.(value & opt (int_at_least 1) 200 & info [ "ops" ] ~doc:"Operations per thread.")
+let ops_arg default =
+  Arg.(value & opt (int_at_least 1) default & info [ "ops" ] ~doc:"Operations per thread.")
 
 let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Run seed.")
 
-let retries_arg =
-  Arg.(value & opt (int_at_least 0) 4 & info [ "retries" ] ~doc:"Retry limit before fallback.")
+let retries_arg ?(doc = "Retry limit before fallback.") default =
+  Arg.(value & opt (int_at_least 0) default & info [ "retries" ] ~doc)
+
+let json_arg = Arg.(value & flag & info [ "json" ] ~doc:"Machine-readable JSON output.")
+
+let check_arg doc = Arg.(value & flag & info [ "check" ] ~doc)
 
 let frontend_conv =
   let parse s =
@@ -110,9 +115,19 @@ let config_of ?(frontend = Machine.Config.Htm) letter ~cores ~ops ~seed ~retries
     frontend;
   }
 
+(* The machine `run`, `check` and `config` simulate: a preset with the
+   shared knobs. `config` has no --frontend flag. *)
+let machine_of frontend =
+  let make letter cores ops seed retries frontend =
+    config_of ~frontend letter ~cores ~ops ~seed ~retries
+  in
+  Term.(const make $ preset_arg $ cores_arg 16 $ ops_arg 200 $ seed_arg $ retries_arg 4 $ frontend)
+
+let machine_term = machine_of frontend_arg
+
 let run_cmd =
-  let run (w : Machine.Workload.t) letter cores ops seed retries frontend trace_n trace_out =
-    let cfg = config_of ~frontend letter ~cores ~ops ~seed ~retries in
+  let run (w : Machine.Workload.t) (cfg : Machine.Config.t) trace_n trace_out =
+    let cores = cfg.cores in
     let trace =
       if trace_out <> None then
         (* A file export wants the whole run, not the default ring. *)
@@ -136,8 +151,8 @@ let run_cmd =
     let stats = Machine.Engine.run engine in
     let elapsed = Unix.gettimeofday () -. t0 in
     let module S = Machine.Stats in
-    Printf.printf "workload        %s (%s, %d cores, %d ops/thread, seed %d)\n" w.name letter cores
-      ops seed;
+    Printf.printf "workload        %s (%s, %d cores, %d ops/thread, seed %d)\n" w.name
+      (Machine.Config.preset_letter cfg) cores cfg.ops_per_thread cfg.seed;
     Printf.printf "total cycles    %d\n" (S.total_cycles stats);
     Printf.printf "commits         %d\n" (S.commits stats);
     List.iter
@@ -147,21 +162,13 @@ let run_cmd =
     Printf.printf "aborts          %d (%.2f per commit)\n" (S.aborts stats) (S.aborts_per_commit stats);
     List.iter
       (fun cat ->
-        Printf.printf "  %-17s %d\n" (Machine.Abort.category_name cat) (S.aborts_in_category stats cat))
-      Machine.Abort.all_categories;
+        Printf.printf "  %-17s %d\n" (Check.Abort.category_name cat) (S.aborts_in_category stats cat))
+      Check.Abort.all_categories;
     List.iter
       (fun cause ->
         let n = S.aborts_with_cause stats cause in
-        if n > 0 then Printf.printf "    %-16s %d\n" (Machine.Abort.cause_name cause) n)
-      [
-        Machine.Abort.Memory_conflict;
-        Machine.Abort.Nacked;
-        Machine.Abort.Explicit_fallback;
-        Machine.Abort.Other_fallback;
-        Machine.Abort.Capacity;
-        Machine.Abort.Scl_deviation;
-        Machine.Abort.Other;
-      ];
+        if n > 0 then Printf.printf "    %-16s %d\n" (Check.Abort.cause_name cause) n)
+      Check.Abort.all_causes;
     let one, many, fb = S.retry_breakdown stats in
     Printf.printf "retried commits  1-retry %.1f%%  n-retry %.1f%%  fallback %.1f%%\n" (100. *. one)
       (100. *. many) (100. *. fb);
@@ -194,8 +201,8 @@ let run_cmd =
   in
   let term =
     Term.(
-      const run $ workload_arg $ preset_arg $ cores_arg $ ops_arg $ seed_arg $ retries_arg
-      $ frontend_arg $ trace_arg $ trace_out_arg)
+      const run $ workload_arg Workloads.Arrayswap.workload $ machine_term
+      $ trace_arg $ trace_out_arg)
   in
   Cmd.v (Cmd.info "run" ~doc:"Run one benchmark under one configuration.") term
 
@@ -355,11 +362,9 @@ let suite_cmd =
          & info [ "csv" ] ~docv:"DIR" ~doc:"Also write each table to $(docv)/NAME.csv.")
   in
   let check_arg =
-    Arg.(value & flag
-         & info [ "check" ]
-             ~doc:"Validate every simulation with the execution oracle (serializability, \
-                   sequential replay, lock safety, static soundness gate). Implies bypassing \
-                   the suite cache.")
+    check_arg
+      "Validate every simulation with the execution oracle (serializability, sequential \
+       replay, lock safety, static soundness gate). Implies bypassing the suite cache."
   in
   let no_cache_arg =
     Arg.(value & flag
@@ -404,44 +409,29 @@ let sched_cmd =
       print_endline (Sweep.summary r)
     end
   in
-  let json_arg = Arg.(value & flag & info [ "json" ] ~doc:"Machine-readable JSON output.") in
-  let check_arg =
-    Arg.(value & flag
-         & info [ "check" ] ~doc:"Validate every scenario run with the execution oracle.")
-  in
   let fingerprint_arg =
     Arg.(value & flag
          & info [ "fingerprint" ]
              ~doc:"Print OCaml-syntax golden rows (scenario, config, seed, counters) for the \
                    test tables instead of the report.")
   in
-  let sched_workload_arg =
-    let doc = "Benchmark driving the scenario sweep (see `clear_sim list`)." in
-    Arg.(value & opt workload_conv d.Sweep.workload & info [ "w"; "workload" ] ~doc)
-  in
-  let sched_cores_arg =
-    Arg.(value & opt cores_conv d.Sweep.cores & info [ "cores" ] ~doc:"Simulated cores.")
-  in
-  let sched_ops_arg =
-    Arg.(value & opt (int_at_least 1) d.Sweep.ops & info [ "ops" ] ~doc:"Operations per thread.")
-  in
-  let sched_retries_arg =
-    Arg.(value & opt (int_at_least 0) d.Sweep.retries
-         & info [ "retries" ] ~doc:"Retry limit before fallback.")
-  in
   Cmd.v
     (Cmd.info "sched"
        ~doc:"Run every schedule scenario (hot core, think skew, NUMA asymmetry, phased start) \
              against the symmetric baseline across all four configurations and report how the \
              retry/fallback mix shifts. Deterministic per (workload, cores, ops, seed).")
-    Term.(const run $ json_arg $ check_arg $ fingerprint_arg $ jobs_arg "sched" $ sched_workload_arg
-          $ sched_cores_arg $ sched_ops_arg $ sched_retries_arg)
+    Term.(const run $ json_arg
+          $ check_arg "Validate every scenario run with the execution oracle."
+          $ fingerprint_arg $ jobs_arg "sched"
+          $ workload_arg ~doc:"Benchmark driving the scenario sweep (see `clear_sim list`)."
+              d.Sweep.workload
+          $ cores_arg d.Sweep.cores $ ops_arg d.Sweep.ops $ retries_arg d.Sweep.retries)
 
 let check_cmd =
-  let check workload all letter cores ops seed retries frontend fault_blind_line =
+  let check workload all (cfg : Machine.Config.t) fault_blind_line =
     let ws = if all then Workloads.Registry.all else [ workload ] in
-    let cfg = config_of ~frontend letter ~cores ~ops ~seed ~retries in
-    let cfg = { cfg with Machine.Config.fault_blind_line } in
+    let cfg = { cfg with fault_blind_line } in
+    let letter = Machine.Config.preset_letter cfg and seed = cfg.seed in
     let failures = ref 0 in
     List.iter
       (fun (w : Machine.Workload.t) ->
@@ -473,8 +463,8 @@ let check_cmd =
        ~doc:"Run benchmarks with the execution oracle: commit-order serializability over the \
              captured witnesses, bit-exact sequential replay of all committed ARs, and \
              lock-safety invariants. Exits non-zero on any violation.")
-    Term.(const check $ workload_arg $ all_arg $ preset_arg $ cores_arg $ ops_arg $ seed_arg
-          $ retries_arg $ frontend_arg $ fault_blind_arg)
+    Term.(const check $ workload_arg Workloads.Arrayswap.workload $ all_arg
+          $ machine_term $ fault_blind_arg)
 
 let list_cmd =
   let list () =
@@ -702,7 +692,6 @@ let analyze_cmd =
     Arg.(value & opt (some workload_conv) None
          & info [ "w"; "workload" ] ~doc:"Restrict the analysis to one benchmark.")
   in
-  let json_arg = Arg.(value & flag & info [ "json" ] ~doc:"Machine-readable JSON output.") in
   let conflicts_arg =
     Arg.(value & flag
          & info [ "conflicts" ]
@@ -741,7 +730,6 @@ let lint_cmd =
     end;
     if L.errors diags > 0 then exit 1
   in
-  let json_arg = Arg.(value & flag & info [ "json" ] ~doc:"Machine-readable JSON output.") in
   let demo_arg =
     Arg.(value & flag
          & info [ "broken-demo" ]
@@ -800,7 +788,6 @@ let openloop_cmd =
       exit 1
     end
   in
-  let json_arg = Arg.(value & flag & info [ "json" ] ~doc:"Machine-readable JSON output.") in
   let keys_arg =
     Arg.(value & opt (int_at_least 1) d.Sweep.keys
          & info [ "keys" ]
@@ -839,39 +826,28 @@ let openloop_cmd =
          & info [ "configs" ] ~docv:"L1,L2,..."
              ~doc:"Configurations to sweep (letters among B, P, C, W).")
   in
-  let openloop_retries_arg =
-    Arg.(value & opt (int_at_least 0) 1
-         & info [ "retries" ]
-             ~doc:"Retry limit before fallback. The default 1 makes the baseline \
-                   fallback-heavy — the convoy CLEAR's single-retry bound avoids.")
-  in
-  let openloop_cores_arg =
-    Arg.(value & opt cores_conv Machine.Config.default.Machine.Config.cores
-         & info [ "cores" ] ~doc:"Simulated cores.")
-  in
-  let check_arg =
-    Arg.(value & flag
-         & info [ "check" ]
-             ~doc:"Validate each configuration's lowest load point with the execution oracle \
-                   (exit 1 on violation).")
-  in
   Cmd.v
     (Cmd.info "openloop"
        ~doc:"Open-system sweep: requests arrive on their own schedule (Poisson or bursty), \
              queue while cores are busy, and record enqueue-to-commit sojourn latency. Emits \
              the latency-vs-offered-load curve with exact p50/p99/p999 percentiles. \
              Deterministic per seed at any --jobs.")
-    Term.(const run $ json_arg $ jobs_arg "openloop" $ workload_arg $ keys_arg $ theta_arg $ loads_arg
-          $ requests_arg $ process_arg $ heat_arg $ cap_arg $ configs_arg $ openloop_retries_arg
-          $ openloop_cores_arg $ seed_arg $ check_arg)
+    Term.(const run $ json_arg $ jobs_arg "openloop" $ workload_arg Workloads.Arrayswap.workload
+          $ keys_arg $ theta_arg $ loads_arg $ requests_arg $ process_arg $ heat_arg $ cap_arg
+          $ configs_arg
+          $ retries_arg
+              ~doc:"Retry limit before fallback. The default 1 makes the baseline \
+                    fallback-heavy — the convoy CLEAR's single-retry bound avoids."
+              1
+          $ cores_arg Machine.Config.default.Machine.Config.cores $ seed_arg
+          $ check_arg
+              "Validate each configuration's lowest load point with the execution oracle \
+               (exit 1 on violation).")
 
 let config_cmd =
-  let show letter cores ops seed retries =
-    let cfg = config_of letter ~cores ~ops ~seed ~retries in
-    Format.printf "%a@." Machine.Config.pp cfg
-  in
+  let show cfg = Format.printf "%a@." Machine.Config.pp cfg in
   Cmd.v (Cmd.info "config" ~doc:"Print the machine configuration (Table 2).")
-    Term.(const show $ preset_arg $ cores_arg $ ops_arg $ seed_arg $ retries_arg)
+    Term.(const show $ machine_of (const Machine.Config.Htm))
 
 let () =
   let info = Cmd.info "clear_sim" ~doc:"CLEAR bounded-retry HTM simulator." in

@@ -16,8 +16,8 @@ let describe label cfg workload =
   let stats = Engine.run_workload cfg workload in
   Printf.printf "%-24s cycles=%-9d aborts/commit=%-6.2f explicit-fb=%-5d other-fb=%-5d fallback-commits=%d\n"
     label (Stats.total_cycles stats) (Stats.aborts_per_commit stats)
-    (Stats.aborts_with_cause stats Machine.Abort.Explicit_fallback)
-    (Stats.aborts_with_cause stats Machine.Abort.Other_fallback)
+    (Stats.aborts_with_cause stats Check.Abort.Explicit_fallback)
+    (Stats.aborts_with_cause stats Check.Abort.Other_fallback)
     (Stats.commits_in_mode stats Stats.Fallback)
 
 let () =

@@ -19,6 +19,9 @@ let counts_toward_retry_limit = function
   | Memory_conflict | Nacked | Capacity | Scl_deviation | Other -> true
   | Explicit_fallback | Other_fallback -> false
 
+let all_causes =
+  [ Memory_conflict; Nacked; Explicit_fallback; Other_fallback; Capacity; Scl_deviation; Other ]
+
 let cause_name = function
   | Memory_conflict -> "memory-conflict"
   | Nacked -> "nacked"

@@ -20,6 +20,9 @@ val counts_toward_retry_limit : cause -> bool
 (** The paper's retry counter ignores fallback-lock aborts — which is why
     some applications exceed the nominal maximum retries. *)
 
+val all_causes : cause list
+(** Every cause, in declaration order. *)
+
 val cause_name : cause -> string
 
 val category_name : category -> string

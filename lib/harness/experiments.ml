@@ -198,7 +198,7 @@ let fig11 suite =
     ~columns:
       (List.map
          (fun (header, cat) -> (header, fun r -> List.assoc cat r.Run.abort_categories))
-         Machine.Abort.
+         Check.Abort.
            [
              ("MemConflict", Cat_memory_conflict);
              ("ExplicitFB", Cat_explicit_fallback);

@@ -9,7 +9,7 @@ type t = {
   energy : float;
   aborts_per_commit : float;
   discovery_fraction : float;
-  abort_categories : (Machine.Abort.category * float) list;
+  abort_categories : (Check.Abort.category * float) list;
   commit_mode_fractions : (Machine.Stats.commit_mode * float) list;
   first_try_ratio : float;
   single_retry_ratio : float;
@@ -127,7 +127,7 @@ let of_stats (cfg : Machine.Config.t) (workload : Machine.Workload.t) ~trim runs
           over (fun s ->
               let commits = max 1 (Stats.commits s) in
               float_of_int (Stats.aborts_in_category s cat) /. float_of_int commits) ))
-      Machine.Abort.all_categories
+      Check.Abort.all_categories
   in
   let commit_mode_fractions =
     List.map

@@ -19,7 +19,7 @@ type t = {
   aborts_per_commit : float;
   discovery_fraction : float;
       (** share of total time spent executing aborted discoveries *)
-  abort_categories : (Machine.Abort.category * float) list;
+  abort_categories : (Check.Abort.category * float) list;
       (** mean aborts per committed transaction, by category *)
   commit_mode_fractions : (Machine.Stats.commit_mode * float) list;
   first_try_ratio : float;

@@ -63,7 +63,6 @@ let remove_line t ~core line =
     t.writers.(line) <- t.writers.(line) land mask
   end
 
-let remove_core t ~core ~lines = List.iter (fun line -> remove_line t ~core line) lines
 
 let readers t line = if line < Array.length t.readers then t.readers.(line) else 0
 

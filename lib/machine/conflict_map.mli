@@ -25,10 +25,6 @@ val add_writer : t -> core:int -> Mem.Addr.line -> unit
 val remove_line : t -> core:int -> Mem.Addr.line -> unit
 (** Withdraw [core] from one line (idempotent). *)
 
-val remove_core : t -> core:int -> lines:Mem.Addr.line list -> unit
-(** Withdraw [core] from the given lines (commit, abort or failed-mode
-    entry). *)
-
 val readers : t -> Mem.Addr.line -> int
 (** Bitmask of speculative readers. *)
 

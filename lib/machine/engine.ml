@@ -1,6 +1,7 @@
 module Rng = Simrt.Rng
 module Event_queue = Simrt.Event_queue
 module I = Isa.Instr
+module Abort = Check.Abort
 
 type phase =
   | P_next_op (* pick the next operation or finish *)

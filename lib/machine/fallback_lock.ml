@@ -21,7 +21,6 @@ let try_read_lock t ~core =
 
 let announce_writer t ~core = t.waiting_writers <- t.waiting_writers lor bit core
 
-let withdraw_writer t ~core = t.waiting_writers <- t.waiting_writers land lnot (bit core)
 
 let release t ~core =
   if t.writer = core then t.writer <- -1;

@@ -18,10 +18,7 @@ val try_read_lock : t -> core:int -> bool
     priority to avoid starving the fallback path. *)
 
 val announce_writer : t -> core:int -> unit
-(** Register intent to write-lock; blocks new readers until served or
-    {!withdraw_writer}. *)
-
-val withdraw_writer : t -> core:int -> unit
+(** Register intent to write-lock; blocks new readers until served. *)
 
 val release : t -> core:int -> unit
 (** Drop whichever hold [core] has; no-op when it has none. *)

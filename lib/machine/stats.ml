@@ -1,4 +1,5 @@
 module Counter = Simrt.Counter
+module Abort = Check.Abort
 
 type commit_mode = Check.Witness.mode = Speculative | Scl | Nscl | Fallback
 
@@ -14,8 +15,6 @@ let cause_index : Abort.cause -> int = function
   | Capacity -> 4
   | Scl_deviation -> 5
   | Other -> 6
-
-let all_causes = Abort.[ Memory_conflict; Nacked; Explicit_fallback; Other_fallback; Capacity; Scl_deviation; Other ]
 
 (* Counters by small non-negative int keys live in int arrays indexed by
    the key (AR id, retry count, cause), grown on demand. Aborts, retired
@@ -49,7 +48,7 @@ let create () =
     commits_by_mode = Array.make 4 0;
     retry_hist = Array.make 8 0;
     fallback_commits = 0;
-    aborts_by_cause = Array.make (List.length all_causes) 0;
+    aborts_by_cause = Array.make (List.length Abort.all_causes) 0;
     total_cycles = 0;
     failed_discovery_cycles = 0;
     first_aborted = 0;
@@ -112,7 +111,7 @@ let aborts_with_cause t cause = t.aborts_by_cause.(cause_index cause)
 let aborts_in_category t cat =
   List.fold_left
     (fun acc cause -> if Abort.category cause = cat then acc + aborts_with_cause t cause else acc)
-    0 all_causes
+    0 Abort.all_causes
 
 let aborts_per_commit t =
   if t.commits = 0 then 0.0 else float_of_int (aborts t) /. float_of_int t.commits

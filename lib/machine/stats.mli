@@ -20,7 +20,7 @@ val note_commit : ?ar:int -> t -> mode:commit_mode -> retries:int -> unit
 val commits_for_ar : t -> int -> int
 (** Commits attributed to the atomic region with this id. *)
 
-val note_abort : t -> Abort.cause -> unit
+val note_abort : t -> Check.Abort.cause -> unit
 
 val note_instr : t -> unit
 
@@ -44,9 +44,9 @@ val commits_in_mode : t -> commit_mode -> int
 
 val aborts : t -> int
 
-val aborts_with_cause : t -> Abort.cause -> int
+val aborts_with_cause : t -> Check.Abort.cause -> int
 
-val aborts_in_category : t -> Abort.category -> int
+val aborts_in_category : t -> Check.Abort.category -> int
 
 val aborts_per_commit : t -> float
 

@@ -72,7 +72,7 @@ let kind_to_string = function
   | Lifecycle (Unlock { line; _ }) -> Printf.sprintf "unlocked line %d" line
   | Lifecycle (Attempt_end { outcome = Committed { mode; retries }; _ }) ->
       Printf.sprintf "commit (%s, %d retries)" (Check.Witness.mode_name mode) retries
-  | Lifecycle (Attempt_end { outcome = Aborted cause; _ }) -> "abort: " ^ Abort.cause_name cause
+  | Lifecycle (Attempt_end { outcome = Aborted cause; _ }) -> "abort: " ^ Check.Abort.cause_name cause
 
 let pp_event ppf e =
   Format.fprintf ppf "@[%8d core%-3d %-18s %s@]" e.time e.core e.ar (kind_to_string e.kind)

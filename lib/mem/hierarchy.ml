@@ -204,12 +204,6 @@ let unlock_all t ~core =
   Counter.bump t.cells.coh_msgs (if n = 0 then 0 else 1);
   n
 
-let flush_core t ~core =
-  Cache.iter t.l1s.(core) (fun line -> Directory.drop_core t.directory ~core line);
-  Cache.iter t.l2s.(core) (fun line -> Directory.drop_core t.directory ~core line);
-  Cache.clear t.l1s.(core);
-  Cache.clear t.l2s.(core)
-
 let release t =
   Array.iter Cache.clear t.l1s;
   Array.iter Cache.clear t.l2s;

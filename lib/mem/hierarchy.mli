@@ -54,9 +54,6 @@ val locked_by : t -> Addr.line -> int
 val locked_lines : t -> core:int -> Addr.line list
 (** Every line currently locked by [core] (release tracing and oracles). *)
 
-val flush_core : t -> core:int -> unit
-(** Drop all of [core]'s private-cache contents (used by tests). *)
-
 val release : t -> unit
 (** End of life: give every cache and directory page back to
     {!Simrt.Pagepool} (the store is its owner's to release). Afterwards

@@ -60,10 +60,3 @@ let all =
 let names = List.map fst all
 
 let find name = List.assoc_opt name all
-
-let find_exn name =
-  match find name with
-  | Some p -> p
-  | None ->
-      invalid_arg
-        (Printf.sprintf "unknown sched scenario %S (valid: %s)" name (String.concat ", " names))

@@ -24,6 +24,3 @@ val names : string list
 
 val find : string -> Profile.t option
 (** Lookup by name, e.g. [find "numa2x"]. *)
-
-val find_exn : string -> Profile.t
-(** Like {!find} but raises [Invalid_argument] listing valid names. *)

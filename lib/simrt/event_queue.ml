@@ -322,4 +322,3 @@ let pop t =
     Some (time, payload)
   end
 
-let peek_time t = if t.count = 0 then None else Some (min_time t)

@@ -54,8 +54,5 @@ val requeue_run : 'a t -> time:int -> ('a -> bool) -> int
     event then earliest with its own payload. Raises [Invalid_argument]
     when empty. *)
 
-val peek_time : 'a t -> int option
-(** Time of the earliest event without removing it. *)
-
 val clear : 'a t -> unit
 (** Drop every event. *)

@@ -41,14 +41,6 @@ let chance t p =
   else if p >= 1.0 then true
   else float t 1.0 < p
 
-let shuffle t a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done
-
 let zipf t ~n ~theta =
   assert (n > 0);
   if theta <= 0.0 then int t n

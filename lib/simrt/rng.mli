@@ -36,8 +36,6 @@ val bool : t -> bool
 val chance : t -> float -> bool
 (** [chance t p] is [true] with probability [p] (clamped to [\[0,1\]]). *)
 
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher–Yates shuffle. *)
 
 val zipf : t -> n:int -> theta:float -> int
 (** [zipf t ~n ~theta] samples from a Zipf-like distribution over

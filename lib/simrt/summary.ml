@@ -28,14 +28,3 @@ let geomean = function
       let logs = List.map (fun x -> if x <= 0.0 then 0.0 else log x) xs in
       exp (mean logs)
 
-let stddev xs =
-  match xs with
-  | [] | [ _ ] -> 0.0
-  | _ ->
-      let m = mean xs in
-      let var = mean (List.map (fun x -> (x -. m) *. (x -. m)) xs) in
-      sqrt var
-
-let min_max = function
-  | [] -> invalid_arg "Summary.min_max: empty list"
-  | x :: xs -> List.fold_left (fun (lo, hi) v -> (min lo v, max hi v)) (x, x) xs

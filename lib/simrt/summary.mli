@@ -16,8 +16,3 @@ val geomean : float list -> float
 (** Geometric mean of positive values; 0 on the empty list. *)
 
 val median : float list -> float
-
-val stddev : float list -> float
-
-val min_max : float list -> float * float
-(** Raises [Invalid_argument] on the empty list. *)

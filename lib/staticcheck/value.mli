@@ -7,10 +7,8 @@
     sentinels, which mean "unbounded on that side" (not a numeric bound). *)
 
 val inf : int
-(** Positive-unbounded sentinel (2{^50}); [neg_inf] is its negation. Every
-    stored finite bound is strictly smaller in magnitude. *)
-
-val neg_inf : int
+(** Positive-unbounded sentinel (2{^50}); its negation is the negative one.
+    Every stored finite bound is strictly smaller in magnitude. *)
 
 type shape = Bot | Const | Init of Isa.Instr.reg | Top
 
@@ -28,8 +26,6 @@ val const_ : int -> t
 
 val init_ : Isa.Instr.reg -> t
 (** The value register [r] holds on entry. *)
-
-val is_bot : t -> bool
 
 val is_finite : t -> bool
 (** True when the shape carries an interval and both bounds are finite. *)

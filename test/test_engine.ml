@@ -611,9 +611,9 @@ let test_sle_per_lock_independence () =
   let stats = Engine.run engine in
   Alcotest.(check int) "commits" 80 (Stats.commits stats);
   Alcotest.(check int) "no explicit fallback aborts" 0
-    (Stats.aborts_with_cause stats Machine.Abort.Explicit_fallback);
+    (Stats.aborts_with_cause stats Check.Abort.Explicit_fallback);
   Alcotest.(check int) "no other-fallback aborts" 0
-    (Stats.aborts_with_cause stats Machine.Abort.Other_fallback)
+    (Stats.aborts_with_cause stats Check.Abort.Other_fallback)
 
 let test_sle_clear_converts () =
   let cfg = sle (small Config.clear_rw) in

@@ -243,7 +243,7 @@ let test_numa_blind_fault_caught () =
         memory_words = 1 lsl 16;
         fault_numa_blind = fault;
       }
-      (Sched.Scenarios.find_exn sname)
+      (Option.get (Sched.Scenarios.find sname))
   in
   (* Control 1: the fault knob is inert on a flat matrix (no access has a
      positive adder, so nothing is blind). *)
@@ -540,7 +540,7 @@ let test_fuzz_stream_agrees_with_posthoc () =
         memory_words = 1 lsl 16;
         fault_numa_blind = true;
       }
-      (Sched.Scenarios.find_exn "numa2x")
+      (Option.get (Sched.Scenarios.find "numa2x"))
   in
   let sim = { Clear_repro.Run.cfg; workload = counter_workload; seed = 5 } in
   let _stats, posthoc = Posthoc.run_sim_checked sim in

@@ -6,7 +6,7 @@ module Regfile = Machine.Regfile
 module Txn = Machine.Txn
 module Conflict_map = Machine.Conflict_map
 module Fallback_lock = Machine.Fallback_lock
-module Abort = Machine.Abort
+module Abort = Check.Abort
 module Config = Machine.Config
 module Stats = Machine.Stats
 module I = Isa.Instr
@@ -93,7 +93,7 @@ let test_conflict_map () =
   Conflict_map.add_writer m ~core:1 7;
   Alcotest.(check (list int)) "readers excl self" [ 2 ] (Conflict_map.conflicting_readers m ~core:0 7);
   Alcotest.(check (list int)) "writers" [ 1 ] (Conflict_map.conflicting_writers m ~core:0 7);
-  Conflict_map.remove_core m ~core:2 ~lines:[ 7 ];
+  Conflict_map.remove_line m ~core:2 7;
   Alcotest.(check (list int)) "removed" [] (Conflict_map.conflicting_readers m ~core:0 7);
   Alcotest.(check int) "writer mask" 2 (Conflict_map.writers m 7);
   Conflict_map.clear m;
@@ -167,10 +167,10 @@ let prop_conflict_map_model =
               let keep = lnot (1 lsl core) in
               Hashtbl.replace model line (r land keep, w land keep)
           | _ ->
-              Conflict_map.remove_core m ~core ~lines:[ line; line + 7 ];
               let keep = lnot (1 lsl core) in
               List.iter
                 (fun l ->
+                  Conflict_map.remove_line m ~core l;
                   let r, w = masks l in
                   Hashtbl.replace model l (r land keep, w land keep))
                 [ line; line + 7 ]);
@@ -213,12 +213,6 @@ let test_fallback_writer_priority () =
   Alcotest.(check bool) "announcement cleared" true (Fallback_lock.writer_held l);
   Fallback_lock.release l ~core:1;
   Alcotest.(check bool) "readers again" true (Fallback_lock.try_read_lock l ~core:2)
-
-let test_fallback_withdraw () =
-  let l = Fallback_lock.create () in
-  Fallback_lock.announce_writer l ~core:3;
-  Fallback_lock.withdraw_writer l ~core:3;
-  Alcotest.(check bool) "readers unblocked" true (Fallback_lock.try_read_lock l ~core:0)
 
 (* ------------------------------------------------------------------ *)
 (* Abort taxonomy *)
@@ -382,7 +376,6 @@ let () =
         [
           Alcotest.test_case "rw semantics" `Quick test_fallback_rw_semantics;
           Alcotest.test_case "writer priority" `Quick test_fallback_writer_priority;
-          Alcotest.test_case "withdraw" `Quick test_fallback_withdraw;
         ] );
       ("abort", [ Alcotest.test_case "categories" `Quick test_abort_categories ]);
       ( "config",

@@ -659,7 +659,13 @@ let prop_private_lines_listed =
           | H_write (core, line) -> if free_for core line then ignore (Hierarchy.write_line h ~core line)
           | H_lock (core, line) -> ignore (Hierarchy.lock_line h ~core line)
           | H_unlock_all core -> ignore (Hierarchy.unlock_all h ~core : int)
-          | H_flush core -> Hierarchy.flush_core h ~core);
+          | H_flush core ->
+              (* Drop the core's private copies, directory entries first. *)
+              List.iter
+                (fun cache ->
+                  Cache.iter cache (fun line -> Directory.drop_core dir ~core line);
+                  Cache.clear cache)
+                [ Hierarchy.l1 h ~core; Hierarchy.l2 h ~core ]);
           listed ())
         script)
 
