@@ -2,11 +2,11 @@
 
     One entry per atomic region, keyed by the region's program counter (here:
     the AR id). Fully associative with LRU replacement, {!default_entries}
-    entries by default. Each entry records whether the region is still a candidate for
-    cacheline-locked re-execution ([is_convertible]), whether a retry may
-    start non-speculatively ([is_immutable]) and a 2-bit saturating counter of
-    discoveries that ran out of store-queue resources; when that counter
-    saturates, discovery is disabled for the region. *)
+    entries by default. Each entry records whether the region is still a
+    candidate for cacheline-locked re-execution ([is_convertible]), whether a
+    retry may start non-speculatively ([is_immutable]) and a 2-bit saturating
+    counter of discoveries that ran out of store-queue resources; when that
+    counter saturates, discovery is disabled for the region. *)
 
 type entry = private {
   pc : int;

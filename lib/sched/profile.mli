@@ -17,7 +17,7 @@
 type think_dist =
   | Default
       (** the legacy pacing: [base + U[0, base/2]] cycles, where [base] is
-          the configuration's [think_cycles] *)
+          [Machine.Config.think_cycles] *)
   | Const of int  (** exactly this many cycles, no draw *)
   | Uniform of { lo : int; hi : int }  (** [U[lo, hi]], inclusive *)
   | Burst of { lo : int; hi : int; heat : float }
