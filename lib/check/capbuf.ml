@@ -164,8 +164,11 @@ let ar t = t.ar
 
 let init_regs t = List.init t.irn (fun i -> (t.ir.(2 * i), t.ir.((2 * i) + 1)))
 
+(* Twice per checked commit; a typed loop, as in [Regfile.reset]. *)
 let fill_regs t regs =
-  Array.fill regs 0 (Array.length regs) 0;
+  for i = 0 to Array.length regs - 1 do
+    regs.(i) <- 0
+  done;
   for i = 0 to t.irn - 1 do
     regs.(t.ir.(2 * i)) <- t.ir.((2 * i) + 1)
   done

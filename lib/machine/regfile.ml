@@ -6,8 +6,13 @@ let create () =
     indirection = Clear.Indirection.create ~regs:Isa.Instr.num_regs;
   }
 
+(* Runs on every attempt. A typed loop compiles to plain stores;
+   [Array.fill] is a C call that no inlining reaches. *)
 let reset t =
-  Array.fill t.values 0 (Array.length t.values) 0;
+  let v = t.values in
+  for i = 0 to Array.length v - 1 do
+    v.(i) <- 0
+  done;
   Clear.Indirection.reset t.indirection
 
 let load_initial t inits =

@@ -21,7 +21,13 @@ let test_regfile_values () =
   Alcotest.(check int) "init r3" 7 (Regfile.get r 3);
   Alcotest.(check int) "others zero" 0 (Regfile.get r 1);
   Alcotest.(check int) "operand reg" 10 (Regfile.operand r (I.Reg 0));
-  Alcotest.(check int) "operand imm" 42 (Regfile.operand r (I.Imm 42))
+  Alcotest.(check int) "operand imm" 42 (Regfile.operand r (I.Imm 42));
+  (* The engine reuses one register file across attempts: a reload over
+     fewer registers leaves none of the first load's values behind. *)
+  Regfile.load_initial r [ (3, 4) ];
+  for reg = 0 to I.num_regs - 1 do
+    Alcotest.(check int) (Printf.sprintf "reload r%d" reg) (if reg = 3 then 4 else 0) (Regfile.get r reg)
+  done
 
 let test_regfile_taint () =
   let r = Regfile.create () in
@@ -32,8 +38,14 @@ let test_regfile_taint () =
   Regfile.define_alu r ~dst:1 (I.Imm 3) (I.Imm 3) 3;
   Alcotest.(check bool) "overwrite clears" false (Regfile.operand_tainted r (I.Reg 1));
   Alcotest.(check bool) "imm never tainted" false (Regfile.operand_tainted r (I.Imm 0));
+  Regfile.define_load r ~dst:5 1;
   Regfile.load_initial r [ (2, 0) ];
-  Alcotest.(check bool) "initial regs untainted" false (Regfile.operand_tainted r (I.Reg 2))
+  for reg = 0 to I.num_regs - 1 do
+    Alcotest.(check bool)
+      (Printf.sprintf "reload clears r%d" reg)
+      false
+      (Regfile.operand_tainted r (I.Reg reg))
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Txn *)

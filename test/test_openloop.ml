@@ -126,6 +126,23 @@ let test_capbuf_dedup_and_order () =
   Alcotest.(check (list (pair int int))) "reset empties reads" [] (Check.Capbuf.reads c);
   Alcotest.(check (list (pair int int))) "reset empties stores" [] (Check.Capbuf.stores c)
 
+(* The checker fills one register array per commit: a second fill over
+   fewer initial registers zeroes every register the first one set. *)
+let test_capbuf_fill_regs_reuse () =
+  let c = Check.Capbuf.create () and regs = Array.make Isa.Instr.num_regs 99 in
+  let ar = Isa.Program.make_ar ~id:0 ~name:"noop" [| Isa.Instr.Halt |] in
+  let fill init_regs =
+    Check.Capbuf.reset c;
+    Check.Capbuf.seal c ~seq:0 ~time:0 ~core:0 ~ar ~init_regs ~mode:Check.Witness.Speculative ~retries:0;
+    Check.Capbuf.fill_regs c regs;
+    Alcotest.(check (array int))
+      (Printf.sprintf "%d initial registers" (List.length init_regs))
+      (Array.init Isa.Instr.num_regs (fun r -> Option.value (List.assoc_opt r init_regs) ~default:0))
+      regs
+  in
+  fill [ (0, 10); (3, 7); (5, 9) ];
+  fill [ (3, 4) ]
+
 let test_capbuf_growth () =
   (* Push past the initial capacity (16) on every channel. *)
   let c = Check.Capbuf.create () in
@@ -442,6 +459,7 @@ let () =
       ( "capbuf",
         [
           Alcotest.test_case "dedup and order" `Quick test_capbuf_dedup_and_order;
+          Alcotest.test_case "fill_regs over a reused array" `Quick test_capbuf_fill_regs_reuse;
           Alcotest.test_case "growth" `Quick test_capbuf_growth;
           Alcotest.test_case "growth at the initial boundary" `Quick test_capbuf_growth_boundary;
           Alcotest.test_case "closed-loop stats bit-identical" `Quick
